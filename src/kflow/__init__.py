@@ -22,7 +22,7 @@ from .loss import (
     rho,
     sparse_loss,
 )
-from .metrics import ForecastScore, hausdorff, smape
+from .metrics import hausdorff, smape
 from .systems import SystemSpec, builtin_systems, integrate_rk4, load_csv, save_csv
 from .training import TrainConfig, TrainReport, sample_nested_batches, soft_threshold, train, train_regular
 
@@ -35,7 +35,7 @@ __all__ = [
     "TrainConfig", "TrainReport", "soft_threshold", "sample_nested_batches",
     "train", "train_regular",
     "TrainedModel", "fit", "predict_one", "one_step_forecast", "rollout",
-    "ForecastScore", "smape", "hausdorff",
+    "smape", "hausdorff",
     "SystemSpec", "builtin_systems", "integrate_rk4", "load_csv", "save_csv",
     "CvResult", "EvalProtocol", "DEFAULT_LAMBDA2_GRID", "select_lambda2",
     "run_benchmark", "emit_report", "emit_distribution_csv",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,11 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .embedding import build_delay_dataset
+from .embedding import TimeSeries, build_delay_dataset
 from .evaluation import (
     DEFAULT_LAMBDA2_GRID,
     EvalProtocol,
-    benchmark_system,
     emit_distribution_csv,
     emit_report,
     prepare_series,
@@ -40,7 +38,7 @@ from .evaluation import (
     win_counts,
 )
 from .forecast import RolloutDiverged, TrainedModel, fit, one_step_forecast, rollout
-from .kernels import KernelEvalError, KernelParams
+from .kernels import KernelEvalError
 from .loss import DegenerateBatchError, FactorizationError
 from .metrics import hausdorff, smape
 from .systems import (
@@ -111,13 +109,13 @@ def _resolve(args, key, default):
     return default
 
 
-def _train_config(args, n_pairs: int) -> TrainConfig:
+def _train_config(args) -> TrainConfig:
     lr = _resolve(args, "lr", 0.1)
     return TrainConfig(
         epochs=int(_resolve(args, "epochs", 500)),
         lr_theta=float(lr),
         lr_alpha=float(lr),
-        batch_size=min(int(_resolve(args, "batch_size", 200)), n_pairs),
+        batch_size=int(_resolve(args, "batch_size", 200)),
         lambda1=float(_resolve(args, "lambda1", 0.05)),
         seed=int(_resolve(args, "seed", 0)),
         zero_clamp=float(_resolve(args, "zero_clamp", 1e-3)),
@@ -190,7 +188,8 @@ def cmd_train(args) -> int:
     tau = int(_resolve(args, "tau", 5))
     train_fraction = float(_resolve(args, "train_fraction", 0.8))
     prepared = prepare_series(series, tau, train_fraction)
-    config = _train_config(args, prepared.train.n_pairs)
+    config = _train_config(args)
+    config = replace(config, batch_size=min(config.batch_size, prepared.train.n_pairs))
     grid = _grid(args)
     cv_epochs = _resolve(args, "cv_epochs", None)
     cv_config = config if cv_epochs is None else replace(config, epochs=int(cv_epochs))
@@ -272,7 +271,6 @@ def cmd_forecast(args) -> int:
             f"series has {series.dim} coordinates but the model expects {model.dim}"
         )
     std = standardizer.transform(series.values)
-    from .embedding import TimeSeries
     ds = build_delay_dataset(TimeSeries(std, series.dt), model.tau)
 
     resolved = {
@@ -346,14 +344,7 @@ def _read_manifest(path):
 def cmd_benchmark(args) -> int:
     entries = _read_manifest(args.manifest)
     tau = int(_resolve(args, "tau", 5))
-    config = TrainConfig(
-        epochs=int(_resolve(args, "epochs", 500)),
-        lr_theta=float(_resolve(args, "lr", 0.1)),
-        lr_alpha=float(_resolve(args, "lr", 0.1)),
-        batch_size=int(_resolve(args, "batch_size", 200)),
-        lambda1=float(_resolve(args, "lambda1", 0.05)),
-        seed=int(_resolve(args, "seed", 0)),
-    )
+    config = _train_config(args)
     cv_epochs = _resolve(args, "cv_epochs", None)
     protocol = EvalProtocol(
         tau=tau,
@@ -372,7 +363,7 @@ def cmd_benchmark(args) -> int:
             series_list.append(integrate_rk4(spec, args.n, None))
         else:
             s = load_csv(entry)
-            series_list.append(replace_name(s, Path(entry).stem))
+            series_list.append(TimeSeries(s.values, s.dt, Path(entry).stem))
     rows = run_benchmark(series_list, protocol, threads=args.threads)
 
     out_dir = Path(args.out_dir)
@@ -408,11 +399,6 @@ def cmd_benchmark(args) -> int:
     parts = " ".join(f"{k}={v}" for k, v in counts.items())
     print(f"win counts: {parts} (scored systems: {scored + counts['none']})")
     return EXIT_OK
-
-
-def replace_name(series, name):
-    from .embedding import TimeSeries
-    return TimeSeries(series.values.copy(), series.dt, name)
 
 
 # ---------------------------------------------------------------------------

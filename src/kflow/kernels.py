@@ -7,8 +7,10 @@ The combined kernel is
 with 21 elemental terms k_i drawing on 34 intrinsic parameters theta.
 Every elemental is a function of the pair geometry only: the inner
 product ``s = x.y``, the Euclidean distance ``r = ||x - y||`` and its
-square ``q = r**2``.  Gram assembly therefore computes (s, r, q) once
-per pair and evaluates the active terms on those arrays.
+square ``q = r**2``.  Every evaluation (``gram``, ``cross_gram``, and the
+scalar entry points as 1x1 ``cross_gram`` calls) computes (s, r, q) once
+per pair and evaluates the active terms on those arrays through one
+checked block evaluator.
 
 Weights enter squared, so a combination is nonnegative whenever its
 terms are, and ``alpha_i == 0`` removes term i exactly (the elemental
@@ -28,7 +30,8 @@ domain during gradient-based optimization:
 
 Everything else that produces a non-finite entry (for example t7 = 0
 inside the sin of term 5) raises :class:`KernelEvalError` naming the
-owning theta slots.
+owning theta slots, and a weighted sum that overflows raises it too.
+IEEE warnings are silenced: these checks report instead.
 """
 
 from __future__ import annotations
@@ -472,65 +475,14 @@ def _grad_blocks(index: int, stats, theta):
     return grads
 
 
-def _pair_geometry(x, y):
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise KernelEvalError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    s = float(x @ y)
-    q = float(((x - y) ** 2).sum())
-    return s, np.sqrt(q), q
-
-
-def eval_elemental(kernel_id: int, x, y, theta) -> float:
-    """Evaluate a single elemental kernel at one pair of points."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (N_THETA,):
-        raise KernelEvalError(f"theta must have length {N_THETA}")
-    if not np.all(np.isfinite(theta)):
-        raise KernelEvalError("theta contains non-finite entries")
-    if not 1 <= kernel_id <= N_KERNELS:
-        raise KernelEvalError(f"kernel id must be in 1..{N_KERNELS}, got {kernel_id}")
-    s, r, q = _pair_geometry(x, y)
-    with np.errstate(all="ignore"):
-        val = float(ELEMENTALS[kernel_id - 1](s, r, q, theta))
-    if not np.isfinite(val):
-        raise KernelEvalError(
-            f"elemental kernel {kernel_id} is non-finite at this pair "
-            f"(check {_slot_names(kernel_id)})"
-        )
-    return val
-
-
-def eval_combined(params: KernelParams, x, y) -> float:
-    """Weighted sum of active elementals at one pair of points."""
-    s, r, q = _pair_geometry(x, y)
-    total = 0.0
-    for i in range(N_KERNELS):
-        a = params.alpha[i]
-        if a == 0.0:
-            continue
-        with np.errstate(all="ignore"):
-            val = float(ELEMENTALS[i](s, r, q, params.theta))
-        if not np.isfinite(val):
-            raise KernelEvalError(
-                f"elemental kernel {i + 1} is non-finite at this pair "
-                f"(check {_slot_names(i + 1)})"
-            )
-        total += a * a * val
-    return total
-
-
 def _combine(params: KernelParams, stats):
-    s, r, q = stats
-    total = np.zeros(np.broadcast(s, q).shape)
-    for i in range(N_KERNELS):
-        a = params.alpha[i]
-        if a == 0.0:
-            continue
-        block = ELEMENTALS[i](s, r, q, params.theta)
-        _check_finite(block, i + 1)
-        total += (a * a) * block
+    total = np.zeros(np.broadcast(stats[0], stats[2]).shape)
+    with np.errstate(all="ignore"):
+        for i in np.flatnonzero(params.active_mask):
+            a = params.alpha[i]
+            total += (a * a) * _eval_block(i, stats, params.theta)
+    if not np.all(np.isfinite(total)):
+        raise KernelEvalError("weighted kernel sum is non-finite (check the alpha scale)")
     return total
 
 
@@ -553,55 +505,17 @@ def cross_gram(params: KernelParams, A, B) -> np.ndarray:
     return _combine(params, _cross_stats(A, B))
 
 
-def parse_param_name(wrt: str):
-    """Split a parameter name like ``"alpha_3"`` or ``"theta_17"``.
-
-    Returns ``("alpha", i)`` or ``("theta", j)`` with 0-based indices.
-    """
-    try:
-        kind, _, num = wrt.partition("_")
-        idx = int(num) - 1
-    except ValueError:
-        raise KernelEvalError(f"invalid parameter name {wrt!r}") from None
-    if kind == "alpha" and 0 <= idx < N_KERNELS:
-        return "alpha", idx
-    if kind == "theta" and 0 <= idx < N_THETA:
-        return "theta", idx
-    raise KernelEvalError(f"invalid parameter name {wrt!r}")
+def eval_elemental(kernel_id: int, x, y, theta) -> float:
+    """Evaluate a single elemental kernel at one pair of points."""
+    theta_slice(kernel_id)  # rejects an id outside 1..N_KERNELS
+    alpha = np.zeros(N_KERNELS)
+    alpha[kernel_id - 1] = 1.0
+    return eval_combined(KernelParams(alpha, theta), x, y)
 
 
-def _theta_owner(slot: int) -> int:
-    for i, (lo, hi) in enumerate(THETA_SLICES):
-        if lo <= slot < hi:
-            return i
-    raise KernelEvalError(f"no elemental owns theta slot {slot}")
-
-
-def gram_param_gradients(params: KernelParams, X, wrt: str) -> np.ndarray:
-    """Entrywise derivative of the combined Gram wrt one parameter.
-
-    ``wrt`` names a slot 1-based, e.g. ``"alpha_3"`` or ``"theta_17"``.
-    For weights the derivative is ``2 alpha_i k_i``; for intrinsic
-    parameters it is ``alpha_i**2`` times the analytic elemental
-    derivative.  Inactive terms contribute an exact zero matrix.
-    """
-    X = np.asarray(X, dtype=float)
-    kind, idx = parse_param_name(wrt)
-    n = X.shape[0]
-    if kind == "alpha":
-        a = params.alpha[idx]
-        if a == 0.0:
-            return np.zeros((n, n))
-        stats = _self_stats(X)
-        return 2.0 * a * _eval_block(idx, stats, params.theta)
-    owner = _theta_owner(idx)
-    a = params.alpha[owner]
-    if a == 0.0:
-        return np.zeros((n, n))
-    stats = _self_stats(X)
-    lo, _ = THETA_SLICES[owner]
-    grads = _grad_blocks(owner, stats, params.theta)
-    return (a * a) * np.asarray(grads[idx - lo], dtype=float)
+def eval_combined(params: KernelParams, x, y) -> float:
+    """Weighted sum of active elementals at one pair of points."""
+    return float(cross_gram(params, np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0, 0])
 
 
 def clamp_theta(theta: np.ndarray) -> np.ndarray:

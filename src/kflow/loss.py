@@ -13,11 +13,12 @@ good.  Sparse training adds an l1 penalty lambda2 * ||alpha||_1 on the
 dictionary weights; that term is handled by the optimizer's proximal
 step, so :func:`grad_loss` differentiates the smooth part only.
 
-All solves go through :class:`RidgeSystem`, which factorizes
-K + lambda1 I once (Cholesky, falling back to a symmetric-indefinite
-LDL^T with diagonal pivoting — the dictionary contains non-PSD members,
-so the shifted Gram is not guaranteed definite) and verifies every
-solve by its residual.
+The public ops and the training loop share one path: :func:`_nested_eval`
+builds a :class:`_BatchTerms` per batch, which solves through
+:class:`RidgeSystem`.  That factorizes K + lambda1 I once (Cholesky,
+falling back to a symmetric-indefinite LDL^T with diagonal pivoting —
+the dictionary contains non-PSD members, so the shifted Gram is not
+guaranteed definite) and verifies every solve by its residual.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .kernels import (
     _eval_block,
     _grad_blocks,
     _self_stats,
-    gram,
 )
 
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -80,15 +80,27 @@ class RidgeSystem:
             sytrf, = get_lapack_funcs(("sytrf",), (self._A,))
             ldu, ipiv, info = sytrf(self._A, lower=1)
             if info != 0:
+                # info > 0 is an exactly zero pivot: the matrix is singular
                 raise FactorizationError(
                     f"symmetric factorization failed (sytrf info={info})",
-                    condition=np.linalg.cond(self._A),
+                    condition=np.inf,
                 ) from None
             self._ldl = (ldu, ipiv)
 
     @property
     def n(self) -> int:
         return self._A.shape[0]
+
+    def _condition(self) -> float:
+        """1-norm condition estimate from the factors in hand (pocon/sycon)."""
+        anorm = np.linalg.norm(self._A, 1)
+        if self._cho is not None:
+            pocon, = get_lapack_funcs(("pocon",), (self._A,))
+            rcond, _ = pocon(self._cho[0], anorm, uplo="L")
+        else:
+            sycon, = get_lapack_funcs(("sycon",), (self._A,))
+            rcond, _ = sycon(self._ldl[0], self._ldl[1], anorm, lower=1)
+        return 1.0 / rcond if rcond > 0.0 else np.inf
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
         if self._cho is not None:
@@ -121,14 +133,9 @@ class RidgeSystem:
                 raise FactorizationError(
                     f"solve residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.0e} "
                     "(system near-singular)",
-                    condition=np.linalg.cond(self._A),
+                    condition=self._condition(),
                 )
         return X[:, 0] if vec else X
-
-    def quadratic_form(self, Y: np.ndarray) -> float:
-        """sum_j Y_j' A^{-1} Y_j, summed over output columns of Y."""
-        W = self.solve(Y)
-        return float(np.sum(np.asarray(Y, dtype=float) * W))
 
 
 @dataclass(frozen=True)
@@ -151,52 +158,6 @@ class LossBreakdown:
         }
 
 
-def _as_outputs(Y) -> np.ndarray:
-    Y = np.asarray(Y, dtype=float)
-    return Y[:, None] if Y.ndim == 1 else Y
-
-
-def regularized_quadratic_form(params: KernelParams, X, Y, lambda1: float) -> float:
-    """Y' (K + lambda1 I)^{-1} Y via factorization, never an explicit inverse."""
-    Y = _as_outputs(Y)
-    K = gram(params, X)
-    if K.shape[0] != Y.shape[0]:
-        raise ValueError(f"X has {K.shape[0]} rows but Y has {Y.shape[0]}")
-    return RidgeSystem(K, lambda1).quadratic_form(Y)
-
-
-def rho(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float) -> float:
-    """Relative-loss ratio 1 - qf_c / qf_b for nested batches.
-
-    The caller guarantees (Xc, Yc) rows are a subset of (Xb, Yb) rows;
-    this is not re-checked here.
-    """
-    qf_b = regularized_quadratic_form(params, Xb, Yb, lambda1)
-    if not qf_b > 0.0:
-        raise DegenerateBatchError(
-            f"denominator quadratic form is {qf_b:.3e}; batch is degenerate "
-            "(zero targets or an indefinite system)"
-        )
-    qf_c = regularized_quadratic_form(params, Xc, Yc, lambda1)
-    return 1.0 - qf_c / qf_b
-
-
-def sparse_loss(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
-                lambda2: float) -> LossBreakdown:
-    """rho plus the l1 weight penalty, with the parts broken out."""
-    if lambda2 < 0:
-        raise ValueError(f"lambda2 must be nonnegative, got {lambda2}")
-    qf_b = regularized_quadratic_form(params, Xb, Yb, lambda1)
-    if not qf_b > 0.0:
-        raise DegenerateBatchError(
-            f"denominator quadratic form is {qf_b:.3e}; batch is degenerate"
-        )
-    qf_c = regularized_quadratic_form(params, Xc, Yc, lambda1)
-    r = 1.0 - qf_c / qf_b
-    l1 = lambda2 * float(np.sum(np.abs(params.alpha)))
-    return LossBreakdown(r, l1, r + l1, qf_c, qf_b)
-
-
 # ---------------------------------------------------------------------------
 # gradient machinery
 #
@@ -211,9 +172,12 @@ class _BatchTerms:
 
     def __init__(self, params: KernelParams, X, Y, lambda1: float):
         self.params = params
-        self.Y = _as_outputs(Y)
+        Y = np.asarray(Y, dtype=float)
+        self.Y = Y[:, None] if Y.ndim == 1 else Y
         self.stats = _self_stats(np.asarray(X, dtype=float))
         n = self.stats[0].shape[0]
+        if n != self.Y.shape[0]:
+            raise ValueError(f"X has {n} rows but Y has {self.Y.shape[0]}")
         self.blocks = {}
         K = np.zeros((n, n))
         for i in range(N_KERNELS):
@@ -254,7 +218,7 @@ def _nested_eval(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
     """rho, the two quadratic forms and (optionally) gradient parts.
 
     Returns (rho, qf_c, qf_b, grad_alpha | None, grad_theta | None).
-    Shared entry point for the public ops and the training loop.  The
+    The one entry point for the public ops and the training loop.  The
     public ops require a positive denominator (the RKHS-norm reading of
     the ratio); the optimizer passes require_positive=False because an
     indefinite parameter draw makes the quadratic forms sign-free while
@@ -265,7 +229,8 @@ def _nested_eval(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
     if require_positive:
         if not b.qf > 0.0:
             raise DegenerateBatchError(
-                f"denominator quadratic form is {b.qf:.3e}; batch is degenerate"
+                f"denominator quadratic form is {b.qf:.3e}; batch is degenerate "
+                "(zero targets or an indefinite system)"
             )
     elif abs(b.qf) < 1e-12:
         raise DegenerateBatchError(
@@ -283,12 +248,35 @@ def _nested_eval(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
     return r, c.qf, b.qf, grad_alpha, grad_theta
 
 
-def grad_loss(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
-              lambda2: float = 0.0):
+def regularized_quadratic_form(params: KernelParams, X, Y, lambda1: float) -> float:
+    """Y' (K + lambda1 I)^{-1} Y via factorization, never an explicit inverse."""
+    return _BatchTerms(params, X, Y, lambda1).qf
+
+
+def rho(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float) -> float:
+    """Relative-loss ratio 1 - qf_c / qf_b for nested batches.
+
+    The caller guarantees (Xc, Yc) rows are a subset of (Xb, Yb) rows;
+    this is not re-checked here.
+    """
+    return _nested_eval(params, Xb, Yb, Xc, Yc, lambda1)[0]
+
+
+def sparse_loss(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
+                lambda2: float) -> LossBreakdown:
+    """rho plus the l1 weight penalty, with the parts broken out."""
+    if lambda2 < 0:
+        raise ValueError(f"lambda2 must be nonnegative, got {lambda2}")
+    r, qf_c, qf_b, _, _ = _nested_eval(params, Xb, Yb, Xc, Yc, lambda1)
+    l1 = lambda2 * float(np.sum(np.abs(params.alpha)))
+    return LossBreakdown(r, l1, r + l1, qf_c, qf_b)
+
+
+def grad_loss(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float):
     """Gradient of rho over (alpha[21], theta[34]) — smooth part only.
 
     The l1 term is non-smooth and belongs to the optimizer's proximal
-    step, so lambda2 does not enter the returned gradient.
+    step, so it does not enter the returned gradient.
     """
     _, _, _, grad_alpha, grad_theta = _nested_eval(
         params, Xb, Yb, Xc, Yc, lambda1, wrt_alpha=True, wrt_theta=True

@@ -2,21 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ForecastScore:
-    """SMAPE in percent (bounded by 200) and Hausdorff in state units."""
-
-    smape: float
-    hausdorff: float
-    n_test: int
-
-    def to_dict(self) -> dict:
-        return {"smape": self.smape, "hausdorff": self.hausdorff, "n_test": self.n_test}
 
 
 def smape(pred, truth) -> float:
@@ -42,7 +28,18 @@ def smape(pred, truth) -> float:
 
 def _pairwise_distances(A, B):
     diff = A[:, None, :] - B[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    sq = (diff * diff).sum(axis=-1)
+    dist = np.sqrt(sq)
+    # a difference below ~1e-154 squares to a subnormal or to 0, so those
+    # pairs are recomputed with the difference scaled to unit size; pairs
+    # with a normal sum of squares keep the plain formula bit for bit
+    small = sq < np.finfo(float).tiny
+    if small.any():
+        d = diff[small]
+        scale = np.abs(d).max(axis=-1, keepdims=True)
+        unit = np.divide(d, scale, out=np.zeros_like(d), where=scale > 0.0)
+        dist[small] = scale[:, 0] * np.sqrt((unit * unit).sum(axis=-1))
+    return dist
 
 
 def hausdorff(A, B) -> float:
@@ -62,17 +59,3 @@ def hausdorff(A, B) -> float:
     a_to_b = dm.min(axis=1).max()
     b_to_a = dm.min(axis=0).max()
     return float(max(a_to_b, b_to_a))
-
-
-def score_forecast(pred, truth, rollout=None, truth_states=None) -> ForecastScore:
-    """Bundle SMAPE of a one-step forecast with HD of a rollout.
-
-    HD defaults to comparing the same pred/truth pair when no separate
-    rollout trajectory is supplied.
-    """
-    pred = np.atleast_2d(np.asarray(pred, dtype=float))
-    s = smape(pred, truth)
-    cloud_a = pred if rollout is None else np.atleast_2d(np.asarray(rollout, dtype=float))
-    cloud_b = np.atleast_2d(np.asarray(truth if truth_states is None else truth_states, dtype=float))
-    h = hausdorff(cloud_a, cloud_b)
-    return ForecastScore(s, h, pred.shape[0])

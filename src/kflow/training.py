@@ -22,12 +22,12 @@ and counted against a failure budget (default 10% of epochs).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .embedding import DelayDataset
-from .kernels import N_KERNELS, N_THETA, KernelEvalError, KernelParams, clamp_theta
+from .kernels import N_KERNELS, N_THETA, KernelEvalError, KernelParams, _self_stats, clamp_theta
 from .loss import DegenerateBatchError, FactorizationError, LossBreakdown, _nested_eval
 
 
@@ -65,13 +65,9 @@ def geometry_scales(dataset: DelayDataset, probe_rows: int = 256) -> np.ndarray:
     median-heuristic sweet spot.  The probe uses an evenly strided row
     subset, so the scales are a deterministic function of the dataset.
     """
-    n = dataset.n_pairs
-    step = max(1, n // probe_rows)
-    X = dataset.X[::step][:probe_rows]
-    S = X @ X.T
-    sq = np.diagonal(S)
-    Q = np.maximum(sq[:, None] + sq[None, :] - 2.0 * S, 0.0)
-    iu = np.triu_indices(X.shape[0], k=1)
+    step = max(1, dataset.n_pairs // probe_rows)
+    S, _, Q = _self_stats(dataset.X[::step][:probe_rows])
+    iu = np.triu_indices(S.shape[0], k=1)
     q_med, q_hi = np.percentile(Q[iu], [50.0, 95.0])
     s_hi = np.percentile(np.abs(S[iu]), 95.0)
     q_med, q_hi = max(q_med, 1e-12), max(q_hi, 1e-12)
@@ -145,20 +141,7 @@ class TrainConfig:
             raise ValueError("zero_clamp must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "lr_theta": self.lr_theta,
-            "lr_alpha": self.lr_alpha,
-            "batch_size": self.batch_size,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "seed": self.seed,
-            "zero_clamp": self.zero_clamp,
-            "failure_budget_fraction": self.failure_budget_fraction,
-            "max_grad_norm": self.max_grad_norm,
-            "scale_candidates": list(self.scale_candidates),
-            "calibration_rows": self.calibration_rows,
-        }
+        return asdict(self)
 
 
 def _clip_norm(g: np.ndarray, cap: float) -> np.ndarray:

@@ -149,6 +149,19 @@ def test_benchmark_manifest(tmp_path, rng, capsys):
     assert len(dist) == 4
 
 
+def test_benchmark_honours_zero_clamp(tmp_path, rng):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{toy_csv(tmp_path, rng)}\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"zero_clamp": 0.5}))
+    for source in (["--zero-clamp", "0.5"], ["--config", str(config)]):
+        out_dir = tmp_path / source[0].lstrip("-")
+        assert run_cli("benchmark", str(manifest), "--out-dir", str(out_dir),
+                       "--steps", "4", *FAST, *source) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["config"]["zero_clamp"] == 0.5
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     code = run_cli("train", str(tmp_path / "absent.csv"), "--out",
                    str(tmp_path / "m.json"), *FAST)

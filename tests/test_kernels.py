@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from kflow.kernels import (
     THETA_SLICES,
     KernelEvalError,
     KernelParams,
+    _grad_blocks,
+    _self_stats,
     clamp_theta,
     cross_gram,
     eval_combined,
     eval_elemental,
     gram,
-    gram_param_gradients,
     theta_slice,
 )
 
@@ -204,31 +206,24 @@ def test_cross_gram_column_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_alpha_gradient_zero_weight_is_zero_matrix(point_cloud):
+    # dK/dalpha_9 = 2 * alpha_9 * K_9, and its central difference through
+    # the Gram agrees: both are the zero matrix at alpha_9 = 0
     params = single_kernel(3)  # every other weight is 0
-    D = gram_param_gradients(params, point_cloud, "alpha_9")
+    D = 2.0 * params.alpha[8] * gram(single_kernel(9), point_cloud)
     assert (D == 0.0).all()
+    up, down = np.array(params.alpha), np.array(params.alpha)
+    up[8], down[8] = 1e-5, -1e-5
+    fd = (gram(params.replace(alpha=up), point_cloud)
+          - gram(params.replace(alpha=down), point_cloud)) / 2e-5
+    assert (fd == 0.0).all()
 
 
 def test_theta_gradient_linear_constant():
-    params = single_kernel(1, make_theta(t1=3.0))
-    D = gram_param_gradients(params, np.array([[1.0], [2.0]]), "theta_1")
+    (D,) = _grad_blocks(0, _self_stats(np.array([[1.0], [2.0]])), make_theta(t1=3.0))
     np.testing.assert_allclose(D, np.full((2, 2), 6.0), rtol=0, atol=0)
 
 
-def test_invalid_parameter_name():
-    params = single_kernel(3)
-    X = np.zeros((2, 2))
-    for bad in ("alpha_0", "alpha_22", "theta_35", "beta_1", "theta_x"):
-        with pytest.raises(KernelEvalError):
-            gram_param_gradients(params, X, bad)
-
-
-def _fd_gram(params, X, kind, idx, h):
-    if kind == "alpha":
-        hi = np.array(params.alpha); hi[idx] += h
-        lo = np.array(params.alpha); lo[idx] -= h
-        return (gram(KernelParams(hi, params.theta), X)
-                - gram(KernelParams(lo, params.theta), X)) / (2 * h)
+def _fd_gram(params, X, idx, h):
     hi = np.array(params.theta); hi[idx] += h
     lo = np.array(params.theta); lo[idx] -= h
     return (gram(KernelParams(params.alpha, hi), X)
@@ -236,7 +231,7 @@ def _fd_gram(params, X, kind, idx, h):
 
 
 def test_gradients_match_finite_differences(rng):
-    """Every smooth slot agrees with central differences entrywise."""
+    """Every smooth theta slot agrees with central differences entrywise."""
     X = rng.uniform(-1.0, 1.0, size=(8, 3))
     theta = rng.uniform(0.8, 1.5, size=N_THETA)
     theta[1] = 0.4   # keep the polynomial base positive on [-1,1]^3
@@ -244,31 +239,50 @@ def test_gradients_match_finite_differences(rng):
     theta[33] = 1.3  # circular-term domain valid for |t34| >= 1
     alpha = rng.uniform(0.5, 1.0, size=N_KERNELS)
     params = KernelParams(alpha, theta)
+    stats = _self_stats(X)
 
-    for i in range(N_KERNELS):
-        name = f"alpha_{i + 1}"
-        h = 1e-5 * max(1.0, abs(alpha[i]))
-        got = gram_param_gradients(params, X, name)
-        want = _fd_gram(params, X, "alpha", i, h)
-        # the absolute floor covers FD cancellation noise on tiny entries
-        scale = np.maximum(np.abs(want), 1e-6)
-        assert (np.abs(got - want) / scale).max() < 1e-4, name
-    for j in range(N_THETA):
-        name = f"theta_{j + 1}"
-        h = 1e-5 * max(1.0, abs(theta[j]))
-        got = gram_param_gradients(params, X, name)
-        want = _fd_gram(params, X, "theta", j, h)
-        scale = np.maximum(np.abs(want), 1e-6)
-        mism = np.abs(got - want) / scale
-        # kink boundaries (supports of 17/18/21) may clip single entries
-        assert np.quantile(mism, 0.98) < 1e-4, name
+    for i, (lo, hi) in enumerate(THETA_SLICES):
+        grads = _grad_blocks(i, stats, theta)
+        for j in range(lo, hi):
+            name = f"theta_{j + 1}"
+            got = alpha[i] ** 2 * grads[j - lo]
+            want = _fd_gram(params, X, j, 1e-5 * max(1.0, abs(theta[j])))
+            # the absolute floor covers FD cancellation noise on tiny entries
+            scale = np.maximum(np.abs(want), 1e-6)
+            mism = np.abs(got - want) / scale
+            # kink boundaries (supports of 17/18/21) may clip single entries
+            assert np.quantile(mism, 0.98) < 1e-4, name
 
 
 def test_alpha_gradient_at_zero_is_zero(point_cloud):
+    # weights enter squared, so the central difference at alpha_i = 0 is
+    # exactly zero: the Gram at +h and at -h agree bit for bit
     params = single_kernel(3)
     for i in (0, 5, 20):
-        D = gram_param_gradients(params, point_cloud, f"alpha_{i + 1}")
-        assert (D == 0.0).all()
+        up, down = np.array(params.alpha), np.array(params.alpha)
+        up[i], down[i] = 1e-5, -1e-5
+        assert (gram(params.replace(alpha=up), point_cloud)
+                == gram(params.replace(alpha=down), point_cloud)).all()
+
+
+def test_overflowing_weighted_sum_raises():
+    # every block is finite, but alpha**2 = 1e310 overflows the sum
+    params = single_kernel(3, weight=1e155)
+    X = np.array([[0.0], [1.0]])
+    with pytest.raises(KernelEvalError, match="weighted kernel sum"):
+        gram(params, X)
+    with pytest.raises(KernelEvalError, match="weighted kernel sum"):
+        cross_gram(params, X, X + 0.5)
+
+
+def test_gram_emits_no_runtime_warning():
+    # t7 = 0 divides by zero inside kernel 5: the caller sees the typed
+    # error only, no IEEE warning on the way
+    X = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelEvalError, match="theta_7"):
+            gram(single_kernel(5, make_theta(t7=0.0)), X)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import hilbert
 
 from conftest import make_theta, single_kernel
 from kflow.kernels import N_KERNELS, N_THETA, KernelParams, gram
@@ -46,7 +47,7 @@ def test_solve_against_explicit_inverse(rng):
         system = RidgeSystem(K, lam)
         direct = np.linalg.inv(K + lam * np.eye(n)) @ Y
         np.testing.assert_allclose(system.solve(Y), direct, rtol=1e-10, atol=1e-12)
-        qf = system.quadratic_form(Y)
+        qf = float(np.sum(Y * system.solve(Y)))
         oracle = float(np.sum(Y * direct))
         assert qf == pytest.approx(oracle, rel=1e-10)
 
@@ -62,8 +63,9 @@ def test_indefinite_system_uses_ldl(rng):
 
 def test_exactly_singular_raises():
     K = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(FactorizationError):
+    with pytest.raises(FactorizationError) as info:
         RidgeSystem(K, 1.0).solve(np.array([1.0, 1.0]))
+    assert info.value.condition == np.inf
 
 
 def test_nonfinite_gram_rejected():
@@ -72,11 +74,22 @@ def test_nonfinite_gram_rejected():
         RidgeSystem(K, 0.0)
 
 
-def test_residual_check_reports_condition(rng):
+def test_residual_check_reports_condition(rng, monkeypatch):
     # nearly singular: duplicate rows, lambda1 = 0
     K = np.ones((4, 4)) + 1e-16 * np.eye(4)
-    with pytest.raises((FactorizationError, np.linalg.LinAlgError)):
+    with pytest.raises((FactorizationError, np.linalg.LinAlgError)) as info:
         RidgeSystem(K, 0.0).solve(rng.normal(size=4))
+    # a LAPACK estimate from the factors: at least 1, or inf when singular
+    cond = info.value.condition
+    assert cond == np.inf or (np.isfinite(cond) and cond >= 1.0)
+    # an unreachable tolerance fails every solve, so the estimate from the
+    # Cholesky (pocon) and the LDL^T (sycon) factors is reported
+    monkeypatch.setattr("kflow.loss.SOLVE_RESIDUAL_TOL", -1.0)
+    for K in (hilbert(6), np.diag([1.0, -2.0, 3.0])):
+        with pytest.raises(FactorizationError) as info:
+            RidgeSystem(K, 0.0).solve(np.ones(K.shape[0]))
+        exact = np.linalg.cond(K, 1)
+        assert exact / 3.0 <= info.value.condition <= 3.0 * exact
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kflow.metrics import ForecastScore, hausdorff, smape
+from kflow.metrics import hausdorff, smape
 
 
 def test_smape_perfect_prediction():
@@ -92,6 +92,12 @@ def test_hausdorff_matches_brute_force_bitwise(rng):
     assert hausdorff(A, B) == brute_force_hausdorff(A, B)
 
 
+def test_hausdorff_tiny_separation_is_not_zero():
+    # the squared differences underflow; the distance must not
+    assert hausdorff([[0.0]], [[2.7e-266]]) == 2.7e-266
+    assert hausdorff([[0.0, 0.0]], [[3e-170, 4e-170]]) == pytest.approx(5e-170, rel=1e-15)
+
+
 def test_hausdorff_empty_raises():
     with pytest.raises(ValueError):
         hausdorff(np.zeros((0, 2)), np.zeros((1, 2)))
@@ -108,9 +114,3 @@ def test_hausdorff_zero_iff_equal_sets_1d(xs, ys):
         assert d == 0.0
     else:
         assert d > 0.0
-
-
-def test_forecast_score_fields():
-    score = ForecastScore(smape=1.5, hausdorff=0.2, n_test=10)
-    doc = score.to_dict()
-    assert doc == {"smape": 1.5, "hausdorff": 0.2, "n_test": 10}
