@@ -11,6 +11,7 @@ from .evaluation import (
     emit_report,
     run_benchmark,
     select_lambda2,
+    train_at,
 )
 from .forecast import TrainedModel, fit, one_step_forecast, predict_one, rollout
 from .kernels import KernelParams, cross_gram, eval_combined, eval_elemental, gram
@@ -37,6 +38,6 @@ __all__ = [
     "TrainedModel", "fit", "predict_one", "one_step_forecast", "rollout",
     "smape", "hausdorff",
     "SystemSpec", "builtin_systems", "integrate_rk4", "load_csv", "save_csv",
-    "CvResult", "EvalProtocol", "DEFAULT_LAMBDA2_GRID", "select_lambda2",
+    "CvResult", "EvalProtocol", "DEFAULT_LAMBDA2_GRID", "select_lambda2", "train_at",
     "run_benchmark", "emit_report", "emit_distribution_csv",
 ]

@@ -35,6 +35,7 @@ from .evaluation import (
     prepare_series,
     run_benchmark,
     select_lambda2,
+    train_at,
     win_counts,
 )
 from .forecast import RolloutDiverged, TrainedModel, fit, one_step_forecast, rollout
@@ -51,7 +52,7 @@ from .systems import (
     load_csv,
     save_csv,
 )
-from .training import TrainConfig, TrainingAborted, default_init, train, train_regular
+from .training import TrainConfig, TrainingAborted, default_init
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -109,26 +110,42 @@ def _resolve(args, key, default):
     return default
 
 
-def _train_config(args) -> TrainConfig:
+def _protocol(args) -> EvalProtocol:
+    """The run's settings from flags, the config file and the defaults."""
     lr = _resolve(args, "lr", 0.1)
-    return TrainConfig(
-        epochs=int(_resolve(args, "epochs", 500)),
-        lr_theta=float(lr),
-        lr_alpha=float(lr),
-        batch_size=int(_resolve(args, "batch_size", 200)),
-        lambda1=float(_resolve(args, "lambda1", 0.05)),
-        seed=int(_resolve(args, "seed", 0)),
-        zero_clamp=float(_resolve(args, "zero_clamp", 1e-3)),
+    grid = _resolve(args, "lambda2_grid", None)
+    if isinstance(grid, str):
+        grid = [part for part in grid.split(",") if part]
+    cv_epochs = _resolve(args, "cv_epochs", None)
+    return EvalProtocol(
+        tau=int(_resolve(args, "tau", 5)),
+        train_fraction=float(_resolve(args, "train_fraction", 0.8)),
+        lambda2_grid=DEFAULT_LAMBDA2_GRID if grid is None else tuple(float(v) for v in grid),
+        train_config=TrainConfig(
+            epochs=int(_resolve(args, "epochs", 500)),
+            lr_theta=float(lr),
+            lr_alpha=float(lr),
+            batch_size=int(_resolve(args, "batch_size", 200)),
+            lambda1=float(_resolve(args, "lambda1", 0.05)),
+            seed=int(_resolve(args, "seed", 0)),
+            zero_clamp=float(_resolve(args, "zero_clamp", 1e-3)),
+        ),
+        cv_epochs=None if cv_epochs is None else int(cv_epochs),
+        rollout_steps=getattr(args, "steps", None),
     )
 
 
-def _grid(args) -> tuple:
-    raw = _resolve(args, "lambda2_grid", None)
-    if raw is None:
-        return DEFAULT_LAMBDA2_GRID
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part]
-    return tuple(float(v) for v in raw)
+def _resolved(head: dict, protocol: EvalProtocol, config: TrainConfig, **extra) -> dict:
+    """An artifact's config block: head, protocol, extra, then config's fields."""
+    return {
+        **head,
+        "tau": protocol.tau,
+        "train_fraction": protocol.train_fraction,
+        "lambda2_grid": list(protocol.lambda2_grid),
+        "cv_epochs": protocol.cv_epochs,
+        **extra,
+        **config.to_dict(),
+    }
 
 
 def _svg_line_plot(path, series, labels, title) -> None:
@@ -185,40 +202,22 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     series = load_csv(args.input)
-    tau = int(_resolve(args, "tau", 5))
-    train_fraction = float(_resolve(args, "train_fraction", 0.8))
-    prepared = prepare_series(series, tau, train_fraction)
-    config = _train_config(args)
+    protocol = _protocol(args)
+    prepared = prepare_series(series, protocol.tau, protocol.train_fraction)
+    config = protocol.train_config
+    # the artifact records the batch size train_at trains with
     config = replace(config, batch_size=min(config.batch_size, prepared.train.n_pairs))
-    grid = _grid(args)
-    cv_epochs = _resolve(args, "cv_epochs", None)
-    cv_config = config if cv_epochs is None else replace(config, epochs=int(cv_epochs))
+    resolved = _resolved({"command": "train", "input": str(args.input), "mode": args.mode},
+                         protocol, config)
 
-    resolved = {
-        "command": "train",
-        "input": str(args.input),
-        "mode": args.mode,
-        "tau": tau,
-        "train_fraction": train_fraction,
-        "lambda2_grid": list(grid),
-        "cv_epochs": None if cv_epochs is None else int(cv_epochs),
-        **config.to_dict(),
-    }
-
-    init = default_init(prepared.train, config.seed)
     cv_doc = None
+    lambda2 = 0.0
     if args.mode == "sparse":
-        head = prepared.series.head(prepared.train.n_pairs + tau)
-        cv = select_lambda2(head, tau, config.lambda1, grid, cv_config)
+        cv = select_lambda2(prepared.train, protocol.lambda2_grid, protocol.cv_config)
         cv_doc = cv.to_dict()
         lambda2 = cv.selected_lambda2
-        if lambda2 == 0.0:
-            report = train_regular(prepared.train, init, replace(config, lambda2=0.0))
-        else:
-            report = train(prepared.train, init, replace(config, lambda2=lambda2))
-    else:
-        lambda2 = 0.0
-        report = train_regular(prepared.train, init, config)
+    report = train_at(prepared.train, default_init(prepared.train, config.seed), config,
+                      lambda2)
 
     model = fit(report.final_params, prepared.train, config.lambda1)
     digest = _digest(args.input)
@@ -297,13 +296,11 @@ def cmd_forecast(args) -> int:
             print(f"rollout diverged at step {err.step}; truncating", file=sys.stderr)
         truth_std = ds.Y[: pred_std.shape[0]]
 
-    pred_raw = standardizer.inverse(pred_std)
-    out_series_values = pred_raw if pred_raw.size else np.zeros((0, model.dim))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# dt={series.dt!r}\n")
         fh.write(",".join(f"x{i + 1}" for i in range(model.dim)) + "\n")
-        for row in out_series_values:
+        for row in standardizer.inverse(pred_std):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
     scores_doc = _envelope("forecast_scores", resolved, digest)
@@ -343,18 +340,7 @@ def _read_manifest(path):
 
 def cmd_benchmark(args) -> int:
     entries = _read_manifest(args.manifest)
-    tau = int(_resolve(args, "tau", 5))
-    config = _train_config(args)
-    cv_epochs = _resolve(args, "cv_epochs", None)
-    protocol = EvalProtocol(
-        tau=tau,
-        lambda1=config.lambda1,
-        train_fraction=float(_resolve(args, "train_fraction", 0.8)),
-        lambda2_grid=_grid(args),
-        train_config=config,
-        cv_train_config=None if cv_epochs is None else replace(config, epochs=int(cv_epochs)),
-        rollout_steps=args.steps,
-    )
+    protocol = _protocol(args)
 
     series_list = []
     for entry in entries:
@@ -368,36 +354,18 @@ def cmd_benchmark(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = {
-        "command": "benchmark",
-        "manifest": str(args.manifest),
-        "tau": tau,
-        "train_fraction": protocol.train_fraction,
-        "lambda2_grid": list(protocol.lambda2_grid),
-        "cv_epochs": None if cv_epochs is None else int(cv_epochs),
-        "n": args.n,
-        **config.to_dict(),
-    }
-    digest = _digest(args.manifest)
-    report_doc = _envelope("benchmark", resolved, digest)
-    report_doc["note"] = None
-    for fmt, name in (("json", "report.json"), ("csv", "report.csv"),
-                      ("markdown", "report.md")):
-        text = emit_report(rows, fmt)
-        if fmt == "json":
-            doc = json.loads(text)
-            report_doc["note"] = doc["note"]
-            report_doc["rows"] = doc["rows"]
-            _write_json(out_dir / name, report_doc)
-        else:
-            (out_dir / name).write_text(text, encoding="utf-8")
+    resolved = _resolved({"command": "benchmark", "manifest": str(args.manifest)},
+                         protocol, protocol.train_config, n=args.n)
+    report_doc = _envelope("benchmark", resolved, _digest(args.manifest))
+    report_doc.update(json.loads(emit_report(rows, "json")))  # note, rows
+    _write_json(out_dir / "report.json", report_doc)
+    for fmt, name in (("csv", "report.csv"), ("markdown", "report.md")):
+        (out_dir / name).write_text(emit_report(rows, fmt), encoding="utf-8")
     (out_dir / "distributions.csv").write_text(emit_distribution_csv(rows),
                                                encoding="utf-8")
 
-    counts = win_counts(rows)
-    scored = sum(v for k, v in counts.items() if k != "none")
-    parts = " ".join(f"{k}={v}" for k, v in counts.items())
-    print(f"win counts: {parts} (scored systems: {scored + counts['none']})")
+    parts = " ".join(f"{k}={v}" for k, v in win_counts(rows).items())
+    print(f"win counts: {parts} (scored systems: {len(rows)})")
     return EXIT_OK
 
 
@@ -455,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out-dir", dest="out_dir", required=True)
     b.add_argument("--n", type=int, default=7200, help="samples for builtin entries")
     b.add_argument("--steps", type=int, default=None, help="rollout length for HD")
-    b.add_argument("--threads", type=int, default=None,
-                   help="worker pool size (default: KFLOW_THREADS or 1)")
+    b.add_argument("--threads", type=int, default=1,
+                   help="worker pool size (default: 1)")
     common(b)
 
     return parser

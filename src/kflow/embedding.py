@@ -46,10 +46,6 @@ class TimeSeries:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def head(self, n: int, name: str | None = None) -> "TimeSeries":
-        """First n samples as a new series (used for train-portion stats)."""
-        return TimeSeries(self.values[:n].copy(), self.dt, self.name if name is None else name)
-
 
 @dataclass(frozen=True)
 class DelayDataset:

@@ -18,11 +18,13 @@ the held-out tail one step ahead (SMAPE, raw units) and reruns the map
 autonomously from the first test window (Hausdorff distance to the true
 tail, standardized units).  Failures score +inf and never abort the
 harness.
+
+``kflow train --mode sparse`` runs SparseKF's recipe (select_lambda2, then
+train_at), and both commands resolve their settings into one EvalProtocol.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -34,7 +36,7 @@ from .kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA
 from .loss import DegenerateBatchError, FactorizationError
 from .metrics import hausdorff, smape
 from .systems import Standardizer
-from .training import TrainConfig, TrainingAborted, default_init, train, train_regular
+from .training import TrainConfig, TrainingAborted, TrainReport, default_init, train, train_regular
 
 DEFAULT_LAMBDA2_GRID = (0.0, 0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
 METHOD_NAMES = ("RBF", "TrainedRBF", "RegularKF", "SparseKF")
@@ -87,43 +89,34 @@ def _fold_blocks(n: int):
     return [blk for blk in np.array_split(np.arange(n), 3)]
 
 
-def _fit_config(config: TrainConfig, n_pairs: int, lambda2: float, seed: int) -> TrainConfig:
-    return replace(config, lambda2=lambda2, seed=seed,
-                   batch_size=min(config.batch_size, n_pairs))
-
-
-def select_lambda2(series: TimeSeries, tau: int, lambda1: float,
-                   grid=DEFAULT_LAMBDA2_GRID,
-                   train_config: TrainConfig | None = None) -> CvResult:
+def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
+                   config: TrainConfig = TrainConfig()) -> CvResult:
     """3-fold blocked cross-validation over the lambda2 grid.
 
-    A failed (candidate, fold) cell scores +inf instead of aborting the
-    sweep.  Deterministic given train_config.seed; every cell derives
-    its own batch stream from it but shares the same initialization.
+    Folds partition the training windows in ``dataset``.  A failed
+    (candidate, fold) cell scores +inf instead of aborting the sweep.
+    Deterministic given config.seed; every cell derives its own batch
+    stream from it but shares the same initialization.
     """
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ValueError("lambda2 grid must be nonempty")
-    config = train_config or TrainConfig()
-    if config.lambda1 != lambda1:
-        config = replace(config, lambda1=lambda1)
-    ds = build_delay_dataset(series, tau)
-    n = ds.n_pairs
+    n = dataset.n_pairs
     if n < 9:
         raise ValueError(f"need at least 9 embedded pairs for 3 folds, got {n}")
     blocks = _fold_blocks(n)
-    init = default_init(ds, config.seed)
+    init = default_init(dataset, config.seed)
     fold_smapes = np.full((len(grid), 3), np.inf)
     for ci, lam2 in enumerate(grid):
         for fi, block in enumerate(blocks):
             keep = np.setdiff1d(np.arange(n), block)
-            fold_train = ds.subset(keep)
-            fold_test = ds.subset(block)
-            cell = _fit_config(config, fold_train.n_pairs, lam2,
-                               _derive_seed(config.seed, ci, fi))
+            fold_train = dataset.subset(keep)
+            fold_test = dataset.subset(block)
+            cell = replace(config, lambda2=lam2, seed=_derive_seed(config.seed, ci, fi),
+                           batch_size=min(config.batch_size, fold_train.n_pairs))
             try:
                 report = train(fold_train, init, cell)
-                model = fit(report.final_params, fold_train, lambda1)
+                model = fit(report.final_params, fold_train, config.lambda1)
                 pred = one_step_forecast(model, fold_test)
                 fold_smapes[ci, fi] = smape(pred, fold_test.Y)
             except _RECOVERABLE:
@@ -138,17 +131,35 @@ def select_lambda2(series: TimeSeries, tau: int, lambda1: float,
     return CvResult(grid, fold_smapes, mean_smapes, float(selected))
 
 
+def train_at(dataset: DelayDataset, init: KernelParams, config: TrainConfig,
+             lambda2: float = 0.0) -> TrainReport:
+    """Train at lambda2 with the batch size clamped to the dataset; 0 runs train_regular."""
+    config = replace(config, lambda2=lambda2, batch_size=min(config.batch_size, dataset.n_pairs))
+    if lambda2 == 0.0:
+        return train_regular(dataset, init, config)
+    return train(dataset, init, config)
+
+
 @dataclass(frozen=True)
 class EvalProtocol:
-    """Shared settings for the benchmark run."""
+    """Resolved settings shared by ``kflow train`` and ``kflow benchmark``.
+
+    train_config.lambda1 is the ridge nugget everywhere; the CV cells
+    train cv_epochs epochs (None: train_config.epochs).
+    """
 
     tau: int = 5
-    lambda1: float = 0.05
     train_fraction: float = 0.8
     lambda2_grid: tuple = DEFAULT_LAMBDA2_GRID
     train_config: TrainConfig = field(default_factory=TrainConfig)
-    cv_train_config: TrainConfig | None = None
+    cv_epochs: int | None = None
     rollout_steps: int | None = None  # None: full test length
+
+    @property
+    def cv_config(self) -> TrainConfig:
+        if self.cv_epochs is None:
+            return self.train_config
+        return replace(self.train_config, epochs=self.cv_epochs)
 
 
 @dataclass
@@ -173,9 +184,8 @@ class BenchmarkRow:
 
 @dataclass(frozen=True)
 class PreparedSeries:
-    """Standardized series with its embedded train/test split."""
+    """Standardization and the embedded train/test split of a series."""
 
-    series: TimeSeries
     standardizer: Standardizer
     train: DelayDataset
     test: DelayDataset
@@ -195,7 +205,7 @@ def prepare_series(series: TimeSeries, tau: int, train_fraction: float) -> Prepa
     std = TimeSeries(standardizer.transform(series.values), series.dt, series.name)
     ds = build_delay_dataset(std, tau)
     train_ds, test_ds = split_train_test(ds, train_fraction)
-    return PreparedSeries(std, standardizer, train_ds, test_ds)
+    return PreparedSeries(standardizer, train_ds, test_ds)
 
 
 def _score_method(model, prepared: PreparedSeries, rollout_steps: int | None):
@@ -215,8 +225,7 @@ def _score_method(model, prepared: PreparedSeries, rollout_steps: int | None):
 
 def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow:
     """Run the four methods on one system; failures score +inf."""
-    config = replace(protocol.train_config, lambda1=protocol.lambda1)
-    cv_config = protocol.cv_train_config or config
+    config = protocol.train_config
     smapes = {m: np.inf for m in METHOD_NAMES}
     hds = {m: np.inf for m in METHOD_NAMES}
     nnz = {}
@@ -233,32 +242,21 @@ def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow
     def run(name, params_fn):
         try:
             params = params_fn()
-            model = fit(params, train_ds, protocol.lambda1)
+            model = fit(params, train_ds, config.lambda1)
             smapes[name], hds[name] = _score_method(model, prepared, protocol.rollout_steps)
             nnz[name] = params.nnz
         except _RECOVERABLE:
             pass
 
-    run("RBF", lambda: fixed_rbf_params())
-    run("TrainedRBF", lambda: train_regular(
-        train_ds, rbf_init, _fit_config(config, train_ds.n_pairs, 0.0, config.seed)
-    ).final_params)
-    run("RegularKF", lambda: train_regular(
-        train_ds, full_init, _fit_config(config, train_ds.n_pairs, 0.0, config.seed)
-    ).final_params)
+    run("RBF", fixed_rbf_params)
+    run("TrainedRBF", lambda: train_at(train_ds, rbf_init, config).final_params)
+    run("RegularKF", lambda: train_at(train_ds, full_init, config).final_params)
 
     def sparse_params():
-        nonlocal selected
-        head = prepared.series.head(train_ds.n_pairs + protocol.tau, series.name)
-        cv = select_lambda2(head, protocol.tau, protocol.lambda1,
-                            protocol.lambda2_grid,
-                            replace(cv_config, lambda1=protocol.lambda1))
-        selected = cv.selected_lambda2
-        cell = _fit_config(config, train_ds.n_pairs, cv.selected_lambda2, config.seed)
-        if cv.selected_lambda2 == 0.0:
-            # lambda2 = 0 is exactly the dense scenario
-            return train_regular(train_ds, full_init, cell).final_params
-        return train(train_ds, full_init, cell).final_params
+        nonlocal selected  # recorded even when the final training fails
+        selected = select_lambda2(train_ds, protocol.lambda2_grid,
+                                  protocol.cv_config).selected_lambda2
+        return train_at(train_ds, full_init, config, selected).final_params
 
     run("SparseKF", sparse_params)
 
@@ -268,11 +266,9 @@ def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow
 
 
 def run_benchmark(series_list, protocol: EvalProtocol | None = None,
-                  threads: int | None = None) -> list[BenchmarkRow]:
+                  threads: int = 1) -> list[BenchmarkRow]:
     """Benchmark every series; result order matches the input order."""
     protocol = protocol or EvalProtocol()
-    if threads is None:
-        threads = int(os.environ.get("KFLOW_THREADS", "1"))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda s: benchmark_system(s, protocol), series_list))

@@ -85,7 +85,9 @@ def predict_one(model: TrainedModel, window) -> np.ndarray:
             f"window length {window.size} != tau*d = {model.train_X.shape[1]}"
         )
     k_row = cross_gram(model.params, window[None, :], model.train_X)
-    return (k_row @ model.coefficients)[0]
+    # rollout turns a non-finite prediction into RolloutDiverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (k_row @ model.coefficients)[0]
 
 
 def one_step_forecast(model: TrainedModel, test: DelayDataset) -> np.ndarray:

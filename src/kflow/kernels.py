@@ -36,7 +36,6 @@ IEEE warnings are silenced: these checks report instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,12 +136,6 @@ class KernelParams:
     def nnz(self) -> int:
         return int(np.count_nonzero(self.active_mask))
 
-    def replace(self, alpha=None, theta=None) -> "KernelParams":
-        return KernelParams(
-            self.alpha if alpha is None else alpha,
-            self.theta if theta is None else theta,
-        )
-
     @classmethod
     def random(cls, rng: np.random.Generator) -> "KernelParams":
         """Random initialization: alpha ~ U(0.5, 1), theta ~ U(0.5, 1.5)."""
@@ -154,13 +147,6 @@ class KernelParams:
     @classmethod
     def from_dict(cls, doc: dict) -> "KernelParams":
         return cls(np.asarray(doc["alpha"], dtype=float), np.asarray(doc["theta"], dtype=float))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "KernelParams":
-        return cls.from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -148,15 +148,6 @@ class LossBreakdown:
     numerator_qf: float
     denominator_qf: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "l1": self.l1_penalty,
-            "total": self.total,
-            "numerator_qf": self.numerator_qf,
-            "denominator_qf": self.denominator_qf,
-        }
-
 
 # ---------------------------------------------------------------------------
 # gradient machinery

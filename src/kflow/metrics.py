@@ -27,18 +27,20 @@ def smape(pred, truth) -> float:
 
 
 def _pairwise_distances(A, B):
-    diff = A[:, None, :] - B[None, :, :]
-    sq = (diff * diff).sum(axis=-1)
-    dist = np.sqrt(sq)
-    # a difference below ~1e-154 squares to a subnormal or to 0, so those
-    # pairs are recomputed with the difference scaled to unit size; pairs
-    # with a normal sum of squares keep the plain formula bit for bit
-    small = sq < np.finfo(float).tiny
-    if small.any():
-        d = diff[small]
-        scale = np.abs(d).max(axis=-1, keepdims=True)
-        unit = np.divide(d, scale, out=np.zeros_like(d), where=scale > 0.0)
-        dist[small] = scale[:, 0] * np.sqrt((unit * unit).sum(axis=-1))
+    with np.errstate(over="ignore"):  # inf only where the distance exceeds the range
+        diff = A[:, None, :] - B[None, :, :]
+        sq = (diff * diff).sum(axis=-1)
+        dist = np.sqrt(sq)
+        # a difference below ~1e-154 squares to a subnormal or to 0, one above
+        # ~1e154 to inf, so those pairs are recomputed with the difference
+        # scaled to unit size; pairs with a normal sum of squares keep the
+        # plain formula bit for bit
+        rescale = (sq < np.finfo(float).tiny) | (np.isinf(sq) & np.isfinite(diff).all(axis=-1))
+        if rescale.any():
+            d = diff[rescale]
+            scale = np.abs(d).max(axis=-1, keepdims=True)
+            unit = np.divide(d, scale, out=np.zeros_like(d), where=scale > 0.0)
+            dist[rescale] = scale[:, 0] * np.sqrt((unit * unit).sum(axis=-1))
     return dist
 
 

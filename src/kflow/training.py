@@ -209,10 +209,6 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
     Deterministic: identical (dataset, init, config) reproduce the
     report bitwise apart from wall_time.
     """
-    if config.batch_size > dataset.n_pairs:
-        raise ValueError(
-            f"batch_size {config.batch_size} exceeds dataset size {dataset.n_pairs}"
-        )
     started = time.perf_counter()
     if config.epochs == 0:
         return TrainReport([], init, init.nnz, 0, time.perf_counter() - started)

@@ -162,6 +162,25 @@ def test_benchmark_honours_zero_clamp(tmp_path, rng):
         assert report["config"]["zero_clamp"] == 0.5
 
 
+def test_train_and_benchmark_share_the_sparse_recipe(tmp_path, rng):
+    # train --mode sparse and benchmark's SparseKF pick the same lambda2
+    # and learn the same dictionary from the same CSV and flags
+    data = toy_csv(tmp_path, rng)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{data}\n")
+    flags = [*FAST, "--seed", "3", "--lambda2-grid", "0,0.1,1"]
+    model_path = tmp_path / "model.json"
+    assert run_cli("train", str(data), "--mode", "sparse", "--out", str(model_path),
+                   *flags) == 0
+    assert run_cli("benchmark", str(manifest), "--out-dir", str(tmp_path / "bench"),
+                   "--steps", "4", *flags) == 0
+    model = json.loads(model_path.read_text())
+    row = json.loads((tmp_path / "bench" / "report.json").read_text())["rows"][0]
+    assert row["selected_lambda2"] == model["selected_lambda2"] == 1.0
+    nnz = np.count_nonzero(model["model"]["kernel"]["alpha"])
+    assert row["nnz"]["SparseKF"] == nnz < 21
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     code = run_cli("train", str(tmp_path / "absent.csv"), "--out",
                    str(tmp_path / "m.json"), *FAST)

@@ -87,10 +87,3 @@ def test_series_validation():
         TimeSeries(np.array([[1.0], [np.nan]]), 0.1)
     with pytest.raises(ValueError):
         TimeSeries(np.ones((3, 2)), 0.0)
-
-
-def test_series_head():
-    s = series_from(np.arange(10.0))
-    h = s.head(4)
-    assert h.n == 4
-    np.testing.assert_array_equal(h.values.ravel(), np.arange(4.0))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kflow.embedding import TimeSeries
+from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.evaluation import (
     DEFAULT_LAMBDA2_GRID,
     METHOD_NAMES,
@@ -29,6 +29,10 @@ def toy_series(rng, n=90, name="toy"):
     return TimeSeries(values, 0.1, name)
 
 
+def toy_dataset(rng, n=90, tau=3):
+    return build_delay_dataset(toy_series(rng, n), tau)
+
+
 def quick_config(epochs=4, seed=0):
     return TrainConfig(epochs=epochs, batch_size=16, lambda1=0.05, seed=seed)
 
@@ -50,24 +54,21 @@ def test_fold_blocks_partition_any_n():
 
 
 def test_single_candidate_grid_selected(rng):
-    series = toy_series(rng)
-    cv = select_lambda2(series, 3, 0.05, grid=(0.01,), train_config=quick_config())
+    cv = select_lambda2(toy_dataset(rng), (0.01,), quick_config())
     assert cv.selected_lambda2 == 0.01
     assert cv.fold_smapes.shape == (1, 3)
 
 
 def test_cv_determinism(rng):
-    series = toy_series(rng)
-    a = select_lambda2(series, 3, 0.05, grid=(0.0, 0.1), train_config=quick_config(seed=5))
-    b = select_lambda2(series, 3, 0.05, grid=(0.0, 0.1), train_config=quick_config(seed=5))
+    ds = toy_dataset(rng)
+    a = select_lambda2(ds, (0.0, 0.1), quick_config(seed=5))
+    b = select_lambda2(ds, (0.0, 0.1), quick_config(seed=5))
     np.testing.assert_array_equal(a.fold_smapes, b.fold_smapes)
     assert a.selected_lambda2 == b.selected_lambda2
 
 
 def test_cv_selects_min_mean(rng):
-    series = toy_series(rng)
-    cv = select_lambda2(series, 3, 0.05, grid=(0.0, 0.001, 1.0),
-                        train_config=quick_config())
+    cv = select_lambda2(toy_dataset(rng), (0.0, 0.001, 1.0), quick_config())
     means = cv.mean_smapes
     best = means.min()
     winners = [g for g, m in zip(cv.grid, means) if m == best]
@@ -75,9 +76,10 @@ def test_cv_selects_min_mean(rng):
 
 
 def test_cv_needs_nine_pairs(rng):
-    short = TimeSeries(rng.normal(size=(10, 1)), 0.1)
+    short = build_delay_dataset(TimeSeries(rng.normal(size=(11, 1)), 0.1), 3)
+    assert short.n_pairs == 8
     with pytest.raises(ValueError):
-        select_lambda2(short, 3, 0.05, train_config=quick_config())
+        select_lambda2(short, config=quick_config())
 
 
 def test_fixed_rbf_kernel_width():
@@ -101,7 +103,7 @@ def test_benchmark_row_and_reports(rng):
     series = toy_series(rng, n=80)
     protocol = EvalProtocol(
         tau=3, train_fraction=0.8, lambda2_grid=(0.0, 0.1),
-        train_config=quick_config(), cv_train_config=quick_config(2),
+        train_config=quick_config(), cv_epochs=2,
         rollout_steps=5,
     )
     row = benchmark_system(series, protocol)

@@ -292,4 +292,4 @@ def test_grad_zero_numerator_targets(rng):
 
 def test_loss_breakdown_dataclass():
     b = LossBreakdown(0.25, 0.1, 0.35, 1.0, 2.0)
-    assert b.to_dict()["total"] == 0.35
+    assert b.total == 0.35

@@ -98,6 +98,14 @@ def test_hausdorff_tiny_separation_is_not_zero():
     assert hausdorff([[0.0, 0.0]], [[3e-170, 4e-170]]) == pytest.approx(5e-170, rel=1e-15)
 
 
+def test_hausdorff_huge_separation_is_finite():
+    # the squared differences overflow; the distance must not
+    assert hausdorff([[1e200, 0.0]], [[0.0, 0.0]]) == 1e200
+    assert hausdorff([[0.0, 0.0]], [[3e170, 4e170]]) == pytest.approx(5e170, rel=1e-15)
+    # a distance beyond the float range is inf
+    assert hausdorff([[1e308]], [[-1e308]]) == np.inf
+
+
 def test_hausdorff_empty_raises():
     with pytest.raises(ValueError):
         hausdorff(np.zeros((0, 2)), np.zeros((1, 2)))
