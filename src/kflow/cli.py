@@ -319,7 +319,7 @@ def cmd_forecast(args) -> int:
     _write_json(scores_path, scores_doc)
     if scores_doc["scores"]:
         s = scores_doc["scores"]
-        print(f"mode={args.mode} smape={s['smape']:.6f} hausdorff={s['hausdorff']:.6f} "
+        print(f"mode={args.mode} smape={s['smape']:.6g} hausdorff={s['hausdorff']:.6g} "
               f"n={s['n_test']}")
     else:
         print(f"mode={args.mode} (no truth rows to score)")

@@ -60,9 +60,8 @@ def fixed_rbf_params(sigma: float = RBF_SIGMA) -> KernelParams:
     return KernelParams(alpha, theta)
 
 
-def gaussian_only_init(dataset, seed: int) -> KernelParams:
-    """Geometry-aware init with only the Gaussian weight active."""
-    full = default_init(dataset, seed)
+def gaussian_only_init(full: KernelParams) -> KernelParams:
+    """``full`` (a geometry-aware init) with only the Gaussian weight active."""
     alpha = np.zeros(N_KERNELS)
     alpha[2] = full.alpha[2]
     return KernelParams(alpha, full.theta)
@@ -237,7 +236,7 @@ def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow
 
     train_ds = prepared.train
     full_init = default_init(train_ds, config.seed)
-    rbf_init = gaussian_only_init(train_ds, config.seed)
+    rbf_init = gaussian_only_init(full_init)
 
     def run(name, params_fn):
         try:

@@ -19,6 +19,11 @@ builds a :class:`_BatchTerms` per batch, which solves through
 falling back to a symmetric-indefinite LDL^T with diagonal pivoting —
 the dictionary contains non-PSD members, so the shifted Gram is not
 guaranteed definite) and verifies every solve by its residual.
+
+An epoch's three calls share one batch pair and hand their terms on:
+pair geometry is always reused, elemental blocks only while theta is
+bitwise unchanged (alpha-step to logged loss).  K is still summed in
+ascending term order, so the results are bit-identical.
 """
 
 from __future__ import annotations
@@ -161,21 +166,24 @@ class LossBreakdown:
 class _BatchTerms:
     """Per-batch quantities shared by the loss value and its gradient."""
 
-    def __init__(self, params: KernelParams, X, Y, lambda1: float):
+    def __init__(self, params: KernelParams, X, Y, lambda1: float,
+                 prev: _BatchTerms | None = None):
         self.params = params
         Y = np.asarray(Y, dtype=float)
         self.Y = Y[:, None] if Y.ndim == 1 else Y
-        self.stats = _self_stats(np.asarray(X, dtype=float))
+        self.stats = _self_stats(np.asarray(X, dtype=float)) if prev is None else prev.stats
         n = self.stats[0].shape[0]
         if n != self.Y.shape[0]:
             raise ValueError(f"X has {n} rows but Y has {self.Y.shape[0]}")
+        same_theta = prev is not None and prev.params.theta.tobytes() == params.theta.tobytes()
+        old = prev.blocks if same_theta else {}
         self.blocks = {}
         K = np.zeros((n, n))
         for i in range(N_KERNELS):
             a = params.alpha[i]
             if a == 0.0:
                 continue
-            block = _eval_block(i, self.stats, params.theta)
+            block = old[i] if i in old else _eval_block(i, self.stats, params.theta)
             self.blocks[i] = block
             K += (a * a) * block
         self.system = RidgeSystem(K, lambda1)
@@ -205,7 +213,7 @@ class _BatchTerms:
 
 def _nested_eval(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
                  wrt_alpha: bool = False, wrt_theta: bool = False,
-                 require_positive: bool = True):
+                 require_positive: bool = True, terms: list | None = None):
     """rho, the two quadratic forms and (optionally) gradient parts.
 
     Returns (rho, qf_c, qf_b, grad_alpha | None, grad_theta | None).
@@ -215,8 +223,12 @@ def _nested_eval(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
     indefinite parameter draw makes the quadratic forms sign-free while
     the ratio and its gradient stay perfectly well defined — only a
     vanishing denominator is degenerate there.
+
+    ``terms``, when given, holds the (b, c) terms of the previous call on
+    the same batches (empty on the first) and receives this call's.
     """
-    b = _BatchTerms(params, Xb, Yb, lambda1)
+    prev_b, prev_c = terms or (None, None)
+    b = _BatchTerms(params, Xb, Yb, lambda1, prev_b)
     if require_positive:
         if not b.qf > 0.0:
             raise DegenerateBatchError(
@@ -227,7 +239,9 @@ def _nested_eval(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
         raise DegenerateBatchError(
             f"denominator quadratic form is {b.qf:.3e}; ratio is undefined"
         )
-    c = _BatchTerms(params, Xc, Yc, lambda1)
+    c = _BatchTerms(params, Xc, Yc, lambda1, prev_c)
+    if terms is not None:
+        terms[:] = (b, c)
     r = 1.0 - c.qf / b.qf
     if not (wrt_alpha or wrt_theta):
         return r, c.qf, b.qf, None, None

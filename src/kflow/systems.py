@@ -8,7 +8,7 @@ through :func:`load_csv`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,7 +31,6 @@ class SystemSpec:
     name: str
     dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
-    default_params: dict = field(default_factory=dict)
     default_ic: tuple = ()
     default_dt: float = 0.01
     transient_skip: int = 1000
@@ -111,23 +110,18 @@ def builtin_systems() -> list[SystemSpec]:
     return [
         SystemSpec(
             name="lorenz", dim=3, rhs=_lorenz(),
-            default_params={"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
             default_ic=(-8.0, 7.0, 27.0), default_dt=0.01, transient_skip=1000,
         ),
         SystemSpec(
             name="rossler", dim=3, rhs=_rossler(),
-            default_params={"a": 0.2, "b": 0.2, "c": 5.7},
             default_ic=(1.0, 1.0, 0.0), default_dt=0.05, transient_skip=2000,
         ),
         SystemSpec(
             name="thomas", dim=3, rhs=_thomas(),
-            default_params={"b": 0.208186},
             default_ic=(0.1, 0.0, 0.0), default_dt=0.1, transient_skip=2000,
         ),
         SystemSpec(
             name="duffing", dim=4, rhs=_duffing(),
-            default_params={"delta": 0.3, "alpha": -1.0, "beta": 1.0,
-                            "gamma": 0.5, "omega": 1.2},
             default_ic=(1.0, 0.0, 1.0, 0.0), default_dt=0.05, transient_skip=2000,
         ),
     ]

@@ -122,7 +122,8 @@ class TrainConfig:
     # the ratio loss is nearly blind to the overall kernel magnitude
     # (it cancels except through the nugget), so the magnitude is set
     # after the epochs by a line search over these weight multipliers,
-    # scored by one-step error on a held-back training tail
+    # scored by one-step error on a held-back training tail; each scales
+    # one Gram by s*s, bit-exact for powers of two (others to rounding)
     scale_candidates: tuple = (1.0, 2.0, 4.0, 8.0, 16.0)
     calibration_rows: int = 1024
 
@@ -227,24 +228,25 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
         lr_t = config.lr_theta * decay
         lr_a = config.lr_alpha * decay
         alpha_in, theta_in = alpha.copy(), theta.copy()
+        terms = []  # the three evaluations share this batch's geometry and blocks
         try:
             params = KernelParams(alpha, theta)
             _, _, _, _, g_theta = _nested_eval(params, Xb, Yb, Xc, Yc,
                                                config.lambda1, wrt_theta=True,
-                                               require_positive=False)
+                                               require_positive=False, terms=terms)
             theta = clamp_theta(theta - lr_t * _clip_norm(g_theta, config.max_grad_norm))
 
             params = KernelParams(alpha, theta)
             _, _, _, g_alpha, _ = _nested_eval(params, Xb, Yb, Xc, Yc,
                                                config.lambda1, wrt_alpha=True,
-                                               require_positive=False)
+                                               require_positive=False, terms=terms)
             alpha = soft_threshold(alpha - lr_a * _clip_norm(g_alpha, config.max_grad_norm),
                                    lr_a * config.lambda2)
 
             params = KernelParams(alpha, theta)
             rho_val, qf_c, qf_b, _, _ = _nested_eval(params, Xb, Yb, Xc, Yc,
                                                      config.lambda1,
-                                                     require_positive=False)
+                                                     require_positive=False, terms=terms)
             l1 = config.lambda2 * float(np.sum(np.abs(alpha)))
             history.append(LossBreakdown(rho_val, l1, rho_val + l1, qf_c, qf_b))
         except (FactorizationError, DegenerateBatchError, KernelEvalError) as err:
@@ -276,11 +278,16 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     Uses a contiguous recent slice: fit on its head, score one-step on
     its tail, keep the multiplier with the smallest error (ties keep the
     smallest multiplier).  Candidates whose fit fails are skipped.
+
+    Multiplier s scales the kernel by s*s (weights enter squared), so the
+    Gram and cross-Gram are evaluated once at s = 1 and rescaled: for a
+    power-of-two s bit for bit what s*alpha gives (unless a weighted entry
+    is subnormal), to rounding otherwise.  An evaluation error returns alpha.
     """
     candidates = tuple(config.scale_candidates)
     if not candidates or len(candidates) == 1 or not np.any(alpha != 0.0):
         return alpha
-    from .forecast import fit, one_step_forecast
+    from .forecast import RidgeSystem, cross_gram, gram
     from .metrics import smape
 
     n = dataset.n_pairs
@@ -291,12 +298,22 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     window = dataset.subset(slice(n - n_fit - n_hold, n))
     fit_part = window.subset(slice(0, n_fit))
     hold_part = window.subset(slice(n_fit, n_fit + n_hold))
+    params = KernelParams(alpha, theta)
+    try:
+        K = gram(params, fit_part.X)
+        K_hold = cross_gram(params, hold_part.X, fit_part.X)
+    except KernelEvalError:
+        return alpha
     best_scale, best_err = 1.0, np.inf
     for scale in candidates:
+        with np.errstate(over="ignore"):
+            K_s, K_hold_s = scale * scale * K, scale * scale * K_hold
+        if not (np.all(np.isfinite(K_s)) and np.all(np.isfinite(K_hold_s))):
+            continue  # the weighted sum overflows at this scale
         try:
-            model = fit(KernelParams(scale * alpha, theta), fit_part, config.lambda1)
-            err = smape(one_step_forecast(model, hold_part), hold_part.Y)
-        except (FactorizationError, DegenerateBatchError, KernelEvalError, ValueError):
+            W = RidgeSystem(K_s, config.lambda1).solve(fit_part.Y)
+            err = smape(K_hold_s @ W, hold_part.Y)
+        except (FactorizationError, ValueError):
             continue
         if err < best_err or (err == best_err and scale < best_scale):
             best_scale, best_err = scale, err

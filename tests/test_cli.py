@@ -121,6 +121,23 @@ def test_config_file_flags_override(tmp_path, rng):
     assert doc["config"]["batch_size"] == 16  # config-file value
 
 
+
+def test_diverged_rollout_scores_print_short(tmp_path, rng, capsys):
+    data = toy_csv(tmp_path, rng)
+    model_path = tmp_path / "model.json"
+    assert run_cli("train", str(data), "--mode", "sparse", "--out",
+                   str(model_path), "--seed", "1", *FAST) == 0
+    doc = json.loads(model_path.read_text())
+    doc["model"]["coefficients"] = (100.0 * np.array(doc["model"]["coefficients"])).tolist()
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("forecast", "--model", str(model_path), "--input", str(data),
+                   "--mode", "rollout", "--steps", "80", "--out", str(tmp_path / "roll.csv")) == 0
+    scores = json.loads((tmp_path / "roll_scores.json").read_text())
+    assert scores["divergence_step"] is not None and scores["scores"]["hausdorff"] > 1e100
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("mode=rollout") and len(line) < 80, line
+
 def test_forecast_dimension_mismatch(tmp_path, rng, capsys):
     data = toy_csv(tmp_path, rng)
     model_path = tmp_path / "m.json"

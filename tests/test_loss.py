@@ -9,6 +9,7 @@ from kflow.loss import (
     FactorizationError,
     LossBreakdown,
     RidgeSystem,
+    _nested_eval,
     grad_loss,
     regularized_quadratic_form,
     rho,
@@ -293,3 +294,24 @@ def test_grad_zero_numerator_targets(rng):
 def test_loss_breakdown_dataclass():
     b = LossBreakdown(0.25, 0.1, 0.35, 1.0, 2.0)
     assert b.total == 0.35
+
+
+def test_nested_eval_reused_terms_are_bitwise_identical(rng):
+    alpha = rng.uniform(0.5, 1.0, N_KERNELS)
+    params = KernelParams(alpha, rng.uniform(0.8, 1.5, N_THETA))
+    X = rng.normal(size=(16, 3))
+    Y = rng.normal(size=(16, 2))
+    args = (X, Y, X[:8], Y[:8], 0.05)
+    terms = []
+    _nested_eval(params, *args, wrt_theta=True, require_positive=False, terms=terms)
+    new_alpha = alpha.copy()
+    new_alpha[[4, 9]] = (0.0, 0.3)
+    same_theta = KernelParams(new_alpha, params.theta)
+    new_theta = KernelParams(new_alpha, params.theta * 1.01)
+    for p in (same_theta, new_theta):
+        fresh = _nested_eval(p, *args, wrt_alpha=True, wrt_theta=True,
+                             require_positive=False)
+        reused = _nested_eval(p, *args, wrt_alpha=True, wrt_theta=True,
+                              require_positive=False, terms=terms)
+        assert [np.asarray(v).tobytes() for v in reused] == \
+            [np.asarray(v).tobytes() for v in fresh]

@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_theta
+import kflow.forecast
+import kflow.loss
 from kflow.embedding import TimeSeries, build_delay_dataset
-from kflow.kernels import KernelParams, N_KERNELS, N_THETA
+from kflow.forecast import fit, one_step_forecast
+from kflow.kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA, cross_gram, gram
+from kflow.loss import FactorizationError
+from kflow.metrics import smape
 from kflow.training import (
     TrainConfig,
     TrainingAborted,
+    _calibrate_scale,
+    default_init,
     sample_nested_batches,
     soft_threshold,
     train,
@@ -235,3 +242,92 @@ def test_report_serialization_omits_wall_time(rng):
     assert doc["epochs_run"] == 3
     assert len(doc["loss_history"]) == 3
     assert doc["loss_history"][0]["epoch"] == 1
+
+
+# ---------------------------------------------------------------------------
+# scale calibration and per-epoch reuse
+# ---------------------------------------------------------------------------
+
+SCALES = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+def test_power_of_two_weight_scale_is_exact_gram_scale(rng):
+    # calibration rescales the s = 1 Gram by s*s instead of evaluating at s*alpha
+    ds = lorenz_like_dataset(rng)
+    params = default_init(ds, 0)
+    K, K_cross = gram(params, ds.X), cross_gram(params, ds.X[:30], ds.X[30:])
+    for s in SCALES:
+        scaled = KernelParams(s * params.alpha, params.theta)
+        assert gram(scaled, ds.X).tobytes() == (s * s * K).tobytes()
+        assert cross_gram(scaled, ds.X[:30], ds.X[30:]).tobytes() == (s * s * K_cross).tobytes()
+
+
+def _reference_calibration(ds, alpha, theta, config):
+    # the per-candidate fit at s * alpha that _calibrate_scale must reproduce
+    n = ds.n_pairs
+    n_hold = max(16, n // 8)
+    n_fit = min(config.calibration_rows, n - n_hold)
+    fit_part = ds.subset(slice(n - n_fit - n_hold, n - n_hold))
+    hold_part = ds.subset(slice(n - n_hold, n))
+    best_scale, best_err = 1.0, np.inf
+    for s in config.scale_candidates:
+        try:
+            model = fit(KernelParams(s * alpha, theta), fit_part, config.lambda1)
+            err = smape(one_step_forecast(model, hold_part), hold_part.Y)
+        except (FactorizationError, KernelEvalError):
+            continue
+        if err < best_err:
+            best_scale, best_err = s, err
+    return best_scale * alpha
+
+
+def test_calibration_matches_per_candidate_fits(rng):
+    ds = lorenz_like_dataset(rng)
+    full = default_init(ds, 0)
+    gaussian = np.zeros(N_KERNELS)
+    gaussian[2] = full.alpha[2]
+    # weight 2**1016 on a Gaussian: the sum overflows at s = 16 only
+    huge = np.zeros(N_KERNELS)
+    huge[2] = 2.0 ** 508
+    # t7 = 0 makes elemental 5 non-finite: every candidate fails
+    broken = np.zeros(N_KERNELS)
+    broken[4] = 1.0
+    config = TrainConfig(scale_candidates=SCALES)
+    for alpha, theta in ((full.alpha, full.theta), (gaussian, full.theta),
+                         (huge, full.theta), (broken, make_theta(t7=0.0))):
+        got = _calibrate_scale(ds, alpha, theta, config)
+        want = _reference_calibration(ds, alpha, theta, config)
+        assert got.tobytes() == want.tobytes()
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_calibration_evaluates_each_kernel_matrix_once(rng, monkeypatch):
+    ds = lorenz_like_dataset(rng)
+    full = default_init(ds, 0)
+    grams = _counting(monkeypatch, kflow.forecast, "gram")
+    crosses = _counting(monkeypatch, kflow.forecast, "cross_gram")
+    _calibrate_scale(ds, full.alpha, full.theta, TrainConfig(scale_candidates=SCALES))
+    assert len(grams) == 1 and len(crosses) == 1
+
+
+def test_full_dictionary_epoch_evaluates_84_blocks(rng, monkeypatch):
+    # theta-step and alpha-step each evaluate 21 blocks on both batches;
+    # the logged loss reuses the alpha-step's blocks (theta is unchanged),
+    # where evaluating every call afresh makes 126
+    ds = lorenz_like_dataset(rng)
+    blocks = _counting(monkeypatch, kflow.loss, "_eval_block")
+    report = train(ds, default_init(ds, 0),
+                   TrainConfig(epochs=1, batch_size=16, lambda2=0.0, seed=1))
+    assert report.failures == []
+    assert len(blocks) == 84
