@@ -8,9 +8,10 @@ with 21 elemental terms k_i drawing on 34 intrinsic parameters theta.
 Every elemental is a function of the pair geometry only: the inner
 product ``s = x.y``, the Euclidean distance ``r = ||x - y||`` and its
 square ``q = r**2``.  Every evaluation (``gram``, ``cross_gram``, and the
-scalar entry points as 1x1 ``cross_gram`` calls) computes (s, r, q) once
-per pair and evaluates the active terms on those arrays through one
-checked block evaluator.
+scalar entry points as 1x1 ``cross_gram`` calls) forms ``S = A B'`` once,
+then per cache-sized row tile (s, r, q) and the sum of the active terms
+through one checked block evaluator.  A Gram's tiles cover its upper
+triangle and are mirrored into the lower one: it is symmetric bitwise.
 
 Weights enter squared, so a combination is nonnegative whenever its
 terms are, and ``alpha_i == 0`` removes term i exactly (the elemental
@@ -46,6 +47,9 @@ N_THETA = 34
 #: floor used for clamped power bases and for bare divisors re-projected
 #: by the optimizer
 EPS = 1e-8
+
+# entries per row tile (128 KB a temporary): larger tiles page-fault in a fresh process
+_TILE = 1 << 14
 
 # contiguous theta block owned by each elemental, 0-based half-open
 THETA_SLICES = (
@@ -168,16 +172,6 @@ def _self_stats(X):
         Q = sq[:, None] + sq[None, :] - 2.0 * S
         np.maximum(Q, 0.0, out=Q)
         np.fill_diagonal(Q, 0.0)
-        return S, np.sqrt(Q), Q
-
-
-def _cross_stats(A, B):
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    with np.errstate(all="ignore"):
-        S = A @ B.T
-        Q = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * S
-        np.maximum(Q, 0.0, out=Q)
         return S, np.sqrt(Q), Q
 
 
@@ -462,6 +456,8 @@ def _grad_blocks(index: int, stats, theta):
 
 
 def _combine(params: KernelParams, stats):
+    """Checked weighted sum of the active elementals on one tile's geometry;
+    of elementals failing in different tiles, the first met in tile order is named."""
     total = np.zeros(np.broadcast(stats[0], stats[2]).shape)
     with np.errstate(all="ignore"):
         for i in np.flatnonzero(params.active_mask):
@@ -472,12 +468,38 @@ def _combine(params: KernelParams, stats):
     return total
 
 
+def _kernel_matrix(params: KernelParams, A, B=None) -> np.ndarray:
+    """k(A_i, B_j) in row tiles of about _TILE entries; the Gram of A if B is None."""
+    sym = B is None
+    with np.errstate(all="ignore"):
+        S = A @ (A if sym else B).T
+        sq_a = np.diagonal(S).copy() if sym else (A * A).sum(axis=1)
+        sq_b = sq_a if sym else (B * B).sum(axis=1)
+        m, n = S.shape
+        K = np.empty((m, n))
+        a = 0
+        while a < m:
+            lo = a if sym else 0
+            b = min(m, a + max(1, _TILE // max(1, n - lo)))
+            if sym:  # tile rows [a, b) x columns [a, n): S's upper triangle only
+                S[a:b, a:b] = np.triu(S[a:b, a:b]) + np.triu(S[a:b, a:b], 1).T
+            q = sq_a[a:b, None] + sq_b[None, lo:] - 2.0 * S[a:b, lo:]
+            np.maximum(q, 0.0, out=q)
+            if sym:
+                np.fill_diagonal(q, 0.0)
+            K[a:b, lo:] = _combine(params, (S[a:b, lo:], np.sqrt(q), q))
+            if sym:
+                K[b:, a:b] = K[a:b, b:].T
+            a = b
+    return K
+
+
 def gram(params: KernelParams, X) -> np.ndarray:
     """Combined-kernel Gram matrix of the rows of X (exactly symmetric)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise KernelEvalError(f"X must be a nonempty 2-d array, got shape {X.shape}")
-    return _combine(params, _self_stats(X))
+    return _kernel_matrix(params, X)
 
 
 def cross_gram(params: KernelParams, A, B) -> np.ndarray:
@@ -488,7 +510,7 @@ def cross_gram(params: KernelParams, A, B) -> np.ndarray:
         raise KernelEvalError(f"column mismatch: {A.shape} vs {B.shape}")
     if A.shape == B.shape and np.array_equal(A, B):
         return gram(params, A)
-    return _combine(params, _cross_stats(A, B))
+    return _kernel_matrix(params, A, B)
 
 
 def eval_elemental(kernel_id: int, x, y, theta) -> float:

@@ -68,7 +68,7 @@ class RidgeSystem:
     """
 
     def __init__(self, gram: np.ndarray, lambda1: float):
-        gram = np.asarray(gram, dtype=float)
+        gram = np.array(gram, dtype=float)  # a copy: lambda1 goes onto its diagonal
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError(f"gram must be square, got {gram.shape}")
         if lambda1 < 0:
@@ -76,7 +76,8 @@ class RidgeSystem:
         if not np.all(np.isfinite(gram)):
             raise FactorizationError("gram contains non-finite entries")
         self.lambda1 = float(lambda1)
-        self._A = gram + lambda1 * np.eye(gram.shape[0])
+        gram.flat[:: gram.shape[0] + 1] += lambda1
+        self._A = gram
         self._cho = None
         self._ldl = None
         try:

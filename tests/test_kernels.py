@@ -1,12 +1,15 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_theta, single_kernel
+from kflow import kernels
 from kflow.kernels import (
+    ELEMENTALS,
     EPS,
     N_KERNELS,
     N_THETA,
@@ -200,6 +203,140 @@ def test_cross_gram_linear_hand_values():
 def test_cross_gram_column_mismatch():
     with pytest.raises(KernelEvalError):
         cross_gram(single_kernel(3), np.ones((2, 3)), np.ones((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# row tiles
+# ---------------------------------------------------------------------------
+
+ONE_TILE = math.isqrt(kernels._TILE)   # the largest Gram that is one tile
+CROSS_COLS = 100                       # B's rows in the cross-Gram cases
+CROSS_TILE = kernels._TILE // CROSS_COLS
+
+
+def _whole_array_sum(params, A, B=None):
+    """Reference: every pair's geometry at once, terms summed from zeros in ascending order."""
+    with np.errstate(all="ignore"):
+        if B is None:
+            stats = _self_stats(A)
+        else:
+            S = A @ B.T
+            Q = np.maximum((A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * S, 0.0)
+            stats = (S, np.sqrt(Q), Q)
+        total = np.zeros(stats[0].shape)
+        for i in range(N_KERNELS):
+            a = params.alpha[i]
+            if a != 0.0:
+                total += (a * a) * ELEMENTALS[i](*stats, params.theta)
+    return total
+
+
+@pytest.fixture
+def tile_rows(monkeypatch):
+    """Row counts of the tiles evaluated, in order."""
+    rows = []
+    combine = kernels._combine
+
+    def counted(params, stats):
+        rows.append(stats[0].shape[0])
+        return combine(params, stats)
+
+    monkeypatch.setattr(kernels, "_combine", counted)
+    return rows
+
+
+def _sparse(params):
+    alpha = np.array(params.alpha)
+    alpha[[0, 3, 4, 8, 11, 12, 15, 19]] = 0.0
+    return KernelParams(alpha, params.theta)
+
+
+@pytest.mark.parametrize("n, tiles", [(1, 1), (ONE_TILE - 1, 1), (ONE_TILE, 1),
+                                      (ONE_TILE + 1, 2), (2 * ONE_TILE + 45, 4)])
+def test_gram_tiles_equal_whole_array_sum(rng, tile_rows, n, tiles):
+    X = rng.normal(size=(n, 4))
+    full = KernelParams.random(rng)
+    for params in (full, _sparse(full)):
+        tile_rows.clear()
+        K = gram(params, X)
+        assert len(tile_rows) == tiles and sum(tile_rows) == n
+        assert K.tobytes() == _whole_array_sum(params, X).tobytes()
+        assert np.array_equal(K, K.T)
+
+
+@pytest.mark.parametrize("m, tiles", [(1, 1), (CROSS_TILE - 1, 1), (CROSS_TILE, 1),
+                                      (CROSS_TILE + 1, 2), (3 * CROSS_TILE + 50, 4)])
+def test_cross_gram_tiles_equal_whole_array_sum(rng, tile_rows, m, tiles):
+    A, B = rng.normal(size=(m, 4)), rng.normal(size=(CROSS_COLS, 4))
+    full = KernelParams.random(rng)
+    for params in (full, _sparse(full)):
+        tile_rows.clear()
+        C = cross_gram(params, A, B)
+        assert len(tile_rows) == tiles and sum(tile_rows) == m
+        assert C.tobytes() == _whole_array_sum(params, A, B).tobytes()
+
+
+def test_gram_self_distance_is_zero_when_the_norm_overflows():
+    # |x|^2 overflows, but a point's distance to itself is still exactly 0
+    assert gram(single_kernel(3), np.array([[1e200, 0.0]])).tolist() == [[1.0]]
+
+
+def test_gram_peak_memory_below_three_matrices(rng):
+    n = 1500
+    X = rng.normal(size=(n, 15))
+    params = KernelParams.random(rng)
+    tracemalloc.start()
+    try:
+        gram(params, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
+
+
+def _extreme_last_row(rng, rows, scale):
+    """Points in [-1, 1]^3 whose last row is `scale` times a unit vector."""
+    X = rng.uniform(-1.0, 1.0, size=(rows, 3))
+    X[-1] = scale * np.array([0.6, 0.0, 0.8])
+    return X
+
+
+# the last row's self inner product is 1e4, every other pair's at most 100 * sqrt(3)
+GRAM_FAILURES = [
+    (single_kernel(2, make_theta(t2=1.0, t3=0.0, t4=80.0)), "elemental kernel 2"),
+    (single_kernel(1, weight=10.0 ** 152.5), "weighted kernel sum"),
+]
+# the last row's inner products reach 300 (with B's first row), every other row's 3 * sqrt(3)
+CROSS_FAILURES = [
+    (single_kernel(2, make_theta(t2=1.0, t3=0.0, t4=125.0)), "elemental kernel 2"),
+    (single_kernel(1, weight=10.0 ** 153.5), "weighted kernel sum"),
+]
+
+
+@pytest.mark.parametrize("params, message", GRAM_FAILURES)
+def test_gram_failure_in_last_tile_raises(rng, tile_rows, params, message):
+    X = _extreme_last_row(rng, 2 * ONE_TILE + 45, 100.0)
+    assert np.isfinite(gram(params, X[:-1])).all()
+    tile_rows.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelEvalError, match=message):
+            gram(params, X)
+    assert len(tile_rows) >= 3 and sum(tile_rows) == len(X)
+
+
+@pytest.mark.parametrize("params, message", CROSS_FAILURES)
+def test_cross_gram_failure_in_last_tile_raises(rng, tile_rows, params, message):
+    A = _extreme_last_row(rng, 3 * CROSS_TILE + 50, 100.0)
+    B = rng.uniform(-1.0, 1.0, size=(CROSS_COLS, 3))
+    B[0] = [1.8, 0.0, 2.4]
+    assert np.isfinite(cross_gram(params, A[:-1], B)).all()
+    tile_rows.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelEvalError, match=message):
+            cross_gram(params, A, B)
+    assert len(tile_rows) >= 3 and sum(tile_rows) == len(A)
 
 
 # ---------------------------------------------------------------------------
