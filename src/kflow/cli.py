@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +112,6 @@ def _resolve(args, key, default):
 
 def _protocol(args) -> EvalProtocol:
     """The run's settings from flags, the config file and the defaults."""
-    lr = _resolve(args, "lr", 0.1)
     grid = _resolve(args, "lambda2_grid", None)
     if isinstance(grid, str):
         grid = [part for part in grid.split(",") if part]
@@ -123,8 +122,7 @@ def _protocol(args) -> EvalProtocol:
         lambda2_grid=DEFAULT_LAMBDA2_GRID if grid is None else tuple(float(v) for v in grid),
         train_config=TrainConfig(
             epochs=int(_resolve(args, "epochs", 500)),
-            lr_theta=float(lr),
-            lr_alpha=float(lr),
+            lr=float(_resolve(args, "lr", 0.1)),
             batch_size=int(_resolve(args, "batch_size", 200)),
             lambda1=float(_resolve(args, "lambda1", 0.05)),
             seed=int(_resolve(args, "seed", 0)),
@@ -144,16 +142,16 @@ def _resolved(head: dict, protocol: EvalProtocol, config: TrainConfig, **extra) 
         "lambda2_grid": list(protocol.lambda2_grid),
         "cv_epochs": protocol.cv_epochs,
         **extra,
-        **config.to_dict(),
+        **asdict(config),
     }
 
 
 def _svg_line_plot(path, series, labels, title) -> None:
-    """Self-contained SVG polyline plot (datained to 3 decimals)."""
+    """Self-contained SVG polyline plot (coordinates to 3 decimals)."""
     width, height, pad = 640, 360, 40
     finite = [np.asarray(s, dtype=float) for s in series]
-    allv = np.concatenate([s[np.isfinite(s)] for s in finite if len(s)])
-    if allv.size == 0:
+    allv = np.concatenate([np.empty(0)] + [s[np.isfinite(s)] for s in finite])
+    if allv.size == 0:  # nothing to draw (no epochs, or every epoch failed)
         return
     lo, hi = float(allv.min()), float(allv.max())
     span = hi - lo if hi > lo else 1.0

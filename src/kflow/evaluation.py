@@ -92,8 +92,9 @@ def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
                    config: TrainConfig = TrainConfig()) -> CvResult:
     """3-fold blocked cross-validation over the lambda2 grid.
 
-    Folds partition the training windows in ``dataset``.  A failed
-    (candidate, fold) cell scores +inf instead of aborting the sweep.
+    Folds partition the training windows in ``dataset``.  Each cell
+    trains with train_at, the recipe the selected model is trained with.
+    A failed (candidate, fold) cell scores +inf instead of aborting the sweep.
     Deterministic given config.seed; every cell derives its own batch
     stream from it but shares the same initialization.
     """
@@ -111,10 +112,9 @@ def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
             keep = np.setdiff1d(np.arange(n), block)
             fold_train = dataset.subset(keep)
             fold_test = dataset.subset(block)
-            cell = replace(config, lambda2=lam2, seed=_derive_seed(config.seed, ci, fi),
-                           batch_size=min(config.batch_size, fold_train.n_pairs))
+            cell = replace(config, seed=_derive_seed(config.seed, ci, fi))
             try:
-                report = train(fold_train, init, cell)
+                report = train_at(fold_train, init, cell, lam2)
                 model = fit(report.final_params, fold_train, config.lambda1)
                 pred = one_step_forecast(model, fold_test)
                 fold_smapes[ci, fi] = smape(pred, fold_test.Y)

@@ -455,17 +455,24 @@ def _grad_blocks(index: int, stats, theta):
     return grads
 
 
-def _combine(params: KernelParams, stats):
-    """Checked weighted sum of the active elementals on one tile's geometry;
-    of elementals failing in different tiles, the first met in tile order is named."""
-    total = np.zeros(np.broadcast(stats[0], stats[2]).shape)
+def _weighted_sum(shape, alpha, block):
+    """Checked sum of alpha[i]**2 * block(i) over the nonzero weights, ascending i."""
+    total = np.zeros(shape)
     with np.errstate(all="ignore"):
-        for i in np.flatnonzero(params.active_mask):
-            a = params.alpha[i]
-            total += (a * a) * _eval_block(i, stats, params.theta)
+        for i in range(N_KERNELS):
+            a = alpha[i]
+            if a != 0.0:
+                total += (a * a) * block(i)
     if not np.all(np.isfinite(total)):
         raise KernelEvalError("weighted kernel sum is non-finite (check the alpha scale)")
     return total
+
+
+def _combine(params: KernelParams, stats):
+    """Checked weighted sum of the active elementals on one tile's geometry;
+    of elementals failing in different tiles, the first met in tile order is named."""
+    return _weighted_sum(np.broadcast(stats[0], stats[2]).shape, params.alpha,
+                         lambda i: _eval_block(i, stats, params.theta))
 
 
 def _kernel_matrix(params: KernelParams, A, B=None) -> np.ndarray:

@@ -41,6 +41,7 @@ from .kernels import (
     _eval_block,
     _grad_blocks,
     _self_stats,
+    _weighted_sum,
 )
 
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -179,14 +180,12 @@ class _BatchTerms:
         same_theta = prev is not None and prev.params.theta.tobytes() == params.theta.tobytes()
         old = prev.blocks if same_theta else {}
         self.blocks = {}
-        K = np.zeros((n, n))
-        for i in range(N_KERNELS):
-            a = params.alpha[i]
-            if a == 0.0:
-                continue
-            block = old[i] if i in old else _eval_block(i, self.stats, params.theta)
-            self.blocks[i] = block
-            K += (a * a) * block
+
+        def block(i):  # kept for the gradient and for the next call on this batch
+            self.blocks[i] = old[i] if i in old else _eval_block(i, self.stats, params.theta)
+            return self.blocks[i]
+
+        K = _weighted_sum((n, n), params.alpha, block)
         self.system = RidgeSystem(K, lambda1)
         self.W = self.system.solve(self.Y)
         self.qf = float(np.sum(self.Y * self.W))

@@ -14,15 +14,15 @@ numerically tiny survivors.  With lambda2 = 0 the threshold is the
 identity and the loop degenerates to regular (dense) kernel-flow
 training.
 
-Both updates within an epoch reuse the same batch draw.  Learning rates
-decay as 1/sqrt(epoch).  A batch whose factorization fails is skipped
-and counted against a failure budget (default 10% of epochs).
+Both updates within an epoch reuse the same batch draw and one step
+size, lr / sqrt(epoch).  A batch whose factorization fails is skipped
+and counted against a budget of FAILURE_BUDGET_FRACTION of the epochs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,20 @@ class TrainingAborted(RuntimeError):
 CND_KERNELS = (8, 11, 12, 18, 19)
 CND_INIT_SCALE = 0.1
 
+# the loss ratio has a pole where the denominator quadratic form crosses
+# zero (possible with indefinite dictionary members); a norm cap keeps
+# those batches from catapulting the parameters
+MAX_GRAD_NORM = 5.0
+FAILURE_BUDGET_FRACTION = 0.1  # of the epochs, rounded up
+# the ratio loss is nearly blind to the overall kernel magnitude (it
+# cancels except through the nugget), so the magnitude is set after the
+# epochs by a line search over these weight multipliers, scored by
+# one-step error on a held-back training tail; powers of two, so each
+# rescales one Gram by s*s bit-exactly
+SCALE_CANDIDATES = (1.0, 2.0, 4.0, 8.0, 16.0)
+CALIBRATION_ROWS = 1024  # fit rows of that tail, at most
+PROBE_ROWS = 256  # rows in geometry_scales' strided probe
+
 # theta slots grouped by the pair-geometry quantity they compare against:
 # squared distances, distances, or window inner products.  Slots listed
 # under "sqrt" multiply the geometry under a square in their formula.
@@ -56,7 +70,7 @@ _SCALE_R = (25,)                            # t26
 _SCALE_INV_S = (1, 31)                      # t2 (under a square), t32
 
 
-def geometry_scales(dataset: DelayDataset, probe_rows: int = 256) -> np.ndarray:
+def geometry_scales(dataset: DelayDataset) -> np.ndarray:
     """Per-slot multipliers adapting the theta draw to the window geometry.
 
     The stock U(0.5, 1.5) draw assumes O(1) pairwise statistics; delay
@@ -65,8 +79,8 @@ def geometry_scales(dataset: DelayDataset, probe_rows: int = 256) -> np.ndarray:
     median-heuristic sweet spot.  The probe uses an evenly strided row
     subset, so the scales are a deterministic function of the dataset.
     """
-    step = max(1, dataset.n_pairs // probe_rows)
-    S, _, Q = _self_stats(dataset.X[::step][:probe_rows])
+    step = max(1, dataset.n_pairs // PROBE_ROWS)
+    S, _, Q = _self_stats(dataset.X[::step][:PROBE_ROWS])
     iu = np.triu_indices(S.shape[0], k=1)
     q_med, q_hi = np.percentile(Q[iu], [50.0, 95.0])
     s_hi = np.percentile(np.abs(S[iu]), 95.0)
@@ -107,42 +121,24 @@ def default_init(dataset: DelayDataset, seed: int) -> KernelParams:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 500
-    lr_theta: float = 0.1
-    lr_alpha: float = 0.1
+    lr: float = 0.1
     batch_size: int = 200
     lambda1: float = 0.05
     lambda2: float = 0.0
     seed: int = 0
     zero_clamp: float = 1e-3
-    failure_budget_fraction: float = 0.1
-    # the loss ratio has a pole where the denominator quadratic form
-    # crosses zero (possible with indefinite dictionary members); a
-    # norm cap keeps those batches from catapulting the parameters
-    max_grad_norm: float = 5.0
-    # the ratio loss is nearly blind to the overall kernel magnitude
-    # (it cancels except through the nugget), so the magnitude is set
-    # after the epochs by a line search over these weight multipliers,
-    # scored by one-step error on a held-back training tail; each scales
-    # one Gram by s*s, bit-exact for powers of two (others to rounding)
-    scale_candidates: tuple = (1.0, 2.0, 4.0, 8.0, 16.0)
-    calibration_rows: int = 1024
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        for name in ("lr_theta", "lr_alpha"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be nonnegative")
         if self.zero_clamp < 0:
             raise ValueError("zero_clamp must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _clip_norm(g: np.ndarray, cap: float) -> np.ndarray:
@@ -218,15 +214,14 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
     theta = clamp_theta(init.theta)
     history: list[LossBreakdown | None] = []
     failures: list[dict] = []
-    budget = int(np.ceil(config.failure_budget_fraction * config.epochs))
+    budget = int(np.ceil(FAILURE_BUDGET_FRACTION * config.epochs))
 
     for epoch in range(1, config.epochs + 1):
         idx_b, idx_c = sample_nested_batches(dataset, config.batch_size, rng)
         Xb, Yb = dataset.X[idx_b], dataset.Y[idx_b]
         Xc, Yc = dataset.X[idx_c], dataset.Y[idx_c]
         decay = 1.0 / np.sqrt(epoch)
-        lr_t = config.lr_theta * decay
-        lr_a = config.lr_alpha * decay
+        lr = config.lr * decay
         alpha_in, theta_in = alpha.copy(), theta.copy()
         terms = []  # the three evaluations share this batch's geometry and blocks
         try:
@@ -234,14 +229,14 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
             _, _, _, _, g_theta = _nested_eval(params, Xb, Yb, Xc, Yc,
                                                config.lambda1, wrt_theta=True,
                                                require_positive=False, terms=terms)
-            theta = clamp_theta(theta - lr_t * _clip_norm(g_theta, config.max_grad_norm))
+            theta = clamp_theta(theta - lr * _clip_norm(g_theta, MAX_GRAD_NORM))
 
             params = KernelParams(alpha, theta)
             _, _, _, g_alpha, _ = _nested_eval(params, Xb, Yb, Xc, Yc,
                                                config.lambda1, wrt_alpha=True,
                                                require_positive=False, terms=terms)
-            alpha = soft_threshold(alpha - lr_a * _clip_norm(g_alpha, config.max_grad_norm),
-                                   lr_a * config.lambda2)
+            alpha = soft_threshold(alpha - lr * _clip_norm(g_alpha, MAX_GRAD_NORM),
+                                   lr * config.lambda2)
 
             params = KernelParams(alpha, theta)
             rho_val, qf_c, qf_b, _, _ = _nested_eval(params, Xb, Yb, Xc, Yc,
@@ -280,19 +275,18 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     smallest multiplier).  Candidates whose fit fails are skipped.
 
     Multiplier s scales the kernel by s*s (weights enter squared), so the
-    Gram and cross-Gram are evaluated once at s = 1 and rescaled: for a
-    power-of-two s bit for bit what s*alpha gives (unless a weighted entry
-    is subnormal), to rounding otherwise.  An evaluation error returns alpha.
+    Gram and cross-Gram are evaluated once at s = 1 and rescaled: every s
+    is a power of two, so this is bit for bit what s*alpha gives (unless a
+    weighted entry is subnormal).  An evaluation error returns alpha.
     """
-    candidates = tuple(config.scale_candidates)
-    if not candidates or len(candidates) == 1 or not np.any(alpha != 0.0):
+    if not np.any(alpha != 0.0):
         return alpha
     from .forecast import RidgeSystem, cross_gram, gram
     from .metrics import smape
 
     n = dataset.n_pairs
     n_hold = max(16, n // 8)
-    n_fit = min(config.calibration_rows, n - n_hold)
+    n_fit = min(CALIBRATION_ROWS, n - n_hold)
     if n_fit < 16:
         return alpha
     window = dataset.subset(slice(n - n_fit - n_hold, n))
@@ -305,7 +299,7 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     except KernelEvalError:
         return alpha
     best_scale, best_err = 1.0, np.inf
-    for scale in candidates:
+    for scale in SCALE_CANDIDATES:
         with np.errstate(over="ignore"):
             K_s, K_hold_s = scale * scale * K, scale * scale * K_hold
         if not (np.all(np.isfinite(K_s)) and np.all(np.isfinite(K_hold_s))):
@@ -315,7 +309,7 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
             err = smape(K_hold_s @ W, hold_part.Y)
         except (FactorizationError, ValueError):
             continue
-        if err < best_err or (err == best_err and scale < best_scale):
+        if err < best_err:
             best_scale, best_err = scale, err
     return best_scale * alpha
 

@@ -7,8 +7,13 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kflow.kernels import KernelParams, N_KERNELS, N_THETA
+
+# the same examples on every run, and no per-example deadline (timings vary by machine)
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def make_theta(**overrides):

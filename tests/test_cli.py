@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -120,6 +121,38 @@ def test_config_file_flags_override(tmp_path, rng):
     assert doc["config"]["epochs"] == 5      # flag wins
     assert doc["config"]["batch_size"] == 16  # config-file value
 
+
+def test_config_block_round_trips_through_config_file(tmp_path, rng):
+    # every setting an artifact records is one --config reads back
+    data = toy_csv(tmp_path, rng)
+    first = tmp_path / "first.json"
+    assert run_cli("train", str(data), "--mode", "regular", "--out", str(first),
+                   *FAST, "--lr", "0.05", "--seed", "6", "--lambda1", "0.1") == 0
+    doc = json.loads(first.read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc["config"]))
+    second = tmp_path / "second.json"
+    assert run_cli("train", str(data), "--mode", "regular", "--out", str(second),
+                   "--config", str(config)) == 0
+    assert json.loads(second.read_text()) == doc
+
+
+def test_train_svg_loss_curve(tmp_path, rng):
+    data = toy_csv(tmp_path, rng)
+    out = tmp_path / "m.json"
+    assert run_cli("train", str(data), "--mode", "regular", "--out", str(out),
+                   *FAST, "--epochs", "2", "--svg") == 0
+    root = ET.parse(tmp_path / "m_loss.svg").getroot()
+    assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
+
+
+def test_train_svg_without_epochs_draws_nothing(tmp_path, rng):
+    data = toy_csv(tmp_path, rng)
+    out = tmp_path / "m.json"
+    assert run_cli("train", str(data), "--mode", "regular", "--out", str(out),
+                   *FAST, "--epochs", "0", "--svg") == 0
+    assert out.exists() and (tmp_path / "m_report.json").exists()
+    assert not (tmp_path / "m_loss.svg").exists()
 
 
 def test_diverged_rollout_scores_print_short(tmp_path, rng, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from kflow.evaluation import (
     METHOD_NAMES,
     BenchmarkRow,
     EvalProtocol,
+    _derive_seed,
     _fold_blocks,
     benchmark_system,
     emit_distribution_csv,
@@ -17,9 +19,13 @@ from kflow.evaluation import (
     prepare_series,
     run_benchmark,
     select_lambda2,
+    train_at,
     win_counts,
 )
-from kflow.training import TrainConfig
+from kflow.forecast import fit, one_step_forecast
+from kflow.kernels import N_KERNELS
+from kflow.metrics import smape
+from kflow.training import TrainConfig, default_init
 
 
 def toy_series(rng, n=90, name="toy"):
@@ -73,6 +79,26 @@ def test_cv_selects_min_mean(rng):
     best = means.min()
     winners = [g for g, m in zip(cv.grid, means) if m == best]
     assert cv.selected_lambda2 == min(winners)
+
+
+def test_cv_cells_run_the_recipe_they_select(rng):
+    # a lambda2 = 0 cell trains as train_at trains the selected lambda2 = 0
+    # model (dense, no zero clamp), so a clamp that would zero weights
+    # leaves its score unchanged
+    ds = toy_dataset(rng)
+    config = replace(quick_config(seed=4), zero_clamp=0.5)
+    cv = select_lambda2(ds, (0.0, 0.1), config)
+    init = default_init(ds, config.seed)
+    n = ds.n_pairs
+    for fi, block in enumerate(_fold_blocks(n)):
+        fold_train = ds.subset(np.setdiff1d(np.arange(n), block))
+        fold_test = ds.subset(block)
+        cell = replace(config, seed=_derive_seed(config.seed, 0, fi))
+        report = train_at(fold_train, init, cell, 0.0)
+        assert report.nnz_alpha == N_KERNELS
+        model = fit(report.final_params, fold_train, config.lambda1)
+        want = smape(one_step_forecast(model, fold_test), fold_test.Y)
+        assert cv.fold_smapes[0, fi] == want
 
 
 def test_cv_needs_nine_pairs(rng):

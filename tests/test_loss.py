@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
 from conftest import make_theta, single_kernel
-from kflow.kernels import N_KERNELS, N_THETA, KernelParams, gram
+from kflow.kernels import N_KERNELS, N_THETA, KernelEvalError, KernelParams, gram
 from kflow.loss import (
     DegenerateBatchError,
     FactorizationError,
@@ -315,3 +317,23 @@ def test_nested_eval_reused_terms_are_bitwise_identical(rng):
                               require_positive=False, terms=terms)
         assert [np.asarray(v).tobytes() for v in reused] == \
             [np.asarray(v).tobytes() for v in fresh]
+
+
+def test_overflowing_weighted_sum_raises_on_the_loss_path(rng):
+    # every block is finite, but alpha**2 = 1e400 overflows the sum: the
+    # loss path raises gram's typed error, with no IEEE warning on the way
+    params = single_kernel(3, weight=1e200)
+    X = rng.normal(size=(6, 2))
+    Y = rng.normal(size=(6, 1))
+    calls = (
+        lambda: gram(params, X),
+        lambda: rho(params, X, Y, X[:3], Y[:3], 0.05),
+        lambda: grad_loss(params, X, Y, X[:3], Y[:3], 0.05),
+        lambda: _nested_eval(params, X, Y, X[:3], Y[:3], 0.05, wrt_theta=True,
+                             require_positive=False, terms=[]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(KernelEvalError, match="weighted kernel sum"):
+                call()

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 from conftest import make_theta
 import kflow.forecast
 import kflow.loss
+import kflow.training
 from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.forecast import fit, one_step_forecast
 from kflow.kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA, cross_gram, gram
 from kflow.loss import FactorizationError
 from kflow.metrics import smape
 from kflow.training import (
+    CALIBRATION_ROWS,
+    SCALE_CANDIDATES,
     TrainConfig,
     TrainingAborted,
     _calibrate_scale,
@@ -209,7 +212,7 @@ def test_dead_weights_stay_dead(rng):
     assert (report.final_params.alpha[np.arange(N_KERNELS) != 2] == 0.0).all()
 
 
-def test_failure_budget_aborts(rng):
+def test_failure_budget_aborts(rng, monkeypatch):
     # an impossible batch size is caught by validation instead; force
     # failures via a kernel that blows up (bare divisor at zero is
     # clamped, so use an exponent runway: theta_23 huge on k12)
@@ -218,16 +221,16 @@ def test_failure_budget_aborts(rng):
     alpha[11] = 1.0
     theta = make_theta(t23=400.0, t22=3.0)  # (9 + r)^400 overflows
     init = KernelParams(alpha, theta)
+    monkeypatch.setattr(kflow.training, "FAILURE_BUDGET_FRACTION", 0.0)
     with pytest.raises(TrainingAborted):
-        train(ds, init, TrainConfig(epochs=20, batch_size=16, seed=0,
-                                    failure_budget_fraction=0.0))
+        train(ds, init, TrainConfig(epochs=20, batch_size=16, seed=0))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=1)
     with pytest.raises(ValueError):
-        TrainConfig(lr_theta=0.0)
+        TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lambda2=-0.1)
     with pytest.raises(ValueError):
@@ -248,15 +251,12 @@ def test_report_serialization_omits_wall_time(rng):
 # scale calibration and per-epoch reuse
 # ---------------------------------------------------------------------------
 
-SCALES = (1.0, 2.0, 4.0, 8.0, 16.0)
-
-
 def test_power_of_two_weight_scale_is_exact_gram_scale(rng):
     # calibration rescales the s = 1 Gram by s*s instead of evaluating at s*alpha
     ds = lorenz_like_dataset(rng)
     params = default_init(ds, 0)
     K, K_cross = gram(params, ds.X), cross_gram(params, ds.X[:30], ds.X[30:])
-    for s in SCALES:
+    for s in SCALE_CANDIDATES:
         scaled = KernelParams(s * params.alpha, params.theta)
         assert gram(scaled, ds.X).tobytes() == (s * s * K).tobytes()
         assert cross_gram(scaled, ds.X[:30], ds.X[30:]).tobytes() == (s * s * K_cross).tobytes()
@@ -266,11 +266,11 @@ def _reference_calibration(ds, alpha, theta, config):
     # the per-candidate fit at s * alpha that _calibrate_scale must reproduce
     n = ds.n_pairs
     n_hold = max(16, n // 8)
-    n_fit = min(config.calibration_rows, n - n_hold)
+    n_fit = min(CALIBRATION_ROWS, n - n_hold)
     fit_part = ds.subset(slice(n - n_fit - n_hold, n - n_hold))
     hold_part = ds.subset(slice(n - n_hold, n))
     best_scale, best_err = 1.0, np.inf
-    for s in config.scale_candidates:
+    for s in SCALE_CANDIDATES:
         try:
             model = fit(KernelParams(s * alpha, theta), fit_part, config.lambda1)
             err = smape(one_step_forecast(model, hold_part), hold_part.Y)
@@ -292,7 +292,7 @@ def test_calibration_matches_per_candidate_fits(rng):
     # t7 = 0 makes elemental 5 non-finite: every candidate fails
     broken = np.zeros(N_KERNELS)
     broken[4] = 1.0
-    config = TrainConfig(scale_candidates=SCALES)
+    config = TrainConfig()
     for alpha, theta in ((full.alpha, full.theta), (gaussian, full.theta),
                          (huge, full.theta), (broken, make_theta(t7=0.0))):
         got = _calibrate_scale(ds, alpha, theta, config)
@@ -317,7 +317,7 @@ def test_calibration_evaluates_each_kernel_matrix_once(rng, monkeypatch):
     full = default_init(ds, 0)
     grams = _counting(monkeypatch, kflow.forecast, "gram")
     crosses = _counting(monkeypatch, kflow.forecast, "cross_gram")
-    _calibrate_scale(ds, full.alpha, full.theta, TrainConfig(scale_candidates=SCALES))
+    _calibrate_scale(ds, full.alpha, full.theta, TrainConfig())
     assert len(grams) == 1 and len(crosses) == 1
 
 
