@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -133,8 +133,8 @@ def _protocol(args) -> EvalProtocol:
     )
 
 
-def _resolved(head: dict, protocol: EvalProtocol, config: TrainConfig, **extra) -> dict:
-    """An artifact's config block: head, protocol, extra, then config's fields."""
+def _resolved(head: dict, protocol: EvalProtocol, **extra) -> dict:
+    """An artifact's config block: head, protocol, extra, then the train config's fields."""
     return {
         **head,
         "tau": protocol.tau,
@@ -142,7 +142,8 @@ def _resolved(head: dict, protocol: EvalProtocol, config: TrainConfig, **extra) 
         "lambda2_grid": list(protocol.lambda2_grid),
         "cv_epochs": protocol.cv_epochs,
         **extra,
-        **asdict(config),
+        # not lambda2: training runs at the mode's, recorded as selected_lambda2
+        **{k: v for k, v in asdict(protocol.train_config).items() if k != "lambda2"},
     }
 
 
@@ -203,10 +204,7 @@ def cmd_train(args) -> int:
     protocol = _protocol(args)
     prepared = prepare_series(series, protocol.tau, protocol.train_fraction)
     config = protocol.train_config
-    # the artifact records the batch size train_at trains with
-    config = replace(config, batch_size=min(config.batch_size, prepared.train.n_pairs))
-    resolved = _resolved({"command": "train", "input": str(args.input), "mode": args.mode},
-                         protocol, config)
+    resolved = _resolved({"command": "train", "input": str(args.input), "mode": args.mode}, protocol)
 
     cv_doc = None
     lambda2 = 0.0
@@ -353,7 +351,7 @@ def cmd_benchmark(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = _resolved({"command": "benchmark", "manifest": str(args.manifest)},
-                         protocol, protocol.train_config, n=args.n)
+                         protocol, n=args.n)
     report_doc = _envelope("benchmark", resolved, _digest(args.manifest))
     report_doc.update(json.loads(emit_report(rows, "json")))  # note, rows
     _write_json(out_dir / "report.json", report_doc)

@@ -15,10 +15,8 @@ step, so :func:`grad_loss` differentiates the smooth part only.
 
 The public ops and the training loop share one path: :func:`_nested_eval`
 builds a :class:`_BatchTerms` per batch, which solves through
-:class:`RidgeSystem`.  That factorizes K + lambda1 I once (Cholesky,
-falling back to a symmetric-indefinite LDL^T with diagonal pivoting —
-the dictionary contains non-PSD members, so the shifted Gram is not
-guaranteed definite) and verifies every solve by its residual.
+:class:`RidgeSystem`, which factorizes K + lambda1 I once and verifies
+every solve by its residual.
 
 An epoch's three calls share one batch pair and hand their terms on:
 pair geometry is always reused, elemental blocks only while theta is
@@ -31,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .kernels import (
     N_KERNELS,
@@ -45,6 +43,10 @@ from .kernels import (
 )
 
 SOLVE_RESIDUAL_TOL = 1e-8
+
+_lange, _potrf, _potrs, _pocon, _getrf, _getrs, _gecon = get_lapack_funcs(
+    ("lange", "potrf", "potrs", "pocon", "getrf", "getrs", "gecon"), dtype=np.float64)
+_nrm2, = get_blas_funcs(("nrm2",), dtype=np.float64)  # scaled: squares never under/overflow
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -62,14 +64,15 @@ class DegenerateBatchError(ValueError):
 class RidgeSystem:
     """Factorized solve handle for (gram + lambda1 * I).
 
-    Tries Cholesky first; if the matrix is indefinite, falls back to
-    the LAPACK Bunch-Kaufman LDL^T factorization (sytrf/sytrs).  Every
-    solve is residual-checked to SOLVE_RESIDUAL_TOL; a failed check
-    raises :class:`FactorizationError` carrying a condition estimate.
+    Cholesky first, else LU with partial pivoting (non-PSD dictionary
+    members make the system indefinite), in place on one private copy.
+    Every solve is residual-checked to SOLVE_RESIDUAL_TOL against the
+    caller's gram, which must stay unwritten; a failed check raises
+    :class:`FactorizationError` carrying a condition estimate.
     """
 
     def __init__(self, gram: np.ndarray, lambda1: float):
-        gram = np.array(gram, dtype=float)  # a copy: lambda1 goes onto its diagonal
+        gram = np.asarray(gram, dtype=float)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError(f"gram must be square, got {gram.shape}")
         if lambda1 < 0:
@@ -77,45 +80,41 @@ class RidgeSystem:
         if not np.all(np.isfinite(gram)):
             raise FactorizationError("gram contains non-finite entries")
         self.lambda1 = float(lambda1)
-        gram.flat[:: gram.shape[0] + 1] += lambda1
-        self._A = gram
-        self._cho = None
-        self._ldl = None
-        try:
-            self._cho = cho_factor(self._A, lower=True, check_finite=False)
-        except LinAlgError:
-            sytrf, = get_lapack_funcs(("sytrf",), (self._A,))
-            ldu, ipiv, info = sytrf(self._A, lower=1)
+        self._gram = gram
+        A = np.array(gram, order="F")  # LAPACK's layout, so the factors overwrite it
+        A[np.diag_indices_from(A)] += self.lambda1
+        self._anorm = _lange("1", A)
+        self._factors, info = _potrf(A, lower=1, clean=0, overwrite_a=1)
+        self._pivots = None  # None: Cholesky factors; else LU row pivots
+        if info != 0:
+            # not positive definite, and potrf stopped part-way through A: rebuild it
+            np.copyto(A, gram)
+            A[np.diag_indices_from(A)] += self.lambda1
+            self._factors, self._pivots, info = _getrf(A, overwrite_a=1)
             if info != 0:
                 # info > 0 is an exactly zero pivot: the matrix is singular
-                raise FactorizationError(
-                    f"symmetric factorization failed (sytrf info={info})",
-                    condition=np.inf,
-                ) from None
-            self._ldl = (ldu, ipiv)
+                raise FactorizationError(f"LU factorization failed (getrf info={info})",
+                                         condition=np.inf)
 
     @property
     def n(self) -> int:
-        return self._A.shape[0]
+        return self._gram.shape[0]
 
     def _condition(self) -> float:
-        """1-norm condition estimate from the factors in hand (pocon/sycon)."""
-        anorm = np.linalg.norm(self._A, 1)
-        if self._cho is not None:
-            pocon, = get_lapack_funcs(("pocon",), (self._A,))
-            rcond, _ = pocon(self._cho[0], anorm, uplo="L")
+        """1-norm condition estimate from the factors in hand (pocon/gecon)."""
+        if self._pivots is None:
+            rcond, _ = _pocon(self._factors, self._anorm, uplo="L")
         else:
-            sycon, = get_lapack_funcs(("sycon",), (self._A,))
-            rcond, _ = sycon(self._ldl[0], self._ldl[1], anorm, lower=1)
+            rcond, _ = _gecon(self._factors, self._anorm, norm="1")
         return 1.0 / rcond if rcond > 0.0 else np.inf
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
-        if self._cho is not None:
-            return cho_solve(self._cho, rhs, check_finite=False)
-        sytrs, = get_lapack_funcs(("sytrs",), (self._A,))
-        X, info = sytrs(self._ldl[0], self._ldl[1], rhs, lower=1)
+        if self._pivots is None:
+            X, info = _potrs(self._factors, rhs, lower=1)
+        else:
+            X, info = _getrs(self._factors, self._pivots, rhs)
         if info != 0:
-            raise FactorizationError(f"symmetric solve failed (info={info})")
+            raise FactorizationError(f"triangular solve failed (info={info})")
         return X
 
     def solve(self, B: np.ndarray) -> np.ndarray:
@@ -128,20 +127,23 @@ class RidgeSystem:
         B = np.asarray(B, dtype=float)
         vec = B.ndim == 1
         rhs = B[:, None] if vec else B
+        if not np.any(rhs):  # X = 0 exactly; LAPACK also rejects empty operands
+            return np.zeros(B.shape)
         X = self._solve_factored(rhs)
-        norm_b = np.linalg.norm(rhs)
-        if norm_b > 0.0:
+        norm_b = _nrm2(rhs.ravel())
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X fails the check
             for _ in range(3):
-                residual = np.linalg.norm(self._A @ X - rhs) / norm_b
+                r = rhs - (self._gram @ X + self.lambda1 * X)
+                residual = _nrm2(r.ravel()) / norm_b
                 if residual <= SOLVE_RESIDUAL_TOL or not np.isfinite(residual):
                     break
-                X = X + self._solve_factored(rhs - self._A @ X)
-            if not residual <= SOLVE_RESIDUAL_TOL:
-                raise FactorizationError(
-                    f"solve residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.0e} "
-                    "(system near-singular)",
-                    condition=self._condition(),
-                )
+                X = X + self._solve_factored(r)
+        if not residual <= SOLVE_RESIDUAL_TOL:
+            raise FactorizationError(
+                f"solve residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.0e} "
+                "(system near-singular)",
+                condition=self._condition(),
+            )
         return X[:, 0] if vec else X
 
 

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kflow
 from kflow.cli import main
 from kflow.systems import load_csv
 
@@ -137,6 +139,48 @@ def test_config_block_round_trips_through_config_file(tmp_path, rng):
     assert json.loads(second.read_text()) == doc
 
 
+def test_sparse_config_block_has_no_lambda2_and_round_trips(tmp_path, rng):
+    # sparse mode trains at the selected lambda2, which the artifact records
+    # as selected_lambda2; the train config's lambda2 is never used
+    data = toy_csv(tmp_path, rng)
+    first = tmp_path / "first.json"
+    assert run_cli("train", str(data), "--mode", "sparse", "--out", str(first),
+                   *FAST, "--seed", "3", "--lambda2-grid", "0,0.1,1") == 0
+    doc = json.loads(first.read_text())
+    assert "lambda2" not in doc["config"]
+    assert doc["selected_lambda2"] == 1.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc["config"]))
+    second = tmp_path / "second.json"
+    assert run_cli("train", str(data), "--mode", "sparse", "--out", str(second),
+                   "--config", str(config)) == 0
+    assert json.loads(second.read_text()) == doc
+
+
+def test_train_and_benchmark_record_the_requested_batch_size(tmp_path):
+    # 150 samples leave 116 training windows; training clamps the batch to
+    # them, and both commands record the batch size that was asked for
+    data = tmp_path / "lorenz.csv"
+    assert run_cli("generate", "lorenz", "--n", "150", "--out", str(data)) == 0
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{data}\n")
+    flags = ["--epochs", "2", "--cv-epochs", "1", "--lambda2-grid", "0,0.1"]
+    model_path = tmp_path / "model.json"
+    assert run_cli("train", str(data), "--mode", "regular", "--out", str(model_path),
+                   *flags) == 0
+    assert run_cli("benchmark", str(manifest), "--out-dir", str(tmp_path / "bench"),
+                   "--steps", "4", *flags) == 0
+    model = json.loads(model_path.read_text())
+    report = json.loads((tmp_path / "bench" / "report.json").read_text())
+    assert model["config"]["batch_size"] == report["config"]["batch_size"] == 200
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(model["config"]))
+    second = tmp_path / "second.json"
+    assert run_cli("train", str(data), "--mode", "regular", "--out", str(second),
+                   "--config", str(config)) == 0
+    assert json.loads(second.read_text()) == model
+
+
 def test_train_svg_loss_curve(tmp_path, rng):
     data = toy_csv(tmp_path, rng)
     out = tmp_path / "m.json"
@@ -238,6 +282,7 @@ def test_missing_input_is_data_error(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # run from the directory that holds the imported kflow, installed or not
     proc = subprocess.run([sys.executable, "-m", "kflow.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=Path(kflow.__file__).parents[1])
     assert proc.returncode == 0

@@ -55,13 +55,30 @@ def test_solve_against_explicit_inverse(rng):
         assert qf == pytest.approx(oracle, rel=1e-10)
 
 
-def test_indefinite_system_uses_ldl(rng):
-    # indefinite but far from singular: Cholesky must fail, LDL^T succeed
+def test_indefinite_system_falls_back_to_lu(rng):
+    # indefinite but far from singular: Cholesky must fail, LU succeed
     K = np.diag([1.0, -2.0, 3.0])
     system = RidgeSystem(K, 0.1)
+    assert system._pivots is not None  # LU factors, not Cholesky's
     Y = rng.normal(size=3)
     x = system.solve(Y)
     np.testing.assert_allclose((K + 0.1 * np.eye(3)) @ x, Y, atol=1e-10)
+
+
+def test_solve_leaves_the_gram_unwritten(rng):
+    # both paths factor a private copy; the LU solve matches numpy's
+    M = rng.normal(size=(300, 300))
+    lam = 0.05
+    B = rng.normal(size=(300, 3))
+    for K, lu in ((M @ M.T, False), (M + M.T, True)):
+        before = K.copy()
+        system = RidgeSystem(K, lam)
+        assert (system._pivots is not None) == lu
+        X = system.solve(B)
+        assert K.tobytes() == before.tobytes()
+        if lu:
+            exact = np.linalg.solve(K + lam * np.eye(300), B)
+            np.testing.assert_allclose(X, exact, rtol=1e-10, atol=0.0)
 
 
 def test_exactly_singular_raises():
@@ -86,7 +103,7 @@ def test_residual_check_reports_condition(rng, monkeypatch):
     cond = info.value.condition
     assert cond == np.inf or (np.isfinite(cond) and cond >= 1.0)
     # an unreachable tolerance fails every solve, so the estimate from the
-    # Cholesky (pocon) and the LDL^T (sycon) factors is reported
+    # Cholesky (pocon) and the LU (gecon) factors is reported
     monkeypatch.setattr("kflow.loss.SOLVE_RESIDUAL_TOL", -1.0)
     for K in (hilbert(6), np.diag([1.0, -2.0, 3.0])):
         with pytest.raises(FactorizationError) as info:
