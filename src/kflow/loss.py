@@ -1,10 +1,10 @@
 """Halved-subset relative loss for kernel learning, and its gradient.
 
-Given nested batches (Xb, Yb) and (Xc, Yc), with Xc rows a subset of Xb
-rows, the loss compares the regularized RKHS norms of the interpolants
-fitted on each subset through the ratio of quadratic forms
+Batch c is a subset of batch b's rows, given as row positions ``sub``
+into (X, Y).  The loss compares the regularized RKHS norms of the
+interpolants fitted on each batch through the ratio of quadratic forms
 
-    rho = 1 - qf(Xc, Yc) / qf(Xb, Yb),
+    rho = 1 - qf(X[sub], Y[sub]) / qf(X, Y),
     qf(X, Y) = sum_j  Y_j' (K(X, X) + lambda1 I)^{-1} Y_j
 
 (a sum over output columns for multi-output Y).  Shrinking the batch
@@ -14,14 +14,15 @@ dictionary weights; that term is handled by the optimizer's proximal
 step, so :func:`grad_loss` differentiates the smooth part only.
 
 The public ops and the training loop share one path: :func:`_nested_eval`
-builds a :class:`_BatchTerms` per batch, which solves through
-:class:`RidgeSystem`, which factorizes K + lambda1 I once and verifies
-every solve by its residual.
+builds one :class:`_BatchTerms` for batch b; batch c's Gram is its
+submatrix K[sub, sub], and c's gradient folds into b's, so every block
+is evaluated on b only.  :class:`RidgeSystem` factorizes K + lambda1 I
+once per batch and verifies every solve by its residual.
 
-An epoch's three calls share one batch pair and hand their terms on:
-pair geometry is always reused, elemental blocks only while theta is
-bitwise unchanged (alpha-step to logged loss).  K is still summed in
-ascending term order, so the results are bit-identical.
+An epoch's three calls share one batch and hand b's terms on: pair
+geometry is always reused, elemental blocks only while theta is bitwise
+unchanged (alpha-step to logged loss).  K is still summed in ascending
+term order, so reuse is bit-identical to evaluating afresh.
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ class RidgeSystem:
         solve is declared unreliable.
         """
         B = np.asarray(B, dtype=float)
+        if B.ndim not in (1, 2) or B.shape[0] != self.n:
+            raise ValueError(f"right-hand side of shape {B.shape} does not fit "
+                             f"the system of shape {self._gram.shape}")
         vec = B.ndim == 1
         rhs = B[:, None] if vec else B
         if not np.any(rhs):  # X = 0 exactly; LAPACK also rejects empty operands
@@ -139,11 +143,10 @@ class RidgeSystem:
                     break
                 X = X + self._solve_factored(r)
         if not residual <= SOLVE_RESIDUAL_TOL:
-            raise FactorizationError(
-                f"solve residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.0e} "
-                "(system near-singular)",
-                condition=self._condition(),
-            )
+            message = (f"solve residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.0e} "
+                       "(system near-singular)" if np.isfinite(residual) else
+                       "solve overflowed: the solution or its residual is not finite")
+            raise FactorizationError(message, condition=self._condition())
         return X[:, 0] if vec else X
 
 
@@ -161,14 +164,16 @@ class LossBreakdown:
 # ---------------------------------------------------------------------------
 # gradient machinery
 #
-# d qf / dp = -W' (dK/dp) W with W = (K + lambda1 I)^{-1} Y, so
-# d rho / dp = (qf_c * dqf_b - dqf_c * qf_b) / qf_b^2 by the quotient
-# rule.  Per-elemental Grams and their theta-derivatives are computed
-# once per batch from shared pair geometry.
+# d qf / dp = -W' (dK/dp) W with W = (K + lambda1 I)^{-1} Y.  Batch c is
+# a row subset of b (E scatters its rows into b's), so by the quotient
+# rule both gradients take one matrix
+#     M = (qf_c / qf_b^2) W_b W_b' - E W_c W_c' E' / qf_b
+# and d rho / d alpha_i = -2 alpha_i <B_i, M>, d rho / d theta_j =
+# -alpha_i^2 <dB_i/d theta_j, M>, with B_i the elemental blocks of b.
 # ---------------------------------------------------------------------------
 
 class _BatchTerms:
-    """Per-batch quantities shared by the loss value and its gradient."""
+    """Batch b's quantities shared by the loss value and its gradient."""
 
     def __init__(self, params: KernelParams, X, Y, lambda1: float,
                  prev: _BatchTerms | None = None):
@@ -187,50 +192,48 @@ class _BatchTerms:
             self.blocks[i] = old[i] if i in old else _eval_block(i, self.stats, params.theta)
             return self.blocks[i]
 
-        K = _weighted_sum((n, n), params.alpha, block)
-        self.system = RidgeSystem(K, lambda1)
-        self.W = self.system.solve(self.Y)
+        self.K = _weighted_sum((n, n), params.alpha, block)
+        self.W = RidgeSystem(self.K, lambda1).solve(self.Y)
         self.qf = float(np.sum(self.Y * self.W))
 
-    def _sandwich(self, block) -> float:
-        # W' block W summed over output columns
-        return float(np.sum(self.W * (block @ self.W)))
-
-    def qf_gradient(self, wrt_alpha=True, wrt_theta=True):
-        """(d qf/d alpha, d qf/d theta); inactive slots get exact zeros."""
+    def gradient(self, M, wrt_alpha=True, wrt_theta=True):
+        """(d rho/d alpha, d rho/d theta) from M; inactive slots get exact zeros."""
         ga = np.zeros(N_KERNELS) if wrt_alpha else None
         gt = np.zeros(N_THETA) if wrt_theta else None
         alpha = self.params.alpha
-        theta = self.params.theta
         for i, block in self.blocks.items():
             if wrt_alpha:
-                ga[i] = -2.0 * alpha[i] * self._sandwich(block)
+                ga[i] = -2.0 * alpha[i] * np.vdot(block, M)
             if wrt_theta:
-                lo, hi = THETA_SLICES[i]
-                grads = _grad_blocks(i, self.stats, theta)
-                for off in range(hi - lo):
-                    gt[lo + off] = -(alpha[i] ** 2) * self._sandwich(np.asarray(grads[off], dtype=float))
+                lo = THETA_SLICES[i][0]
+                for off, grad in enumerate(_grad_blocks(i, self.stats, self.params.theta)):
+                    gt[lo + off] = -(alpha[i] ** 2) * np.vdot(grad, M)
         return ga, gt
 
 
-def _nested_eval(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
+def _nested_eval(params: KernelParams, X, Y, sub, lambda1: float,
                  wrt_alpha: bool = False, wrt_theta: bool = False,
                  require_positive: bool = True, terms: list | None = None):
     """rho, the two quadratic forms and (optionally) gradient parts.
 
-    Returns (rho, qf_c, qf_b, grad_alpha | None, grad_theta | None).
-    The one entry point for the public ops and the training loop.  The
-    public ops require a positive denominator (the RKHS-norm reading of
-    the ratio); the optimizer passes require_positive=False because an
-    indefinite parameter draw makes the quadratic forms sign-free while
-    the ratio and its gradient stay perfectly well defined — only a
-    vanishing denominator is degenerate there.
+    Batch b is (X, Y), batch c its rows ``sub``.  Returns (rho, qf_c,
+    qf_b, grad_alpha | None, grad_theta | None).  The one entry point for
+    the public ops and the training loop.  The public ops require a
+    positive denominator (the RKHS-norm reading of the ratio); the
+    optimizer passes require_positive=False because an indefinite
+    parameter draw makes the quadratic forms sign-free while the ratio
+    and its gradient stay perfectly well defined — only a vanishing
+    denominator is degenerate there.
 
-    ``terms``, when given, holds the (b, c) terms of the previous call on
-    the same batches (empty on the first) and receives this call's.
+    ``terms``, when given, holds b's terms from the previous call on the
+    same batch (empty on the first) and receives this call's.
     """
-    prev_b, prev_c = terms or (None, None)
-    b = _BatchTerms(params, Xb, Yb, lambda1, prev_b)
+    sub = np.asarray(sub)
+    if (sub.ndim != 1 or sub.size == 0 or not np.issubdtype(sub.dtype, np.integer)
+            or sub.min() < 0 or sub.max() >= len(X) or np.unique(sub).size != sub.size):
+        raise ValueError(f"sub must be a non-empty 1-d array of distinct row positions "
+                         f"in [0, {len(X)}), got {sub}")
+    b = _BatchTerms(params, X, Y, lambda1, terms[0] if terms else None)
     if require_positive:
         if not b.qf > 0.0:
             raise DegenerateBatchError(
@@ -241,18 +244,18 @@ def _nested_eval(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
         raise DegenerateBatchError(
             f"denominator quadratic form is {b.qf:.3e}; ratio is undefined"
         )
-    c = _BatchTerms(params, Xc, Yc, lambda1, prev_c)
     if terms is not None:
-        terms[:] = (b, c)
-    r = 1.0 - c.qf / b.qf
+        terms[:] = [b]
+    Yc = b.Y[sub]
+    Wc = RidgeSystem(b.K[np.ix_(sub, sub)], lambda1).solve(Yc)
+    qf_c = float(np.sum(Yc * Wc))
+    r = 1.0 - qf_c / b.qf
     if not (wrt_alpha or wrt_theta):
-        return r, c.qf, b.qf, None, None
-    ga_b, gt_b = b.qf_gradient(wrt_alpha, wrt_theta)
-    ga_c, gt_c = c.qf_gradient(wrt_alpha, wrt_theta)
-    scale_b = c.qf / (b.qf * b.qf)
-    grad_alpha = scale_b * ga_b - ga_c / b.qf if wrt_alpha else None
-    grad_theta = scale_b * gt_b - gt_c / b.qf if wrt_theta else None
-    return r, c.qf, b.qf, grad_alpha, grad_theta
+        return r, qf_c, b.qf, None, None
+    M = (qf_c / (b.qf * b.qf)) * (b.W @ b.W.T)
+    M[np.ix_(sub, sub)] -= (Wc @ Wc.T) / b.qf
+    grad_alpha, grad_theta = b.gradient(M, wrt_alpha, wrt_theta)
+    return r, qf_c, b.qf, grad_alpha, grad_theta
 
 
 def regularized_quadratic_form(params: KernelParams, X, Y, lambda1: float) -> float:
@@ -260,32 +263,28 @@ def regularized_quadratic_form(params: KernelParams, X, Y, lambda1: float) -> fl
     return _BatchTerms(params, X, Y, lambda1).qf
 
 
-def rho(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float) -> float:
-    """Relative-loss ratio 1 - qf_c / qf_b for nested batches.
-
-    The caller guarantees (Xc, Yc) rows are a subset of (Xb, Yb) rows;
-    this is not re-checked here.
-    """
-    return _nested_eval(params, Xb, Yb, Xc, Yc, lambda1)[0]
+def rho(params: KernelParams, X, Y, sub, lambda1: float) -> float:
+    """Relative-loss ratio 1 - qf_c / qf_b, batch c being the rows ``sub`` of (X, Y)."""
+    return _nested_eval(params, X, Y, sub, lambda1)[0]
 
 
-def sparse_loss(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float,
+def sparse_loss(params: KernelParams, X, Y, sub, lambda1: float,
                 lambda2: float) -> LossBreakdown:
     """rho plus the l1 weight penalty, with the parts broken out."""
     if lambda2 < 0:
         raise ValueError(f"lambda2 must be nonnegative, got {lambda2}")
-    r, qf_c, qf_b, _, _ = _nested_eval(params, Xb, Yb, Xc, Yc, lambda1)
+    r, qf_c, qf_b, _, _ = _nested_eval(params, X, Y, sub, lambda1)
     l1 = lambda2 * float(np.sum(np.abs(params.alpha)))
     return LossBreakdown(r, l1, r + l1, qf_c, qf_b)
 
 
-def grad_loss(params: KernelParams, Xb, Yb, Xc, Yc, lambda1: float):
+def grad_loss(params: KernelParams, X, Y, sub, lambda1: float):
     """Gradient of rho over (alpha[21], theta[34]) — smooth part only.
 
     The l1 term is non-smooth and belongs to the optimizer's proximal
     step, so it does not enter the returned gradient.
     """
     _, _, _, grad_alpha, grad_theta = _nested_eval(
-        params, Xb, Yb, Xc, Yc, lambda1, wrt_alpha=True, wrt_theta=True
+        params, X, Y, sub, lambda1, wrt_alpha=True, wrt_theta=True
     )
     return grad_alpha, grad_theta

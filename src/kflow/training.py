@@ -186,18 +186,18 @@ def soft_threshold(v: float, t: float):
 
 def sample_nested_batches(dataset: DelayDataset, batch_size: int,
                           rng: np.random.Generator):
-    """Draw batch indices and a nested half-size subset of them.
+    """Draw batch indices ``idx_b`` and the half batch ``sub`` within them.
 
-    Both draws are uniform without replacement; the subset draw is over
-    the batch, so (Xc, Yc) rows are a subset of (Xb, Yb) rows by
-    construction.
+    Both draws are uniform without replacement.  ``sub`` holds row
+    positions into batch b (batch c is ``idx_b[sub]``), so c is nested
+    in b by construction; it comes in random order.
     """
     n = dataset.n_pairs
     if batch_size > n:
         raise ValueError(f"batch_size {batch_size} exceeds dataset size {n}")
     idx_b = rng.choice(n, size=batch_size, replace=False)
-    idx_c = rng.choice(idx_b, size=batch_size // 2, replace=False)
-    return idx_b, idx_c
+    sub = rng.choice(batch_size, size=batch_size // 2, replace=False)
+    return idx_b, sub
 
 
 def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> TrainReport:
@@ -217,30 +217,28 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
     budget = int(np.ceil(FAILURE_BUDGET_FRACTION * config.epochs))
 
     for epoch in range(1, config.epochs + 1):
-        idx_b, idx_c = sample_nested_batches(dataset, config.batch_size, rng)
-        Xb, Yb = dataset.X[idx_b], dataset.Y[idx_b]
-        Xc, Yc = dataset.X[idx_c], dataset.Y[idx_c]
+        idx_b, sub = sample_nested_batches(dataset, config.batch_size, rng)
+        X, Y = dataset.X[idx_b], dataset.Y[idx_b]
         decay = 1.0 / np.sqrt(epoch)
         lr = config.lr * decay
         alpha_in, theta_in = alpha.copy(), theta.copy()
         terms = []  # the three evaluations share this batch's geometry and blocks
         try:
             params = KernelParams(alpha, theta)
-            _, _, _, _, g_theta = _nested_eval(params, Xb, Yb, Xc, Yc,
-                                               config.lambda1, wrt_theta=True,
-                                               require_positive=False, terms=terms)
+            _, _, _, _, g_theta = _nested_eval(params, X, Y, sub, config.lambda1,
+                                               wrt_theta=True, require_positive=False,
+                                               terms=terms)
             theta = clamp_theta(theta - lr * _clip_norm(g_theta, MAX_GRAD_NORM))
 
             params = KernelParams(alpha, theta)
-            _, _, _, g_alpha, _ = _nested_eval(params, Xb, Yb, Xc, Yc,
-                                               config.lambda1, wrt_alpha=True,
-                                               require_positive=False, terms=terms)
+            _, _, _, g_alpha, _ = _nested_eval(params, X, Y, sub, config.lambda1,
+                                               wrt_alpha=True, require_positive=False,
+                                               terms=terms)
             alpha = soft_threshold(alpha - lr * _clip_norm(g_alpha, MAX_GRAD_NORM),
                                    lr * config.lambda2)
 
             params = KernelParams(alpha, theta)
-            rho_val, qf_c, qf_b, _, _ = _nested_eval(params, Xb, Yb, Xc, Yc,
-                                                     config.lambda1,
+            rho_val, qf_c, qf_b, _, _ = _nested_eval(params, X, Y, sub, config.lambda1,
                                                      require_positive=False, terms=terms)
             l1 = config.lambda2 * float(np.sum(np.abs(alpha)))
             history.append(LossBreakdown(rho_val, l1, rho_val + l1, qf_c, qf_b))

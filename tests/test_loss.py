@@ -5,7 +5,17 @@ import pytest
 from scipy.linalg import hilbert
 
 from conftest import make_theta, single_kernel
-from kflow.kernels import N_KERNELS, N_THETA, KernelEvalError, KernelParams, gram
+from kflow.kernels import (
+    ELEMENTAL_GRADS,
+    ELEMENTALS,
+    N_KERNELS,
+    N_THETA,
+    THETA_SLICES,
+    KernelEvalError,
+    KernelParams,
+    _self_stats,
+    gram,
+)
 from kflow.loss import (
     DegenerateBatchError,
     FactorizationError,
@@ -94,6 +104,22 @@ def test_nonfinite_gram_rejected():
         RidgeSystem(K, 0.0)
 
 
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    # checked before the zero shortcut, which would return zeros(5)
+    system = RidgeSystem(np.eye(3), 0.1)
+    for B in (np.zeros(5), np.ones(5)):
+        with pytest.raises(ValueError, match=r"\(5,\).*\(3, 3\)"):
+            system.solve(B)
+
+
+def test_overflowing_solve_names_overflow():
+    # a subnormal 1x1 Gram solves to 1 / 1.03e-321 = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FactorizationError, match="overflow"):
+            RidgeSystem(np.array([[1.03e-321]]), 0.0).solve(np.array([1.0]))
+
+
 def test_residual_check_reports_condition(rng, monkeypatch):
     # nearly singular: duplicate rows, lambda1 = 0
     K = np.ones((4, 4)) + 1e-16 * np.eye(4)
@@ -157,13 +183,13 @@ def test_qf_multi_output_sums_columns(rng):
 
 def test_rho_identical_subsets_is_zero():
     params, X, Y = linear_two_point_fixture()
-    assert rho(params, X, Y, X, Y, 1.0) == 0.0
+    assert rho(params, X, Y, [0, 1], 1.0) == 0.0
 
 
 def test_rho_two_point_oracle():
     # qf_c = 1 / (1 + 1) = 0.5, qf_b = 5/6 -> rho = 1 - 0.6 = 0.4
     params, X, Y = linear_two_point_fixture()
-    got = rho(params, X, Y, X[:1], Y[:1], 1.0)
+    got = rho(params, X, Y, [0], 1.0)
     assert got == pytest.approx(0.4, rel=1e-12)
 
 
@@ -171,16 +197,17 @@ def test_rho_scale_invariance(rng):
     params = psd_params(rng)
     X = rng.normal(size=(8, 2))
     Y = rng.normal(size=(8, 2))
-    base = rho(params, X, Y, X[:4], Y[:4], 0.05)
+    sub = rng.permutation(8)[:4]
+    base = rho(params, X, Y, sub, 0.05)
     for s in (2.0, -3.0, 0.125):
-        scaled = rho(params, X, s * Y, X[:4], s * Y[:4], 0.05)
+        scaled = rho(params, X, s * Y, sub, 0.05)
         assert abs(scaled - base) <= 1e-12 * max(1.0, abs(base))
 
 
 def test_rho_zero_targets_degenerate():
     params, X, _ = linear_two_point_fixture()
     with pytest.raises(DegenerateBatchError):
-        rho(params, X, np.zeros((2, 1)), X[:1], np.zeros((1, 1)), 1.0)
+        rho(params, X, np.zeros((2, 1)), [0], 1.0)
 
 
 def test_rho_bounds_on_psd_fixture(rng):
@@ -190,8 +217,30 @@ def test_rho_bounds_on_psd_fixture(rng):
         X = rng.normal(size=(10, 3))
         Y = rng.normal(size=(10, 2))
         idx = rng.choice(10, size=5, replace=False)
-        val = rho(params, X, Y, X[idx], Y[idx], 0.05)
+        val = rho(params, X, Y, idx, 0.05)
         assert -1e-6 <= val <= 1.0 + 1e-6
+
+
+def test_rho_matches_the_quadratic_forms_of_the_row_subset(rng):
+    for _ in range(10):
+        params = psd_params(rng)
+        X = rng.normal(size=(12, 3))
+        Y = rng.normal(size=(12, 2))
+        sub = rng.choice(12, size=rng.integers(1, 13), replace=False)  # random order
+        want = 1.0 - (regularized_quadratic_form(params, X[sub], Y[sub], 0.05)
+                      / regularized_quadratic_form(params, X, Y, 0.05))
+        assert rho(params, X, Y, sub, 0.05) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("sub", [[], [[0, 1]], [0, 6], [-1, 2], [2, 3, 2]],
+                         ids=["empty", "2-d", "out-of-range", "negative", "repeated"])
+def test_sub_must_be_distinct_row_positions(rng, sub):
+    params = psd_params(rng)
+    X = rng.normal(size=(6, 2))
+    Y = rng.normal(size=(6, 1))
+    for call in (rho, grad_loss, lambda *args: sparse_loss(*args, 0.1)):
+        with pytest.raises(ValueError, match="sub"):
+            call(params, X, Y, np.array(sub, dtype=int), 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +251,16 @@ def test_sparse_loss_lambda2_zero_equals_rho(rng):
     params = psd_params(rng)
     X = rng.normal(size=(6, 2))
     Y = rng.normal(size=(6, 1))
-    breakdown = sparse_loss(params, X, Y, X[:3], Y[:3], 0.05, 0.0)
+    breakdown = sparse_loss(params, X, Y, [4, 0, 2], 0.05, 0.0)
     assert breakdown.l1_penalty == 0.0
     assert breakdown.total == breakdown.rho
-    assert breakdown.rho == pytest.approx(rho(params, X, Y, X[:3], Y[:3], 0.05))
+    assert breakdown.rho == pytest.approx(rho(params, X, Y, [4, 0, 2], 0.05))
 
 
 def test_sparse_loss_additivity():
     params, X, Y = linear_two_point_fixture()
     # |alpha|_1 = 1, lambda2 = 0.1, rho = 0.4 -> total = 0.5
-    breakdown = sparse_loss(params, X, Y, X[:1], Y[:1], 1.0, 0.1)
+    breakdown = sparse_loss(params, X, Y, [0], 1.0, 0.1)
     assert breakdown.l1_penalty == pytest.approx(0.1)
     assert breakdown.total == pytest.approx(breakdown.rho + breakdown.l1_penalty)
     assert breakdown.total == pytest.approx(0.5, rel=1e-12)
@@ -224,7 +273,7 @@ def test_sparse_loss_rho_zero_pure_penalty():
     params = KernelParams(alpha, make_theta(t1=0.0))
     X = np.array([[1.0], [2.0]])
     Y = np.array([[1.0], [2.0]])
-    breakdown = sparse_loss(params, X, Y, X, Y, 1.0, 1.0)
+    breakdown = sparse_loss(params, X, Y, [0, 1], 1.0, 1.0)
     assert breakdown.rho == 0.0
     assert breakdown.total == pytest.approx(2.0)
 
@@ -233,7 +282,7 @@ def test_breakdown_total_invariant(rng):
     params = psd_params(rng)
     X = rng.normal(size=(7, 2))
     Y = rng.normal(size=(7, 2))
-    b = sparse_loss(params, X, Y, X[:3], Y[:3], 0.05, 0.37)
+    b = sparse_loss(params, X, Y, [0, 1, 2], 0.05, 0.37)
     assert b.total == b.rho + b.l1_penalty
     assert b.denominator_qf > 0.0
 
@@ -242,15 +291,15 @@ def test_breakdown_total_invariant(rng):
 # gradients
 # ---------------------------------------------------------------------------
 
-def _fd_rho(params, Xb, Yb, Xc, Yc, lam, kind, idx, h):
+def _fd_rho(params, X, Y, sub, lam, kind, idx, h):
     def at(delta):
         if kind == "alpha":
             arr = np.array(params.alpha)
             arr[idx] += delta
-            return rho(KernelParams(arr, params.theta), Xb, Yb, Xc, Yc, lam)
+            return rho(KernelParams(arr, params.theta), X, Y, sub, lam)
         arr = np.array(params.theta)
         arr[idx] += delta
-        return rho(KernelParams(params.alpha, arr), Xb, Yb, Xc, Yc, lam)
+        return rho(KernelParams(params.alpha, arr), X, Y, sub, lam)
     return (at(h) - at(-h)) / (2.0 * h)
 
 
@@ -263,27 +312,53 @@ def smooth_fixture(rng, n=12, p=3):
     theta[2] = rng.uniform(1.3, 1.5)
     theta[33] = rng.uniform(1.2, 1.5)   # circular-term domain valid
     alpha = rng.uniform(0.5, 1.0, size=N_KERNELS)
-    idx = rng.choice(n, size=n // 2, replace=False)
-    return KernelParams(alpha, theta), X, Y, X[idx], Y[idx]
+    sub = rng.choice(n, size=n // 2, replace=False)
+    return KernelParams(alpha, theta), X, Y, sub
 
 
 def test_grad_matches_finite_differences_fixture(rng):
-    params, Xb, Yb, Xc, Yc = smooth_fixture(rng)
-    ga, gt = grad_loss(params, Xb, Yb, Xc, Yc, 0.05)
+    params, X, Y, sub = smooth_fixture(rng)
+    ga, gt = grad_loss(params, X, Y, sub, 0.05)
     checked = mismatched = 0
     for i in range(N_KERNELS):
         h = 1e-5 * max(1.0, abs(params.alpha[i]))
-        fd = _fd_rho(params, Xb, Yb, Xc, Yc, 0.05, "alpha", i, h)
+        fd = _fd_rho(params, X, Y, sub, 0.05, "alpha", i, h)
         checked += 1
         if abs(ga[i] - fd) > 1e-4 * max(abs(fd), 1e-8):
             mismatched += 1
     for j in range(N_THETA):
         h = 1e-5 * max(1.0, abs(params.theta[j]))
-        fd = _fd_rho(params, Xb, Yb, Xc, Yc, 0.05, "theta", j, h)
+        fd = _fd_rho(params, X, Y, sub, 0.05, "theta", j, h)
         checked += 1
         if abs(gt[j] - fd) > 1e-4 * max(abs(fd), 1e-8):
             mismatched += 1
     assert mismatched == 0, f"{mismatched}/{checked} coordinates off"
+
+
+def _two_batch_gradient(params, X, Y, lam):
+    """(qf, d qf/d alpha, d qf/d theta) of one batch, from its own geometry."""
+    stats = _self_stats(X)
+    W = np.linalg.solve(gram(params, X) + lam * np.eye(len(X)), Y)
+    ga, gt = np.zeros(N_KERNELS), np.zeros(N_THETA)
+    for i, (a, (lo, _)) in enumerate(zip(params.alpha, THETA_SLICES)):
+        ga[i] = -2.0 * a * np.sum(W * (ELEMENTALS[i](*stats, params.theta) @ W))
+        for off, grad in enumerate(ELEMENTAL_GRADS[i](*stats, params.theta)):
+            gt[lo + off] = -a * a * np.sum(W * (grad @ W))
+    return float(np.sum(Y * W)), ga, gt
+
+
+def test_folded_gradient_matches_the_two_batch_quotient_rule(rng):
+    # batch c as a batch of its own: rho's gradient by the quotient rule
+    # of the two quadratic forms' gradients (full dictionary: indefinite)
+    for _ in range(3):
+        params, X, Y, sub = smooth_fixture(rng)
+        qf_b, ga_b, gt_b = _two_batch_gradient(params, X, Y, 0.05)
+        qf_c, ga_c, gt_c = _two_batch_gradient(params, X[sub], Y[sub], 0.05)
+        _, _, _, ga, gt = _nested_eval(params, X, Y, sub, 0.05, wrt_alpha=True,
+                                       wrt_theta=True, require_positive=False)
+        for got, d_b, d_c in ((ga, ga_b, ga_c), (gt, gt_b, gt_c)):
+            want = (qf_c * d_b - d_c * qf_b) / qf_b ** 2
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_grad_inactive_alpha_is_zero(rng):
@@ -292,7 +367,7 @@ def test_grad_inactive_alpha_is_zero(rng):
     params = KernelParams(alpha, rng.uniform(0.8, 1.2, N_THETA))
     X = rng.normal(size=(8, 2))
     Y = rng.normal(size=(8, 1))
-    ga, gt = grad_loss(params, X, Y, X[:4], Y[:4], 0.05)
+    ga, gt = grad_loss(params, X, Y, np.arange(4), 0.05)
     inactive = np.arange(N_KERNELS) != 2
     assert (ga[inactive] == 0.0).all()
     # theta slots of inactive kernels get exact zeros too
@@ -300,11 +375,14 @@ def test_grad_inactive_alpha_is_zero(rng):
 
 
 def test_grad_zero_numerator_targets(rng):
-    # Yc = 0 makes the numerator quadratic form and its gradient vanish
+    # zero targets on the sub rows make the numerator quadratic form and
+    # its gradient vanish
     params = psd_params(rng)
     X = rng.normal(size=(6, 2))
     Y = rng.normal(size=(6, 1))
-    ga, gt = grad_loss(params, X, Y, X[:3], np.zeros((3, 1)), 0.05)
+    sub = np.array([4, 1, 3])
+    Y[sub] = 0.0
+    ga, gt = grad_loss(params, X, Y, sub, 0.05)
     # rho = 1 identically in the numerator path; gradient comes only from
     # qf_b, scaled by qf_c = 0 -> exactly zero
     assert (ga == 0.0).all() and (gt == 0.0).all()
@@ -320,7 +398,7 @@ def test_nested_eval_reused_terms_are_bitwise_identical(rng):
     params = KernelParams(alpha, rng.uniform(0.8, 1.5, N_THETA))
     X = rng.normal(size=(16, 3))
     Y = rng.normal(size=(16, 2))
-    args = (X, Y, X[:8], Y[:8], 0.05)
+    args = (X, Y, rng.permutation(16)[:8], 0.05)
     terms = []
     _nested_eval(params, *args, wrt_theta=True, require_positive=False, terms=terms)
     new_alpha = alpha.copy()
@@ -344,9 +422,9 @@ def test_overflowing_weighted_sum_raises_on_the_loss_path(rng):
     Y = rng.normal(size=(6, 1))
     calls = (
         lambda: gram(params, X),
-        lambda: rho(params, X, Y, X[:3], Y[:3], 0.05),
-        lambda: grad_loss(params, X, Y, X[:3], Y[:3], 0.05),
-        lambda: _nested_eval(params, X, Y, X[:3], Y[:3], 0.05, wrt_theta=True,
+        lambda: rho(params, X, Y, [0, 1, 2], 0.05),
+        lambda: grad_loss(params, X, Y, [0, 1, 2], 0.05),
+        lambda: _nested_eval(params, X, Y, [0, 1, 2], 0.05, wrt_theta=True,
                              require_positive=False, terms=[]),
     )
     with warnings.catch_warnings():

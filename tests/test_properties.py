@@ -62,15 +62,16 @@ def test_gram_is_finite_and_symmetric_or_raises(X, alpha, theta):
 
 @settings(max_examples=200)
 @given(windows(2, 8), st.data(), WEIGHTS, THETAS)
-def test_nested_eval_is_finite_or_raises(Xb, data, alpha, theta):
-    n = Xb.shape[0]
-    Yb = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
-    half = n // 2
+def test_nested_eval_is_finite_or_raises(X, data, alpha, theta):
+    n = X.shape[0]
+    Y = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    # batch c: any size, in any order, as training's random draws come
+    sub = np.array(data.draw(st.permutations(range(n)))[:data.draw(st.integers(1, n))])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             r, _, _, g_alpha, g_theta = _nested_eval(
-                params_of(alpha, theta), Xb, Yb, Xb[:half], Yb[:half], 0.05,
+                params_of(alpha, theta), X, Y, sub, 0.05,
                 wrt_alpha=True, wrt_theta=True, require_positive=False)
         except (KernelEvalError, FactorizationError, DegenerateBatchError):
             return

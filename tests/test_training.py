@@ -90,17 +90,17 @@ def test_soft_threshold_shrinks_magnitude(v, t):
 def test_full_batch_is_permutation(rng):
     ds = lorenz_like_dataset(rng)
     n = ds.n_pairs
-    idx_b, idx_c = sample_nested_batches(ds, n, np.random.default_rng(7))
+    idx_b, sub = sample_nested_batches(ds, n, np.random.default_rng(7))
     assert sorted(idx_b.tolist()) == list(range(n))
-    assert len(idx_c) == n // 2
-    assert set(idx_c).issubset(set(idx_b))
+    assert len(sub) == n // 2
+    assert set(sub.tolist()).issubset(range(n))
 
 
 def test_batch_two_gives_singleton_subset(rng):
     ds = lorenz_like_dataset(rng)
-    idx_b, idx_c = sample_nested_batches(ds, 2, np.random.default_rng(7))
-    assert len(idx_b) == 2 and len(idx_c) == 1
-    assert idx_c[0] in idx_b
+    idx_b, sub = sample_nested_batches(ds, 2, np.random.default_rng(7))
+    assert len(idx_b) == 2 and len(sub) == 1
+    assert sub[0] in (0, 1)
 
 
 def test_sampling_deterministic(rng):
@@ -120,9 +120,20 @@ def test_batch_too_large_raises(rng):
 def test_draws_without_replacement(rng):
     ds = lorenz_like_dataset(rng)
     for seed in range(20):
-        idx_b, idx_c = sample_nested_batches(ds, 16, np.random.default_rng(seed))
+        idx_b, sub = sample_nested_batches(ds, 16, np.random.default_rng(seed))
         assert len(set(idx_b.tolist())) == 16
-        assert len(set(idx_c.tolist())) == 8
+        assert len(set(sub.tolist())) == 8 and set(sub.tolist()) <= set(range(16))
+
+
+def test_half_batch_is_the_draw_of_a_subset_of_the_batch(rng):
+    # drawing positions into batch b keeps the random stream of drawing
+    # from b's indices themselves: idx_b[sub] is that subset, in its order
+    ds = lorenz_like_dataset(rng)
+    for seed in range(20):
+        idx_b, sub = sample_nested_batches(ds, 16, np.random.default_rng(seed))
+        stream = np.random.default_rng(seed)
+        np.testing.assert_array_equal(stream.choice(ds.n_pairs, size=16, replace=False), idx_b)
+        np.testing.assert_array_equal(stream.choice(idx_b, size=8, replace=False), idx_b[sub])
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +332,16 @@ def test_calibration_evaluates_each_kernel_matrix_once(rng, monkeypatch):
     assert len(grams) == 1 and len(crosses) == 1
 
 
-def test_full_dictionary_epoch_evaluates_84_blocks(rng, monkeypatch):
-    # theta-step and alpha-step each evaluate 21 blocks on both batches;
-    # the logged loss reuses the alpha-step's blocks (theta is unchanged),
-    # where evaluating every call afresh makes 126
+def test_full_dictionary_epoch_evaluates_42_blocks(rng, monkeypatch):
+    # theta-step and alpha-step each evaluate 21 blocks on batch b, whose
+    # submatrices serve the half batch; the logged loss reuses the
+    # alpha-step's blocks (theta is unchanged).  Only the theta-step takes
+    # theta-derivative blocks, again on b only.
     ds = lorenz_like_dataset(rng)
     blocks = _counting(monkeypatch, kflow.loss, "_eval_block")
+    grads = _counting(monkeypatch, kflow.loss, "_grad_blocks")
     report = train(ds, default_init(ds, 0),
                    TrainConfig(epochs=1, batch_size=16, lambda2=0.0, seed=1))
     assert report.failures == []
-    assert len(blocks) == 84
+    assert len(blocks) == 42
+    assert len(grads) == 21
