@@ -11,7 +11,6 @@ from .evaluation import (
     emit_report,
     run_benchmark,
     select_lambda2,
-    train_at,
 )
 from .forecast import TrainedModel, fit, one_step_forecast, predict_one, rollout
 from .kernels import KernelParams, cross_gram, eval_combined, eval_elemental, gram
@@ -25,7 +24,7 @@ from .loss import (
 )
 from .metrics import hausdorff, smape
 from .systems import SystemSpec, builtin_systems, integrate_rk4, load_csv, save_csv
-from .training import TrainConfig, TrainReport, sample_nested_batches, soft_threshold, train, train_regular
+from .training import TrainConfig, TrainReport, sample_nested_batches, soft_threshold, train
 
 __all__ = [
     "__version__",
@@ -33,11 +32,10 @@ __all__ = [
     "KernelParams", "eval_elemental", "eval_combined", "gram", "cross_gram",
     "RidgeSystem", "LossBreakdown", "regularized_quadratic_form", "rho",
     "sparse_loss", "grad_loss",
-    "TrainConfig", "TrainReport", "soft_threshold", "sample_nested_batches",
-    "train", "train_regular",
+    "TrainConfig", "TrainReport", "soft_threshold", "sample_nested_batches", "train",
     "TrainedModel", "fit", "predict_one", "one_step_forecast", "rollout",
     "smape", "hausdorff",
     "SystemSpec", "builtin_systems", "integrate_rk4", "load_csv", "save_csv",
-    "CvResult", "EvalProtocol", "DEFAULT_LAMBDA2_GRID", "select_lambda2", "train_at",
+    "CvResult", "EvalProtocol", "DEFAULT_LAMBDA2_GRID", "select_lambda2",
     "run_benchmark", "emit_report", "emit_distribution_csv",
 ]

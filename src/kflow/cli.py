@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +28,12 @@ import numpy as np
 from . import __version__
 from .embedding import TimeSeries, build_delay_dataset
 from .evaluation import (
-    DEFAULT_LAMBDA2_GRID,
     EvalProtocol,
     emit_distribution_csv,
     emit_report,
     prepare_series,
     run_benchmark,
     select_lambda2,
-    train_at,
     win_counts,
 )
 from .forecast import RolloutDiverged, TrainedModel, fit, one_step_forecast, rollout
@@ -52,7 +50,7 @@ from .systems import (
     load_csv,
     save_csv,
 )
-from .training import TrainConfig, TrainingAborted, default_init
+from .training import TrainConfig, TrainingAborted, default_init, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,35 +98,42 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _resolve(args, key, default):
-    """Flag value if given, else config-file value, else default."""
+def _setting(args, key, cast, default):
+    """Flag value if given, else config-file value, else default, cast.
+
+    A value that does not cast is a data error naming its key; null is
+    the default only where that default is None.
+    """
     flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if args._config_doc and key in args._config_doc:
-        return args._config_doc[key]
-    return default
+    value = flag if flag is not None else (args._config_doc or {}).get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise CliDataError(f"setting {key!r} = {value!r}: {err}") from None
+
+
+def _grid(value) -> tuple:
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part]
+    return tuple(float(v) for v in value)
 
 
 def _protocol(args) -> EvalProtocol:
-    """The run's settings from flags, the config file and the defaults."""
-    grid = _resolve(args, "lambda2_grid", None)
-    if isinstance(grid, str):
-        grid = [part for part in grid.split(",") if part]
-    cv_epochs = _resolve(args, "cv_epochs", None)
+    """The run's settings from flags, the config file and EvalProtocol()'s defaults."""
+    default = EvalProtocol()
+    base = default.train_config
+    grid = _setting(args, "lambda2_grid", _grid, None)
     return EvalProtocol(
-        tau=int(_resolve(args, "tau", 5)),
-        train_fraction=float(_resolve(args, "train_fraction", 0.8)),
-        lambda2_grid=DEFAULT_LAMBDA2_GRID if grid is None else tuple(float(v) for v in grid),
-        train_config=TrainConfig(
-            epochs=int(_resolve(args, "epochs", 500)),
-            lr=float(_resolve(args, "lr", 0.1)),
-            batch_size=int(_resolve(args, "batch_size", 200)),
-            lambda1=float(_resolve(args, "lambda1", 0.05)),
-            seed=int(_resolve(args, "seed", 0)),
-            zero_clamp=float(_resolve(args, "zero_clamp", 1e-3)),
-        ),
-        cv_epochs=None if cv_epochs is None else int(cv_epochs),
+        tau=_setting(args, "tau", int, default.tau),
+        train_fraction=_setting(args, "train_fraction", float, default.train_fraction),
+        lambda2_grid=default.lambda2_grid if grid is None else grid,
+        train_config=TrainConfig(**{  # not lambda2: each mode trains at its own
+            f.name: _setting(args, f.name, type(getattr(base, f.name)), getattr(base, f.name))
+            for f in fields(TrainConfig) if f.name != "lambda2"
+        }),
+        cv_epochs=_setting(args, "cv_epochs", int, default.cv_epochs),
         rollout_steps=getattr(args, "steps", None),
     )
 
@@ -212,8 +217,8 @@ def cmd_train(args) -> int:
         cv = select_lambda2(prepared.train, protocol.lambda2_grid, protocol.cv_config)
         cv_doc = cv.to_dict()
         lambda2 = cv.selected_lambda2
-    report = train_at(prepared.train, default_init(prepared.train, config.seed), config,
-                      lambda2)
+    report = train(prepared.train, default_init(prepared.train, config.seed),
+                   replace(config, lambda2=lambda2))
 
     model = fit(report.final_params, prepared.train, config.lambda1)
     digest = _digest(args.input)

@@ -20,7 +20,7 @@ tail, standardized units).  Failures score +inf and never abort the
 harness.
 
 ``kflow train --mode sparse`` runs SparseKF's recipe (select_lambda2, then
-train_at), and both commands resolve their settings into one EvalProtocol.
+train), and both commands resolve their settings into one EvalProtocol.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA
 from .loss import DegenerateBatchError, FactorizationError
 from .metrics import hausdorff, smape
 from .systems import Standardizer
-from .training import TrainConfig, TrainingAborted, TrainReport, default_init, train, train_regular
+from .training import TrainConfig, TrainingAborted, default_init, train
 
 DEFAULT_LAMBDA2_GRID = (0.0, 0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
 METHOD_NAMES = ("RBF", "TrainedRBF", "RegularKF", "SparseKF")
@@ -51,12 +51,12 @@ def _derive_seed(base: int, *keys: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def fixed_rbf_params(sigma: float = RBF_SIGMA) -> KernelParams:
-    """Dictionary reduced to the Gaussian term with exp(-r^2 / sigma^2)."""
+def fixed_rbf_params() -> KernelParams:
+    """Dictionary reduced to the Gaussian term exp(-r^2 / RBF_SIGMA^2)."""
     alpha = np.zeros(N_KERNELS)
     alpha[2] = 1.0
     theta = np.ones(N_THETA)
-    theta[4] = sigma / np.sqrt(2.0)
+    theta[4] = RBF_SIGMA / np.sqrt(2.0)
     return KernelParams(alpha, theta)
 
 
@@ -93,7 +93,7 @@ def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
     """3-fold blocked cross-validation over the lambda2 grid.
 
     Folds partition the training windows in ``dataset``.  Each cell
-    trains with train_at, the recipe the selected model is trained with.
+    trains at its candidate lambda2, as the selected model is trained.
     A failed (candidate, fold) cell scores +inf instead of aborting the sweep.
     Deterministic given config.seed; every cell derives its own batch
     stream from it but shares the same initialization.
@@ -112,9 +112,9 @@ def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
             keep = np.setdiff1d(np.arange(n), block)
             fold_train = dataset.subset(keep)
             fold_test = dataset.subset(block)
-            cell = replace(config, seed=_derive_seed(config.seed, ci, fi))
+            cell = replace(config, seed=_derive_seed(config.seed, ci, fi), lambda2=lam2)
             try:
-                report = train_at(fold_train, init, cell, lam2)
+                report = train(fold_train, init, cell)
                 model = fit(report.final_params, fold_train, config.lambda1)
                 pred = one_step_forecast(model, fold_test)
                 fold_smapes[ci, fi] = smape(pred, fold_test.Y)
@@ -130,21 +130,12 @@ def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
     return CvResult(grid, fold_smapes, mean_smapes, float(selected))
 
 
-def train_at(dataset: DelayDataset, init: KernelParams, config: TrainConfig,
-             lambda2: float = 0.0) -> TrainReport:
-    """Train at lambda2 with the batch size clamped to the dataset; 0 runs train_regular."""
-    config = replace(config, lambda2=lambda2, batch_size=min(config.batch_size, dataset.n_pairs))
-    if lambda2 == 0.0:
-        return train_regular(dataset, init, config)
-    return train(dataset, init, config)
-
-
 @dataclass(frozen=True)
 class EvalProtocol:
     """Resolved settings shared by ``kflow train`` and ``kflow benchmark``.
 
-    train_config.lambda1 is the ridge nugget everywhere; the CV cells
-    train cv_epochs epochs (None: train_config.epochs).
+    train_config.lambda1 is the ridge nugget everywhere (each method sets
+    lambda2); CV cells train cv_epochs epochs (None: train_config.epochs).
     """
 
     tau: int = 5
@@ -248,14 +239,15 @@ def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow
             pass
 
     run("RBF", fixed_rbf_params)
-    run("TrainedRBF", lambda: train_at(train_ds, rbf_init, config).final_params)
-    run("RegularKF", lambda: train_at(train_ds, full_init, config).final_params)
+    dense = replace(config, lambda2=0.0)
+    run("TrainedRBF", lambda: train(train_ds, rbf_init, dense).final_params)
+    run("RegularKF", lambda: train(train_ds, full_init, dense).final_params)
 
     def sparse_params():
         nonlocal selected  # recorded even when the final training fails
         selected = select_lambda2(train_ds, protocol.lambda2_grid,
                                   protocol.cv_config).selected_lambda2
-        return train_at(train_ds, full_init, config, selected).final_params
+        return train(train_ds, full_init, replace(config, lambda2=selected)).final_params
 
     run("SparseKF", sparse_params)
 

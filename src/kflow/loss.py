@@ -102,11 +102,16 @@ class RidgeSystem:
         return self._gram.shape[0]
 
     def _condition(self) -> float:
-        """1-norm condition estimate from the factors in hand (pocon/gecon)."""
+        """1-norm condition estimate (pocon/gecon) from the factors in hand.
+
+        They are scaled to ||A||_1 = 1 first, so the inverse's norm of a
+        tiny (subnormal) system cannot overflow and read as singular.
+        """
         if self._pivots is None:
-            rcond, _ = _pocon(self._factors, self._anorm, uplo="L")
-        else:
-            rcond, _ = _gecon(self._factors, self._anorm, norm="1")
+            rcond, _ = _pocon(self._factors / np.sqrt(self._anorm), 1.0, uplo="L")
+        else:  # A = PLU with unit L: only U scales
+            U = np.triu(self._factors) / self._anorm
+            rcond, _ = _gecon(U + np.tril(self._factors, -1), 1.0, norm="1")
         return 1.0 / rcond if rcond > 0.0 else np.inf
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ class SystemSpec:
     """An autonomous vector field with integration defaults."""
 
     name: str
-    dim: int
     rhs: Callable[[np.ndarray], np.ndarray]
     default_ic: tuple = ()
     default_dt: float = 0.01
@@ -109,19 +108,19 @@ def builtin_systems() -> list[SystemSpec]:
     """Shipped benchmark systems with classical parameter values."""
     return [
         SystemSpec(
-            name="lorenz", dim=3, rhs=_lorenz(),
+            name="lorenz", rhs=_lorenz(),
             default_ic=(-8.0, 7.0, 27.0), default_dt=0.01, transient_skip=1000,
         ),
         SystemSpec(
-            name="rossler", dim=3, rhs=_rossler(),
+            name="rossler", rhs=_rossler(),
             default_ic=(1.0, 1.0, 0.0), default_dt=0.05, transient_skip=2000,
         ),
         SystemSpec(
-            name="thomas", dim=3, rhs=_thomas(),
+            name="thomas", rhs=_thomas(),
             default_ic=(0.1, 0.0, 0.0), default_dt=0.1, transient_skip=2000,
         ),
         SystemSpec(
-            name="duffing", dim=4, rhs=_duffing(),
+            name="duffing", rhs=_duffing(),
             default_ic=(1.0, 0.0, 1.0, 0.0), default_dt=0.05, transient_skip=2000,
         ),
     ]
@@ -179,16 +178,11 @@ def load_csv(path) -> TimeSeries:
     return TimeSeries(np.asarray(rows, dtype=float), dt)
 
 
-def save_csv(series: TimeSeries, path, column_names=None) -> None:
+def save_csv(series: TimeSeries, path) -> None:
     """Write a series in the format :func:`load_csv` reads back exactly."""
-    d = series.dim
-    if column_names is None:
-        column_names = [f"x{i + 1}" for i in range(d)]
-    if len(column_names) != d:
-        raise ValueError(f"need {d} column names, got {len(column_names)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dt={series.dt!r}\n")
-        fh.write(",".join(column_names) + "\n")
+        fh.write(",".join(f"x{i + 1}" for i in range(series.dim)) + "\n")
         for row in series.values:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 

@@ -9,10 +9,10 @@ the halved-subset relative loss:
       what realizes the l1 penalty and produces exact zeros.
 
 Plain subgradient descent cannot zero a weight exactly; the proximal
-step can, and a final hard threshold (``zero_clamp``) sweeps up
-numerically tiny survivors.  With lambda2 = 0 the threshold is the
-identity and the loop degenerates to regular (dense) kernel-flow
-training.
+step can, and with lambda2 > 0 a final hard threshold (``zero_clamp``)
+sweeps up numerically tiny survivors.  With lambda2 = 0 neither the
+proximal step nor the threshold acts, and the loop is regular (dense)
+kernel-flow training.
 
 Both updates within an epoch reuse the same batch draw and one step
 size, lr / sqrt(epoch).  A batch whose factorization fails is skipped
@@ -21,7 +21,6 @@ and counted against a budget of FAILURE_BUDGET_FRACTION of the epochs.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -120,6 +119,8 @@ def default_init(dataset: DelayDataset, seed: int) -> KernelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one :func:`train` run; lambda2 = 0 trains dense (no zero_clamp)."""
+
     epochs: int = 500
     lr: float = 0.1
     batch_size: int = 200
@@ -154,12 +155,9 @@ class TrainReport:
     final_params: KernelParams
     nnz_alpha: int
     epochs_run: int
-    wall_time: float
     failures: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        # wall_time is intentionally not serialized: artifacts must be
-        # byte-identical across reruns with the same config and seed
         return {
             "epochs_run": self.epochs_run,
             "nnz_alpha": self.nnz_alpha,
@@ -203,12 +201,12 @@ def sample_nested_batches(dataset: DelayDataset, batch_size: int,
 def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> TrainReport:
     """Run the alternating loop and return the fitted dictionary.
 
-    Deterministic: identical (dataset, init, config) reproduce the
-    report bitwise apart from wall_time.
+    The batch size is clamped to ``dataset.n_pairs``.  Deterministic:
+    identical (dataset, init, config) reproduce the report bitwise.
     """
-    started = time.perf_counter()
+    config = replace(config, batch_size=min(config.batch_size, dataset.n_pairs))
     if config.epochs == 0:
-        return TrainReport([], init, init.nnz, 0, time.perf_counter() - started)
+        return TrainReport([], init, init.nnz, 0)
     rng = np.random.default_rng(config.seed)
     alpha = np.array(init.alpha, dtype=float)
     theta = clamp_theta(init.theta)
@@ -251,7 +249,7 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
                     f"{len(failures)} failed epochs exceed budget {budget}: {err}"
                 ) from err
 
-    if config.zero_clamp > 0.0:
+    if config.lambda2 > 0.0:
         alpha = np.where(np.abs(alpha) < config.zero_clamp, 0.0, alpha)
     alpha = _calibrate_scale(dataset, alpha, theta, config)
     final = KernelParams(alpha, theta)
@@ -260,7 +258,6 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
         final_params=final,
         nnz_alpha=final.nnz,
         epochs_run=config.epochs,
-        wall_time=time.perf_counter() - started,
         failures=failures,
     )
 
@@ -311,8 +308,3 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
             best_scale, best_err = scale, err
     return best_scale * alpha
 
-
-def train_regular(dataset: DelayDataset, init: KernelParams,
-                  config: TrainConfig) -> TrainReport:
-    """Dense variant: lambda2 = 0 and no final zero clamp."""
-    return train(dataset, init, replace(config, lambda2=0.0, zero_clamp=0.0))

@@ -2,14 +2,19 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kflow
+import kflow.cli
+import kflow.evaluation
 from kflow.cli import main
+from kflow.evaluation import EvalProtocol
 from kflow.systems import load_csv
+from kflow.training import TrainConfig, TrainReport
 
 
 def run_cli(*argv):
@@ -273,6 +278,54 @@ def test_train_and_benchmark_share_the_sparse_recipe(tmp_path, rng):
     assert row["selected_lambda2"] == model["selected_lambda2"] == 1.0
     nnz = np.count_nonzero(model["model"]["kernel"]["alpha"])
     assert row["nnz"]["SparseKF"] == nnz < 21
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", None), ("tau", None), ("lr", [0.1]), ("lambda2_grid", 5),
+    ("lambda2_grid", [[0.1]]), ("epochs", float("inf")), ("seed", "x"),
+])
+def test_config_value_of_the_wrong_type_is_a_data_error(tmp_path, rng, capsys,
+                                                        command, key, value):
+    data = toy_csv(tmp_path, rng)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    if command == "train":
+        target = [str(data), "--out", str(tmp_path / "m.json")]
+    else:
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{data}\n")
+        target = [str(manifest), "--out-dir", str(tmp_path / "bench")]
+    assert run_cli(command, *target, "--config", str(config)) == 3
+    assert f"setting {key!r}" in capsys.readouterr().err
+
+
+def test_train_without_flags_records_the_defaults(tmp_path, rng, monkeypatch):
+    # a config file's null lambda2_grid and cv_epochs also mean the defaults
+    trained = []
+
+    def no_epochs(dataset, init, config):
+        trained.append(config)
+        return TrainReport([], init, init.nnz, 0)
+
+    monkeypatch.setattr(kflow.cli, "train", no_epochs)
+    monkeypatch.setattr(kflow.evaluation, "train", no_epochs)
+    data = toy_csv(tmp_path, rng)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lambda2_grid": None, "cv_epochs": None}))
+    default = EvalProtocol()
+    want = {"command": "train", "input": str(data), "mode": "sparse",
+            "tau": default.tau, "train_fraction": default.train_fraction,
+            "lambda2_grid": list(default.lambda2_grid), "cv_epochs": default.cv_epochs,
+            **{k: v for k, v in asdict(TrainConfig()).items() if k != "lambda2"}}
+    for extra in ([], ["--config", str(config)]):
+        out = tmp_path / "m.json"
+        trained.clear()
+        assert run_cli("train", str(data), "--out", str(out), *extra) == 0
+        assert json.loads(out.read_text())["config"] == want
+        # every CV cell ties (no epochs), so the smallest lambda2, 0, is selected
+        assert trained[-1] == TrainConfig()
+        assert len(trained) == 3 * len(default.lambda2_grid) + 1
 
 
 def test_missing_input_is_data_error(tmp_path, capsys):

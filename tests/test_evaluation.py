@@ -19,13 +19,12 @@ from kflow.evaluation import (
     prepare_series,
     run_benchmark,
     select_lambda2,
-    train_at,
     win_counts,
 )
 from kflow.forecast import fit, one_step_forecast
 from kflow.kernels import N_KERNELS
 from kflow.metrics import smape
-from kflow.training import TrainConfig, default_init
+from kflow.training import TrainConfig, default_init, train
 
 
 def toy_series(rng, n=90, name="toy"):
@@ -82,8 +81,8 @@ def test_cv_selects_min_mean(rng):
 
 
 def test_cv_cells_run_the_recipe_they_select(rng):
-    # a lambda2 = 0 cell trains as train_at trains the selected lambda2 = 0
-    # model (dense, no zero clamp), so a clamp that would zero weights
+    # a lambda2 = 0 cell trains as the selected lambda2 = 0 model is
+    # trained (dense, no zero clamp), so a clamp that would zero weights
     # leaves its score unchanged
     ds = toy_dataset(rng)
     config = replace(quick_config(seed=4), zero_clamp=0.5)
@@ -93,8 +92,8 @@ def test_cv_cells_run_the_recipe_they_select(rng):
     for fi, block in enumerate(_fold_blocks(n)):
         fold_train = ds.subset(np.setdiff1d(np.arange(n), block))
         fold_test = ds.subset(block)
-        cell = replace(config, seed=_derive_seed(config.seed, 0, fi))
-        report = train_at(fold_train, init, cell, 0.0)
+        cell = replace(config, seed=_derive_seed(config.seed, 0, fi), lambda2=0.0)
+        report = train(fold_train, init, cell)
         assert report.nnz_alpha == N_KERNELS
         model = fit(report.final_params, fold_train, config.lambda1)
         want = smape(one_step_forecast(model, fold_test), fold_test.Y)

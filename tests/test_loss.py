@@ -113,11 +113,29 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
 
 
 def test_overflowing_solve_names_overflow():
-    # a subnormal 1x1 Gram solves to 1 / 1.03e-321 = inf
+    # a subnormal 1x1 Gram solves to 1 / 1.03e-321 = inf; the system is
+    # perfectly conditioned, and the estimate says so
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FactorizationError, match="overflow"):
+        with pytest.raises(FactorizationError, match="overflow") as info:
             RidgeSystem(np.array([[1.03e-321]]), 0.0).solve(np.array([1.0]))
+    assert info.value.condition == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("K, lu", [
+    (np.diag([2e-310, 1e-310]), False),
+    (-np.diag([2e-310, 1e-310]), True),
+])
+def test_overflowing_solve_estimates_the_condition_of_subnormal_factors(K, lu):
+    # subnormal Grams solve to about 1e310, which overflows; both systems
+    # have condition number 2 on the Cholesky and on the LU path
+    system = RidgeSystem(K, 0.0)
+    assert (system._pivots is not None) == lu
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FactorizationError, match="overflow") as info:
+            system.solve(np.ones(K.shape[0]))
+    assert info.value.condition == pytest.approx(2.0, rel=1e-12)
 
 
 def test_residual_check_reports_condition(rng, monkeypatch):

@@ -16,7 +16,7 @@ from kflow.systems import (
 
 
 def test_zero_field_constant_series():
-    spec = SystemSpec("still", 2, lambda u: np.zeros(2),
+    spec = SystemSpec("still", lambda u: np.zeros(2),
                       default_ic=(3.0, -1.0), default_dt=0.1, transient_skip=5)
     series = integrate_rk4(spec, 10)
     np.testing.assert_array_equal(series.values, np.tile([3.0, -1.0], (10, 1)))
@@ -24,7 +24,7 @@ def test_zero_field_constant_series():
 
 def test_rk4_single_step_taylor_oracle():
     # dx/dt = x, one step of h=0.1: 1 + h + h^2/2 + h^3/6 + h^4/24
-    spec = SystemSpec("exp", 1, lambda u: u, default_ic=(1.0,),
+    spec = SystemSpec("exp", lambda u: u, default_ic=(1.0,),
                       default_dt=0.1, transient_skip=0)
     series = integrate_rk4(spec, 2, 0.1)
     h = 0.1
@@ -36,7 +36,7 @@ def test_rk4_fourth_order_error_ratio():
     # halving dt must shrink the global error ~16x for dx/dt = x
     def global_error(dt):
         n = int(round(1.0 / dt)) + 1
-        spec = SystemSpec("exp", 1, lambda u: u, default_ic=(1.0,),
+        spec = SystemSpec("exp", lambda u: u, default_ic=(1.0,),
                           default_dt=dt, transient_skip=0)
         series = integrate_rk4(spec, n, dt)
         return abs(series.values[-1, 0] - np.exp(1.0))
@@ -61,7 +61,7 @@ def test_blowup_reports_step():
         with np.errstate(over="ignore"):  # the blow-up integrate_rk4 must report
             return u * u
 
-    spec = SystemSpec("explode", 1, square, default_ic=(2.0,),
+    spec = SystemSpec("explode", square, default_ic=(2.0,),
                       default_dt=1.0, transient_skip=0)
     with pytest.raises(IntegrationError, match="step"):
         integrate_rk4(spec, 500, 1.0)
@@ -142,15 +142,6 @@ def test_csv_round_trip_exact(tmp_path, rng):
     back = load_csv(path)
     assert (back.values == series.values).all()
     assert back.dt == series.dt
-
-
-def test_save_csv_column_names(tmp_path):
-    series = TimeSeries(np.ones((3, 2)), 0.5)
-    path = tmp_path / "named.csv"
-    save_csv(series, path, column_names=["a", "b"])
-    assert "a,b" in path.read_text().splitlines()[1]
-    with pytest.raises(ValueError):
-        save_csv(series, path, column_names=["only-one"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from kflow.training import (
     sample_nested_batches,
     soft_threshold,
     train,
-    train_regular,
 )
 
 
@@ -171,21 +172,36 @@ def test_loss_history_length_matches_epochs(rng):
 
 
 def test_regular_equals_train_with_zero_lambda2(rng):
+    # regular training is lambda2 = 0, where zero_clamp is not applied: the
+    # same bits whatever the clamp
     ds = lorenz_like_dataset(rng)
     init = psd_init(rng)
     config = TrainConfig(epochs=10, batch_size=16, lambda2=0.0, zero_clamp=0.0, seed=9)
     a = train(ds, init, config)
-    b = train_regular(ds, init, TrainConfig(epochs=10, batch_size=16,
-                                            lambda2=0.7, zero_clamp=1e-3, seed=9))
+    b = train(ds, init, replace(config, zero_clamp=1e6))
     assert (a.final_params.alpha == b.final_params.alpha).all()
     assert (a.final_params.theta == b.final_params.theta).all()
 
 
 def test_regular_keeps_all_weights_dense(rng):
+    # at lambda2 = 0 a huge clamp zeroes nothing; at lambda2 > 0 it zeroes
+    # every weight
     ds = lorenz_like_dataset(rng)
     init = KernelParams.random(np.random.default_rng(5))
-    report = train_regular(ds, init, TrainConfig(epochs=15, batch_size=16, seed=5))
-    assert report.nnz_alpha == N_KERNELS
+    config = TrainConfig(epochs=15, batch_size=16, zero_clamp=1e6, seed=5)
+    assert train(ds, init, config).nnz_alpha == N_KERNELS
+    assert train(ds, init, replace(config, lambda2=1e-9)).nnz_alpha == 0
+
+
+def test_batch_size_is_clamped_to_the_dataset(rng):
+    ds = lorenz_like_dataset(rng, n=30)
+    init = psd_init(rng)
+    config = TrainConfig(epochs=6, batch_size=ds.n_pairs, lambda2=0.01, seed=2)
+    a = train(ds, init, config)
+    b = train(ds, init, replace(config, batch_size=10 * ds.n_pairs))
+    assert a.to_dict() == b.to_dict()
+    assert a.final_params.alpha.tobytes() == b.final_params.alpha.tobytes()
+    assert a.final_params.theta.tobytes() == b.final_params.theta.tobytes()
 
 
 def test_final_zeros_are_exact(rng):
