@@ -1,5 +1,11 @@
 """Sparse kernel-flow learning for chaotic time-series forecasting."""
 
+import os
+
+# before numpy loads: one BLAS thread unless set (the last bits depend on the count)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .embedding import DelayDataset, TimeSeries, build_delay_dataset, split_train_test

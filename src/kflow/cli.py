@@ -101,14 +101,17 @@ def _load_config_file(path) -> dict:
 def _setting(args, key, cast, default):
     """Flag value if given, else config-file value, else default, cast.
 
-    A value that does not cast is a data error naming its key; null is
-    the default only where that default is None.
+    A value that does not cast is a data error naming its key, and an int
+    setting takes an integral number only; null is the default only where
+    that default is None.
     """
     flag = getattr(args, key, None)
     value = flag if flag is not None else (args._config_doc or {}).get(key, default)
     if value is None and default is None:
         return None
     try:
+        if cast is int and (isinstance(value, bool) or value != int(value)):
+            raise ValueError("not an integer")
         return cast(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise CliDataError(f"setting {key!r} = {value!r}: {err}") from None
@@ -351,7 +354,7 @@ def cmd_benchmark(args) -> int:
         else:
             s = load_csv(entry)
             series_list.append(TimeSeries(s.values, s.dt, Path(entry).stem))
-    rows = run_benchmark(series_list, protocol, threads=args.threads)
+    rows = run_benchmark(series_list, protocol)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -424,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out-dir", dest="out_dir", required=True)
     b.add_argument("--n", type=int, default=7200, help="samples for builtin entries")
     b.add_argument("--steps", type=int, default=None, help="rollout length for HD")
-    b.add_argument("--threads", type=int, default=1,
-                   help="worker pool size (default: 1)")
     common(b)
 
     return parser

@@ -21,11 +21,20 @@ harness.
 
 ``kflow train --mode sparse`` runs SparseKF's recipe (select_lambda2, then
 train), and both commands resolve their settings into one EvalProtocol.
+
+Independent trainings (the CV cells, TrainedRBF and RegularKF) run in
+forked worker processes, one per core of the process's CPU affinity
+(``taskset`` limits them), bit-identical to serial at the same BLAS
+thread count.  They run serially where one core is usable, the platform
+cannot fork, or the caller has other threads (forking those is unsafe).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -44,6 +53,31 @@ RBF_SIGMA = 0.5
 
 _RECOVERABLE = (FactorizationError, DegenerateBatchError, KernelEvalError,
                 TrainingAborted, RolloutDiverged, ValueError)
+
+
+def _start_worker(fn, shared) -> None:
+    global _worker_job  # set in worker processes only
+    _worker_job = (fn, shared)
+
+
+def _run_in_worker(task: int):
+    fn, shared = _worker_job
+    return fn(shared, task)
+
+
+def _map_tasks(fn, shared, n_tasks: int) -> list:
+    """[fn(shared, i) for i in range(n_tasks)], in forked workers where safe.
+
+    ``shared`` reaches each worker once, by the fork: only task indices and
+    results are pickled.  fn scores recoverable failures; any other error
+    re-raises here with its type, after the pool has shut down.
+    """
+    workers = min(n_tasks, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return [fn(shared, i) for i in range(n_tasks)]
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(fn, shared)) as pool:
+        return list(pool.map(_run_in_worker, range(n_tasks)))
 
 
 def _derive_seed(base: int, *keys: int) -> int:
@@ -88,6 +122,21 @@ def _fold_blocks(n: int):
     return [blk for blk in np.array_split(np.arange(n), 3)]
 
 
+def _cv_cell(shared, task: int) -> float:
+    """SMAPE of grid candidate task // 3 on fold task % 3; +inf if it fails."""
+    dataset, blocks, init, grid, config = shared
+    ci, fi = divmod(task, 3)
+    fold_train = dataset.subset(np.setdiff1d(np.arange(dataset.n_pairs), blocks[fi]))
+    fold_test = dataset.subset(blocks[fi])
+    cell = replace(config, seed=_derive_seed(config.seed, ci, fi), lambda2=grid[ci])
+    try:
+        report = train(fold_train, init, cell)
+        model = fit(report.final_params, fold_train, config.lambda1)
+        return smape(one_step_forecast(model, fold_test), fold_test.Y)
+    except _RECOVERABLE:
+        return np.inf
+
+
 def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
                    config: TrainConfig = TrainConfig()) -> CvResult:
     """3-fold blocked cross-validation over the lambda2 grid.
@@ -104,22 +153,8 @@ def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
     n = dataset.n_pairs
     if n < 9:
         raise ValueError(f"need at least 9 embedded pairs for 3 folds, got {n}")
-    blocks = _fold_blocks(n)
-    init = default_init(dataset, config.seed)
-    fold_smapes = np.full((len(grid), 3), np.inf)
-    for ci, lam2 in enumerate(grid):
-        for fi, block in enumerate(blocks):
-            keep = np.setdiff1d(np.arange(n), block)
-            fold_train = dataset.subset(keep)
-            fold_test = dataset.subset(block)
-            cell = replace(config, seed=_derive_seed(config.seed, ci, fi), lambda2=lam2)
-            try:
-                report = train(fold_train, init, cell)
-                model = fit(report.final_params, fold_train, config.lambda1)
-                pred = one_step_forecast(model, fold_test)
-                fold_smapes[ci, fi] = smape(pred, fold_test.Y)
-            except _RECOVERABLE:
-                pass  # cell stays at +inf
+    shared = (dataset, _fold_blocks(n), default_init(dataset, config.seed), grid, config)
+    fold_smapes = np.array(_map_tasks(_cv_cell, shared, 3 * len(grid))).reshape(len(grid), 3)
     mean_smapes = fold_smapes.mean(axis=1)
     best = np.inf
     selected = grid[0]
@@ -213,6 +248,24 @@ def _score_method(model, prepared: PreparedSeries, rollout_steps: int | None):
     return s, h
 
 
+def _scored(params_fn, prepared: PreparedSeries, protocol: EvalProtocol):
+    """(smape, hd, nnz) of the model on params_fn()'s parameters; None if it fails."""
+    try:
+        params = params_fn()
+        model = fit(params, prepared.train, protocol.train_config.lambda1)
+        return (*_score_method(model, prepared, protocol.rollout_steps), params.nnz)
+    except _RECOVERABLE:
+        return None
+
+
+def _dense_method(shared, task: int):
+    """_scored of dense training from init task: TrainedRBF (0) or RegularKF (1)."""
+    prepared, inits, protocol = shared
+    dense = replace(protocol.train_config, lambda2=0.0)
+    return _scored(lambda: train(prepared.train, inits[task], dense).final_params,
+                   prepared, protocol)
+
+
 def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow:
     """Run the four methods on one system; failures score +inf."""
     config = protocol.train_config
@@ -227,21 +280,9 @@ def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow
 
     train_ds = prepared.train
     full_init = default_init(train_ds, config.seed)
-    rbf_init = gaussian_only_init(full_init)
-
-    def run(name, params_fn):
-        try:
-            params = params_fn()
-            model = fit(params, train_ds, config.lambda1)
-            smapes[name], hds[name] = _score_method(model, prepared, protocol.rollout_steps)
-            nnz[name] = params.nnz
-        except _RECOVERABLE:
-            pass
-
-    run("RBF", fixed_rbf_params)
-    dense = replace(config, lambda2=0.0)
-    run("TrainedRBF", lambda: train(train_ds, rbf_init, dense).final_params)
-    run("RegularKF", lambda: train(train_ds, full_init, dense).final_params)
+    results = {"RBF": _scored(fixed_rbf_params, prepared, protocol)}
+    results.update(zip(("TrainedRBF", "RegularKF"), _map_tasks(
+        _dense_method, (prepared, (gaussian_only_init(full_init), full_init), protocol), 2)))
 
     def sparse_params():
         nonlocal selected  # recorded even when the final training fails
@@ -249,20 +290,19 @@ def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow
                                   protocol.cv_config).selected_lambda2
         return train(train_ds, full_init, replace(config, lambda2=selected)).final_params
 
-    run("SparseKF", sparse_params)
+    results["SparseKF"] = _scored(sparse_params, prepared, protocol)
+    for name, result in results.items():
+        if result is not None:
+            smapes[name], hds[name], nnz[name] = result
 
     finite = [m for m in METHOD_NAMES if np.isfinite(smapes[m])]
     best = min(finite, key=lambda m: smapes[m]) if finite else "none"
     return BenchmarkRow(series.name, smapes, hds, best, selected, nnz)
 
 
-def run_benchmark(series_list, protocol: EvalProtocol | None = None,
-                  threads: int = 1) -> list[BenchmarkRow]:
+def run_benchmark(series_list, protocol: EvalProtocol | None = None) -> list[BenchmarkRow]:
     """Benchmark every series; result order matches the input order."""
     protocol = protocol or EvalProtocol()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: benchmark_system(s, protocol), series_list))
     return [benchmark_system(s, protocol) for s in series_list]
 
 

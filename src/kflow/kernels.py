@@ -286,17 +286,17 @@ ELEMENTALS = (_k1, _k2, _k3, _k4, _k5, _k6, _k7, _k8, _k9, _k10, _k11,
 # ---------------------------------------------------------------------------
 # elemental theta-gradients
 #
-# _gN returns one array per owned theta slot, in slot order.  At kink
-# points (support boundaries of terms 17/18/21, the |t4| kink at t4 = 0,
-# clamped regions of terms 2/19) the gradient is the one-sided limit
-# from the interior, with 0 exactly on the boundary.
+# _gN returns one array per owned theta slot, in slot order, given the value
+# block val = _kN(s, r, q, t).  At kink points (support boundaries of terms
+# 17/18/21, the |t4| kink at t4 = 0, clamped regions of terms 2/19) the
+# gradient is the one-sided limit from the interior, 0 exactly on the boundary.
 # ---------------------------------------------------------------------------
 
-def _g1(s, r, q, t):
+def _g1(s, r, q, t, val):
     return (np.full_like(np.asarray(s, dtype=float), 2.0 * t[0]),)
 
 
-def _g2(s, r, q, t):
+def _g2(s, r, q, t, val):
     raw = t[1] ** 2 * s + t[2] ** 2
     base = np.maximum(raw, EPS)
     e = abs(t[3])
@@ -308,16 +308,15 @@ def _g2(s, r, q, t):
     return d2, d3, d4
 
 
-def _g3(s, r, q, t):
-    return (_k3(s, r, q, t) * q / t[4] ** 3,)
+def _g3(s, r, q, t, val):
+    return (val * q / t[4] ** 3,)
 
 
-def _g4(s, r, q, t):
-    return (_k4(s, r, q, t) * r / t[5] ** 3,)
+def _g4(s, r, q, t, val):
+    return (val * r / t[5] ** 3,)
 
 
-def _g5(s, r, q, t):
-    val = _k5(s, r, q, t)
+def _g5(s, r, q, t, val):
     arg = np.pi * q / t[6]
     d7 = val * np.sin(2.0 * arg) * np.pi * q / (t[6] ** 2 * t[7] ** 2)
     d8 = val * 2.0 * np.sin(arg) ** 2 / t[7] ** 3
@@ -325,16 +324,14 @@ def _g5(s, r, q, t):
     return d7, d8, d9
 
 
-def _g6(s, r, q, t):
-    val = _k6(s, r, q, t)
+def _g6(s, r, q, t, val):
     arg = np.pi * q / t[9]
     d10 = val * np.sin(2.0 * arg) * np.pi * q / (t[9] ** 2 * t[10] ** 2)
     d11 = val * 2.0 * np.sin(arg) ** 2 / t[10] ** 3
     return d10, d11
 
 
-def _g7(s, r, q, t):
-    val = _k7(s, r, q, t)
+def _g7(s, r, q, t, val):
     arg = np.pi * r / t[11]
     d12 = val * np.sin(2.0 * arg) * np.pi * r / (t[11] ** 2 * t[12] ** 2)
     d13 = val * 2.0 * np.sin(arg) ** 2 / t[12] ** 3
@@ -342,78 +339,73 @@ def _g7(s, r, q, t):
     return d12, d13, d14
 
 
-def _g8(s, r, q, t):
-    val = _k8(s, r, q, t)
+def _g8(s, r, q, t, val):
     arg = np.pi * r / t[14]
     d15 = val * np.sin(2.0 * arg) * np.pi * r / (t[14] ** 2 * t[15] ** 2)
     d16 = val * 2.0 * np.sin(arg) ** 2 / t[15] ** 3
     return d15, d16
 
 
-def _g9(s, r, q, t):
-    val = _k9(s, r, q, t)
+def _g9(s, r, q, t, val):
     return (np.where(val > 0.0, t[16] / np.where(val > 0.0, val, 1.0), 0.0),)
 
 
-def _g10(s, r, q, t):
+def _g10(s, r, q, t, val):
     pw = (t[17] ** 2 + t[18] ** 2 * q) ** -1.5
     return -t[17] * pw, -t[18] * q * pw
 
 
-def _g11(s, r, q, t):
+def _g11(s, r, q, t, val):
     pw = (t[19] ** 2 + t[20] ** 2 * r) ** -1.5
     return -t[19] * pw, -t[20] * r * pw
 
 
-def _g12(s, r, q, t):
+def _g12(s, r, q, t, val):
     base = t[21] ** 2 + r
     d22 = t[22] * base ** (t[22] - 1.0) * 2.0 * t[21]
     d23 = base ** t[22] * np.log(base)
     return d22, d23
 
 
-def _g13(s, r, q, t):
+def _g13(s, r, q, t, val):
     base = t[23] ** 2 + q
     d24 = t[24] * base ** (t[24] - 1.0) * 2.0 * t[23]
     d25 = base ** t[24] * np.log(base)
     return d24, d25
 
 
-def _g14(s, r, q, t):
-    val = _k14(s, r, q, t)
+def _g14(s, r, q, t, val):
     return (val * val * 2.0 * q / t[25] ** 3,)
 
 
-def _g15(s, r, q, t):
-    val = _k15(s, r, q, t)
+def _g15(s, r, q, t, val):
     return (val * val * 2.0 * r / t[26] ** 3,)
 
 
-def _g16(s, r, q, t):
+def _g16(s, r, q, t, val):
     return (2.0 * t[27] * q / (q + t[27] ** 2) ** 2,)
 
 
-def _g17(s, r, q, t):
+def _g17(s, r, q, t, val):
     return (np.where(q < t[28] ** 2, 2.0 * q / t[28] ** 3, 0.0),)
 
 
-def _g18(s, r, q, t):
+def _g18(s, r, q, t, val):
     return (np.where(r < t[29] ** 2, 2.0 * r / t[29] ** 3, 0.0),)
 
 
-def _g19(s, r, q, t):
+def _g19(s, r, q, t, val):
     rt = np.maximum(r, EPS)
     p = rt ** t[30]
     return (p * np.log(rt) / (p + 1.0),)
 
 
-def _g20(s, r, q, t):
-    val = _k20(s, r, q, t)
+def _g20(s, r, q, t, val):
     sech2 = 1.0 - val * val
     return sech2 * s, sech2
 
 
-def _g21(s, r, q, t):
+def _g21(s, r, q, t, val):
     w = t[33] ** 2
     u = r / w
     interior = (q < w) & (u < 1.0)
@@ -446,10 +438,10 @@ def _eval_block(index: int, stats, theta) -> np.ndarray:
     return block
 
 
-def _grad_blocks(index: int, stats, theta):
-    """Theta-derivative blocks of one elemental (own slots, in order)."""
+def _grad_blocks(index: int, stats, theta, block):
+    """Theta-derivative blocks of one elemental (own slots, in order), given its value block."""
     with np.errstate(all="ignore"):
-        grads = ELEMENTAL_GRADS[index](*stats, theta)
+        grads = ELEMENTAL_GRADS[index](*stats, theta, block)
     for block in grads:
         _check_finite(block, index + 1)
     return grads

@@ -211,7 +211,7 @@ class _BatchTerms:
                 ga[i] = -2.0 * alpha[i] * np.vdot(block, M)
             if wrt_theta:
                 lo = THETA_SLICES[i][0]
-                for off, grad in enumerate(_grad_blocks(i, self.stats, self.params.theta)):
+                for off, grad in enumerate(_grad_blocks(i, self.stats, self.params.theta, block)):
                     gt[lo + off] = -(alpha[i] ** 2) * np.vdot(grad, M)
         return ga, gt
 

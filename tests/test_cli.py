@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -61,6 +62,42 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         run_cli("train")  # missing required arguments
     assert info.value.code == 2
+
+
+def test_benchmark_has_no_threads_option(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        run_cli("benchmark", str(tmp_path / "m.txt"), "--out-dir", str(tmp_path),
+                "--threads", "2")
+    assert info.value.code == 2
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _kflow_process(args, **blas):
+    """Run python with ``args`` beside the imported kflow, the BLAS variables as given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    return subprocess.run([sys.executable, *args], env={**env, **blas}, check=True,
+                          capture_output=True, text=True,
+                          cwd=Path(kflow.__file__).parents[1])
+
+
+def test_import_pins_one_blas_thread_unless_the_environment_sets_one():
+    probe = f"import os, kflow; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+    assert _kflow_process(["-c", probe]).stdout.split() == ["1", "1", "1"]
+    assert _kflow_process(["-c", probe], OPENBLAS_NUM_THREADS="2").stdout.split() == [
+        "2", "1", "1"]
+
+
+def test_benchmark_report_is_the_same_with_blas_variables_unset_or_one(tmp_path, rng):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{toy_csv(tmp_path, rng)}\n")
+    reports = []
+    for name, blas in (("unset", {}), ("one", dict.fromkeys(BLAS_VARS, "1"))):
+        _kflow_process(["-m", "kflow.cli", "benchmark", str(manifest), "--out-dir",
+                        str(tmp_path / name), "--steps", "4", *FAST], **blas)
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_train_forecast_pipeline(tmp_path, rng, capsys):
@@ -284,6 +321,7 @@ def test_train_and_benchmark_share_the_sparse_recipe(tmp_path, rng):
 @pytest.mark.parametrize("key, value", [
     ("batch_size", None), ("tau", None), ("lr", [0.1]), ("lambda2_grid", 5),
     ("lambda2_grid", [[0.1]]), ("epochs", float("inf")), ("seed", "x"),
+    ("epochs", 2.7), ("seed", True), ("tau", "4"), ("cv_epochs", 1.5),
 ])
 def test_config_value_of_the_wrong_type_is_a_data_error(tmp_path, rng, capsys,
                                                         command, key, value):
@@ -300,9 +338,23 @@ def test_config_value_of_the_wrong_type_is_a_data_error(tmp_path, rng, capsys,
     assert f"setting {key!r}" in capsys.readouterr().err
 
 
+def test_config_integer_settings_accept_integral_floats(tmp_path, rng):
+    data = toy_csv(tmp_path, rng)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epochs": 3.0, "tau": 3.0, "seed": 7}))
+    out = tmp_path / "m.json"
+    assert run_cli("train", str(data), "--mode", "regular", "--out", str(out),
+                   "--config", str(config)) == 0
+    recorded = json.loads(out.read_text())["config"]
+    assert (recorded["epochs"], recorded["tau"], recorded["seed"]) == (3, 3, 7)
+    assert all(type(recorded[k]) is int for k in ("epochs", "tau", "seed"))
+
+
 def test_train_without_flags_records_the_defaults(tmp_path, rng, monkeypatch):
-    # a config file's null lambda2_grid and cv_epochs also mean the defaults
+    # a config file's null lambda2_grid and cv_epochs also mean the defaults;
+    # one usable core keeps the CV cells in this process, where `trained` counts them
     trained = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     def no_epochs(dataset, init, config):
         trained.append(config)

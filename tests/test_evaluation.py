@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kflow.evaluation
 from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.evaluation import (
     DEFAULT_LAMBDA2_GRID,
@@ -12,6 +15,7 @@ from kflow.evaluation import (
     EvalProtocol,
     _derive_seed,
     _fold_blocks,
+    _map_tasks,
     benchmark_system,
     emit_distribution_csv,
     emit_report,
@@ -177,24 +181,57 @@ def test_run_benchmark_order_stable(rng):
         tau=3, lambda2_grid=(0.0,), train_config=quick_config(2),
         rollout_steps=3,
     )
-    rows = run_benchmark(series, protocol, threads=1)
+    rows = run_benchmark(series, protocol)
     assert [r.system for r in rows] == ["s0", "s1", "s2"]
     counts = win_counts(rows)
     assert sum(counts.values()) == 3
 
 
-def test_run_benchmark_threaded_matches_serial(rng):
+def _usable_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_map_tasks_runs_forked_workers_in_task_order(monkeypatch):
+    _usable_cores(monkeypatch, 2)
+    got = _map_tasks(lambda shared, i: (shared + i, os.getpid()), 10, 5)
+    assert [value for value, _ in got] == [10, 11, 12, 13, 14]
+    assert os.getpid() not in {pid for _, pid in got}
+    assert multiprocessing.active_children() == []
+
+
+def test_run_benchmark_pool_matches_serial(rng, monkeypatch):
     series = [toy_series(rng, n=70, name=f"s{i}") for i in range(2)]
     protocol = EvalProtocol(
         tau=3, lambda2_grid=(0.0,), train_config=quick_config(2),
         rollout_steps=3,
     )
-    serial = run_benchmark(series, protocol, threads=1)
-    threaded = run_benchmark(series, protocol, threads=2)
-    for a, b in zip(serial, threaded):
-        assert a.system == b.system
-        for m in METHOD_NAMES:
-            assert a.smapes[m] == pytest.approx(b.smapes[m], rel=1e-9, abs=1e-12)
+    ds = toy_dataset(rng)
+    runs = []
+    for cores in (1, 2):
+        _usable_cores(monkeypatch, cores)
+        runs.append(([r.to_dict() for r in run_benchmark(series, protocol)],
+                     select_lambda2(ds, (0.0, 0.1), quick_config()).fold_smapes.tobytes()))
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1]
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(rng, monkeypatch):
+    def fail(*args):
+        raise WorkerFailure("not a recoverable training failure")
+
+    _usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(kflow.evaluation, "train", fail)
+    with pytest.raises(WorkerFailure):
+        select_lambda2(toy_dataset(rng), (0.0, 0.1), quick_config())
+    assert multiprocessing.active_children() == []
+    protocol = EvalProtocol(tau=3, lambda2_grid=(0.0,), train_config=quick_config(2))
+    with pytest.raises(WorkerFailure):
+        run_benchmark([toy_series(rng, n=70)], protocol)
+    assert multiprocessing.active_children() == []
 
 
 def test_sparse_path_with_zero_lambda2_equals_regular(rng):

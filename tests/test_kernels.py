@@ -17,6 +17,7 @@ from kflow.kernels import (
     THETA_SLICES,
     KernelEvalError,
     KernelParams,
+    _eval_block,
     _grad_blocks,
     _self_stats,
     clamp_theta,
@@ -357,7 +358,8 @@ def test_alpha_gradient_zero_weight_is_zero_matrix(point_cloud):
 
 
 def test_theta_gradient_linear_constant():
-    (D,) = _grad_blocks(0, _self_stats(np.array([[1.0], [2.0]])), make_theta(t1=3.0))
+    stats, theta = _self_stats(np.array([[1.0], [2.0]])), make_theta(t1=3.0)
+    (D,) = _grad_blocks(0, stats, theta, _eval_block(0, stats, theta))
     np.testing.assert_allclose(D, np.full((2, 2), 6.0), rtol=0, atol=0)
 
 
@@ -380,7 +382,7 @@ def test_gradients_match_finite_differences(rng):
     stats = _self_stats(X)
 
     for i, (lo, hi) in enumerate(THETA_SLICES):
-        grads = _grad_blocks(i, stats, theta)
+        grads = _grad_blocks(i, stats, theta, _eval_block(i, stats, theta))
         for j in range(lo, hi):
             name = f"theta_{j + 1}"
             got = alpha[i] ** 2 * grads[j - lo]

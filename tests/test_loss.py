@@ -13,6 +13,7 @@ from kflow.kernels import (
     THETA_SLICES,
     KernelEvalError,
     KernelParams,
+    _grad_blocks,
     _self_stats,
     gram,
 )
@@ -21,6 +22,7 @@ from kflow.loss import (
     FactorizationError,
     LossBreakdown,
     RidgeSystem,
+    _BatchTerms,
     _nested_eval,
     grad_loss,
     regularized_quadratic_form,
@@ -353,14 +355,35 @@ def test_grad_matches_finite_differences_fixture(rng):
     assert mismatched == 0, f"{mismatched}/{checked} coordinates off"
 
 
+def test_derivative_blocks_take_the_held_value_block_bitwise(rng):
+    # the ten terms whose derivative contains their own value read it from
+    # the block _BatchTerms holds, after a theta move (blocks evaluated
+    # afresh) and at an unchanged theta (blocks handed on), and equal the
+    # derivative computed from scratch, _kN evaluated again, bit for bit
+    params, X, Y, _ = smooth_fixture(rng, n=40)
+    moved = KernelParams(params.alpha, params.theta * 1.01)
+    first = _BatchTerms(params, X, Y, 0.05)
+    for terms in (_BatchTerms(moved, X, Y, 0.05, first),
+                  _BatchTerms(moved, X, Y, 0.05, _BatchTerms(moved, X, Y, 0.05, first))):
+        for kernel_id in (3, 4, 5, 6, 7, 8, 9, 14, 15, 20):
+            i = kernel_id - 1
+            with np.errstate(all="ignore"):
+                fresh = ELEMENTALS[i](*terms.stats, moved.theta)
+                want = ELEMENTAL_GRADS[i](*terms.stats, moved.theta, fresh)
+            got = _grad_blocks(i, terms.stats, moved.theta, terms.blocks[i])
+            assert terms.blocks[i].tobytes() == fresh.tobytes(), kernel_id
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kernel_id
+
+
 def _two_batch_gradient(params, X, Y, lam):
     """(qf, d qf/d alpha, d qf/d theta) of one batch, from its own geometry."""
     stats = _self_stats(X)
     W = np.linalg.solve(gram(params, X) + lam * np.eye(len(X)), Y)
     ga, gt = np.zeros(N_KERNELS), np.zeros(N_THETA)
     for i, (a, (lo, _)) in enumerate(zip(params.alpha, THETA_SLICES)):
-        ga[i] = -2.0 * a * np.sum(W * (ELEMENTALS[i](*stats, params.theta) @ W))
-        for off, grad in enumerate(ELEMENTAL_GRADS[i](*stats, params.theta)):
+        block = ELEMENTALS[i](*stats, params.theta)
+        ga[i] = -2.0 * a * np.sum(W * (block @ W))
+        for off, grad in enumerate(ELEMENTAL_GRADS[i](*stats, params.theta, block)):
             gt[lo + off] = -a * a * np.sum(W * (grad @ W))
     return float(np.sum(Y * W)), ga, gt
 
