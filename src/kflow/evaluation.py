@@ -22,11 +22,13 @@ harness.
 ``kflow train --mode sparse`` runs SparseKF's recipe (select_lambda2, then
 train), and both commands resolve their settings into one EvalProtocol.
 
-Independent trainings (the CV cells, TrainedRBF and RegularKF) run in
-forked worker processes, one per core of the process's CPU affinity
-(``taskset`` limits them), bit-identical to serial at the same BLAS
-thread count.  They run serially where one core is usable, the platform
-cannot fork, or the caller has other threads (forking those is unsafe).
+Independent trainings run in forked workers, one per core of the CPU
+affinity (``taskset`` limits them), bit-identical to serial at the same
+BLAS thread count.  Per system, one pool runs the CV cells, then
+TrainedRBF and RegularKF; the parent scores RBF, selects lambda2 from
+the cells and trains, fits and scores SparseKF while the workers run the
+dense methods.  With one usable core, no fork, or other threads in the
+caller (forking those is unsafe), each task runs in the parent when asked.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -55,29 +59,35 @@ _RECOVERABLE = (FactorizationError, DegenerateBatchError, KernelEvalError,
                 TrainingAborted, RolloutDiverged, ValueError)
 
 
-def _start_worker(fn, shared) -> None:
-    global _worker_job  # set in worker processes only
-    _worker_job = (fn, shared)
+def _start_worker(tasks) -> None:
+    global _worker_tasks  # set in worker processes only
+    _worker_tasks = tasks
 
 
-def _run_in_worker(task: int):
-    fn, shared = _worker_job
-    return fn(shared, task)
+def _run_in_worker(i: int):
+    return _worker_tasks[i]()
 
 
-def _map_tasks(fn, shared, n_tasks: int) -> list:
-    """[fn(shared, i) for i in range(n_tasks)], in forked workers where safe.
+@contextmanager
+def _task_pool(tasks: list):
+    """Yield result(i) = tasks[i](), computed in forked workers where safe.
 
-    ``shared`` reaches each worker once, by the fork: only task indices and
-    results are pickled.  fn scores recoverable failures; any other error
-    re-raises here with its type, after the pool has shut down.
+    Workers take the tasks in list order; the tasks reach them by the fork
+    and only indices and results are pickled.  An unrecoverable error
+    re-raises from result(i) with its type; on leaving, pending tasks are
+    cancelled and the pool is shut down.
     """
-    workers = min(n_tasks, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(tasks), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        return [fn(shared, i) for i in range(n_tasks)]
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(fn, shared)) as pool:
-        return list(pool.map(_run_in_worker, range(n_tasks)))
+        yield lambda i: tasks[i]()
+        return
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(tasks,))
+    try:
+        futures = [pool.submit(_run_in_worker, i) for i in range(len(tasks))]
+        yield lambda i: futures[i].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _derive_seed(base: int, *keys: int) -> int:
@@ -137,6 +147,31 @@ def _cv_cell(shared, task: int) -> float:
         return np.inf
 
 
+def _cv_cells(dataset: DelayDataset, grid, config: TrainConfig):
+    """(grid, its 3 * len(grid) _cv_cell tasks); ValueError if none can run."""
+    grid = tuple(float(g) for g in grid)
+    if not grid:
+        raise ValueError("lambda2 grid must be nonempty")
+    n = dataset.n_pairs
+    if n < 9:
+        raise ValueError(f"need at least 9 embedded pairs for 3 folds, got {n}")
+    shared = (dataset, _fold_blocks(n), default_init(dataset, config.seed), grid, config)
+    return grid, [partial(_cv_cell, shared, i) for i in range(3 * len(grid))]
+
+
+def _select(grid: tuple, cell_smapes) -> CvResult:
+    """CvResult of the cells: the smallest mean SMAPE wins, ties prefer the smaller lambda2."""
+    fold_smapes = np.array(cell_smapes).reshape(len(grid), 3)
+    mean_smapes = fold_smapes.mean(axis=1)
+    best = np.inf
+    selected = grid[0]
+    for ci, lam2 in enumerate(grid):
+        m = mean_smapes[ci]
+        if m < best or (m == best and lam2 < selected):
+            best, selected = m, lam2
+    return CvResult(grid, fold_smapes, mean_smapes, float(selected))
+
+
 def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
                    config: TrainConfig = TrainConfig()) -> CvResult:
     """3-fold blocked cross-validation over the lambda2 grid.
@@ -147,22 +182,9 @@ def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
     Deterministic given config.seed; every cell derives its own batch
     stream from it but shares the same initialization.
     """
-    grid = tuple(float(g) for g in grid)
-    if not grid:
-        raise ValueError("lambda2 grid must be nonempty")
-    n = dataset.n_pairs
-    if n < 9:
-        raise ValueError(f"need at least 9 embedded pairs for 3 folds, got {n}")
-    shared = (dataset, _fold_blocks(n), default_init(dataset, config.seed), grid, config)
-    fold_smapes = np.array(_map_tasks(_cv_cell, shared, 3 * len(grid))).reshape(len(grid), 3)
-    mean_smapes = fold_smapes.mean(axis=1)
-    best = np.inf
-    selected = grid[0]
-    for ci, lam2 in enumerate(grid):
-        m = mean_smapes[ci]
-        if m < best or (m == best and lam2 < selected):
-            best, selected = m, lam2
-    return CvResult(grid, fold_smapes, mean_smapes, float(selected))
+    grid, cells = _cv_cells(dataset, grid, config)
+    with _task_pool(cells) as result:
+        return _select(grid, [result(i) for i in range(len(cells))])
 
 
 @dataclass(frozen=True)
@@ -258,12 +280,10 @@ def _scored(params_fn, prepared: PreparedSeries, protocol: EvalProtocol):
         return None
 
 
-def _dense_method(shared, task: int):
-    """_scored of dense training from init task: TrainedRBF (0) or RegularKF (1)."""
-    prepared, inits, protocol = shared
+def _dense_method(prepared: PreparedSeries, init: KernelParams, protocol: EvalProtocol):
+    """_scored of dense training from ``init``: TrainedRBF or RegularKF."""
     dense = replace(protocol.train_config, lambda2=0.0)
-    return _scored(lambda: train(prepared.train, inits[task], dense).final_params,
-                   prepared, protocol)
+    return _scored(lambda: train(prepared.train, init, dense).final_params, prepared, protocol)
 
 
 def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow:
@@ -280,20 +300,25 @@ def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow
 
     train_ds = prepared.train
     full_init = default_init(train_ds, config.seed)
-    results = {"RBF": _scored(fixed_rbf_params, prepared, protocol)}
-    results.update(zip(("TrainedRBF", "RegularKF"), _map_tasks(
-        _dense_method, (prepared, (gaussian_only_init(full_init), full_init), protocol), 2)))
+    try:
+        grid, cells = _cv_cells(train_ds, protocol.lambda2_grid, protocol.cv_config)
+    except ValueError:  # SparseKF cannot cross-validate and fails; the dense methods still run
+        grid, cells = (), []
+    dense = [partial(_dense_method, prepared, init, protocol)
+             for init in (gaussian_only_init(full_init), full_init)]
+    with _task_pool(cells + dense) as result:
+        rbf = _scored(fixed_rbf_params, prepared, protocol)
 
-    def sparse_params():
-        nonlocal selected  # recorded even when the final training fails
-        selected = select_lambda2(train_ds, protocol.lambda2_grid,
-                                  protocol.cv_config).selected_lambda2
-        return train(train_ds, full_init, replace(config, lambda2=selected)).final_params
+        def sparse_params():
+            nonlocal selected  # recorded even when the final training fails
+            selected = _select(grid, [result(i) for i in range(len(cells))]).selected_lambda2
+            return train(train_ds, full_init, replace(config, lambda2=selected)).final_params
 
-    results["SparseKF"] = _scored(sparse_params, prepared, protocol)
-    for name, result in results.items():
-        if result is not None:
-            smapes[name], hds[name], nnz[name] = result
+        sparse = _scored(sparse_params, prepared, protocol) if cells else None
+        scores = (rbf, result(len(cells)), result(len(cells) + 1), sparse)
+    for name, scored in zip(METHOD_NAMES, scores):
+        if scored is not None:
+            smapes[name], hds[name], nnz[name] = scored
 
     finite = [m for m in METHOD_NAMES if np.isfinite(smapes[m])]
     best = min(finite, key=lambda m: smapes[m]) if finite else "none"

@@ -1,7 +1,9 @@
 import json
 import multiprocessing
 import os
+import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from kflow.evaluation import (
     EvalProtocol,
     _derive_seed,
     _fold_blocks,
-    _map_tasks,
+    _task_pool,
     benchmark_system,
     emit_distribution_csv,
     emit_report,
@@ -191,16 +193,27 @@ def _usable_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def test_map_tasks_runs_forked_workers_in_task_order(monkeypatch):
+def test_task_pool_runs_forked_workers_in_task_order(monkeypatch):
+    tasks = [partial(lambda shared, i: (shared + i, os.getpid()), 10, i) for i in range(5)]
     _usable_cores(monkeypatch, 2)
-    got = _map_tasks(lambda shared, i: (shared + i, os.getpid()), 10, 5)
+    with _task_pool(tasks) as result:
+        got = [result(i) for i in range(5)]
     assert [value for value, _ in got] == [10, 11, 12, 13, 14]
     assert os.getpid() not in {pid for _, pid in got}
     assert multiprocessing.active_children() == []
+    # serially, a task runs in the caller only when its result is asked for
+    asked = []
+    _usable_cores(monkeypatch, 1)
+    with _task_pool([partial(asked.append, i) for i in range(3)]) as result:
+        assert asked == []
+        result(2)
+        assert asked == [2]
 
 
 def test_run_benchmark_pool_matches_serial(rng, monkeypatch):
-    series = [toy_series(rng, n=70, name=f"s{i}") for i in range(2)]
+    # the middle series is too short to prepare, the last too short to cross-validate
+    series = [toy_series(rng, n=70, name="s0"), TimeSeries(rng.normal(size=(4, 2)), 0.1, "s1"),
+              toy_series(rng, n=70, name="s2"), toy_series(rng, n=14, name="s3")]
     protocol = EvalProtocol(
         tau=3, lambda2_grid=(0.0,), train_config=quick_config(2),
         rollout_steps=3,
@@ -213,15 +226,70 @@ def test_run_benchmark_pool_matches_serial(rng, monkeypatch):
                      select_lambda2(ds, (0.0, 0.1), quick_config()).fold_smapes.tobytes()))
         assert multiprocessing.active_children() == []
     assert runs[0] == runs[1]
+    rows = runs[0][0]
+    assert rows[1]["best"] == "none" and rows[3]["selected_lambda2"] is None
+    assert np.isinf(rows[3]["SparseKF_smape"]) and "RegularKF" in rows[3]["nnz"]
+
+
+def _record_trainings(monkeypatch, log):
+    """Patch evaluation.train to append 'pid n_pairs init_nnz lambda2' lines to ``log``."""
+    real_train = kflow.evaluation.train
+
+    def recording(dataset, init, config):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {dataset.n_pairs} {init.nnz} {config.lambda2}\n")
+        return real_train(dataset, init, config)
+
+    monkeypatch.setattr(kflow.evaluation, "train", recording)
+
+
+def test_benchmark_trains_sparse_kf_in_the_parent_and_the_rest_in_workers(
+        rng, monkeypatch, tmp_path):
+    # forked children cannot reach a closure in the parent, so pids go through a file
+    series = toy_series(rng, n=70)
+    protocol = EvalProtocol(tau=3, lambda2_grid=(0.1,), train_config=quick_config(2),
+                            rollout_steps=3)
+    n_train = prepare_series(series, 3, protocol.train_fraction).train.n_pairs
+    parent = os.getpid()
+    for cores in (2, 1):
+        log = tmp_path / f"{cores}.log"
+        _usable_cores(monkeypatch, cores)
+        _record_trainings(monkeypatch, log)
+        row = benchmark_system(series, protocol)
+        assert row.selected_lambda2 == 0.1
+        where = {}
+        for line in log.read_text().splitlines():
+            pid, n, nnz, lam2 = line.split()
+            method = ("CV cell" if int(n) < n_train else "TrainedRBF" if nnz == "1"
+                      else "SparseKF" if float(lam2) == 0.1 else "RegularKF")
+            where.setdefault(method, []).append(int(pid))
+        assert sorted(map(len, where.values())) == [1, 1, 1, 3]
+        if cores == 1:
+            assert {pid for pids in where.values() for pid in pids} == {parent}
+        else:
+            assert where["SparseKF"] == [parent]
+            workers = set(where["CV cell"] + where["TrainedRBF"] + where["RegularKF"])
+            assert parent not in workers and len(workers) <= cores  # one pool per system
+        assert multiprocessing.active_children() == []
 
 
 class WorkerFailure(Exception):
     pass
 
 
-def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(rng, monkeypatch):
+def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(rng, monkeypatch, tmp_path):
+    real_train = kflow.evaluation.train
+    parent = os.getpid()
+
     def fail(*args):
         raise WorkerFailure("not a recoverable training failure")
+
+    def fail_where(condition):
+        def failing_train(dataset, init, config):
+            if condition(dataset):
+                fail()
+            return real_train(dataset, init, config)
+        return failing_train
 
     _usable_cores(monkeypatch, 2)
     monkeypatch.setattr(kflow.evaluation, "train", fail)
@@ -229,9 +297,32 @@ def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(rng, monkeypa
         select_lambda2(toy_dataset(rng), (0.0, 0.1), quick_config())
     assert multiprocessing.active_children() == []
     protocol = EvalProtocol(tau=3, lambda2_grid=(0.0,), train_config=quick_config(2))
+    series = toy_series(rng, n=70)
     with pytest.raises(WorkerFailure):
-        run_benchmark([toy_series(rng, n=70)], protocol)
+        run_benchmark([series], protocol)
     assert multiprocessing.active_children() == []
+    n_train = prepare_series(series, 3, protocol.train_fraction).train.n_pairs
+    # the parent's final SparseKF training fails while the dense methods are queued or
+    # running; then a dense method fails in a worker and surfaces when the parent collects it
+    for condition in (lambda ds: os.getpid() == parent,
+                      lambda ds: os.getpid() != parent and ds.n_pairs == n_train):
+        monkeypatch.setattr(kflow.evaluation, "train", fail_where(condition))
+        with pytest.raises(WorkerFailure):
+            run_benchmark([series], protocol)
+        assert multiprocessing.active_children() == []
+    # an error in the caller cancels the tasks that no worker has taken
+    log = tmp_path / "started"
+
+    def slow_task():
+        with open(log, "a") as f:
+            f.write("started\n")
+        time.sleep(0.2)
+
+    with pytest.raises(WorkerFailure):
+        with _task_pool([slow_task] * 10):
+            fail()
+    assert multiprocessing.active_children() == []
+    assert len(log.read_text().splitlines() if log.exists() else []) < 10
 
 
 def test_sparse_path_with_zero_lambda2_equals_regular(rng):
