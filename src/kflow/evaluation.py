@@ -29,6 +29,7 @@ TrainedRBF and RegularKF; the parent scores RBF, selects lambda2 from
 the cells and trains, fits and scores SparseKF while the workers run the
 dense methods.  With one usable core, no fork, or other threads in the
 caller (forking those is unsafe), each task runs in the parent when asked.
+Kernel tiles take no helper threads in a worker or beside live ones.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .embedding import DelayDataset, TimeSeries, build_delay_dataset, split_train_test
 from .forecast import RolloutDiverged, fit, one_step_forecast, rollout
-from .kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA
+from .kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA, _usable_cores
 from .loss import DegenerateBatchError, FactorizationError
 from .metrics import hausdorff, smape
 from .systems import Standardizer
@@ -77,7 +78,7 @@ def _task_pool(tasks: list):
     re-raises from result(i) with its type; on leaving, pending tasks are
     cancelled and the pool is shut down.
     """
-    workers = min(len(tasks), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(tasks), _usable_cores())
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         yield lambda i: tasks[i]()
         return

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import DelayDataset
-from .kernels import KernelEvalError, KernelParams, cross_gram, gram
+from .kernels import KernelEvalError, KernelParams, _kernel_matrix, cross_gram, gram
 from .loss import RidgeSystem
 
 
@@ -77,17 +77,26 @@ def fit(params: KernelParams, dataset: DelayDataset, lambda1: float) -> TrainedM
     )
 
 
-def predict_one(model: TrainedModel, window) -> np.ndarray:
-    """Next state for a single delay window (length tau*d, newest first)."""
+def _window(model: TrainedModel, window) -> np.ndarray:
     window = np.asarray(window, dtype=float).ravel()
     if window.size != model.train_X.shape[1]:
-        raise ValueError(
-            f"window length {window.size} != tau*d = {model.train_X.shape[1]}"
-        )
-    k_row = cross_gram(model.params, window[None, :], model.train_X)
+        raise ValueError(f"window length {window.size} != tau*d = {model.train_X.shape[1]}")
+    return window
+
+
+def _predict(model: TrainedModel, window: np.ndarray, sq_train=None) -> np.ndarray:
+    """Next state for a checked window; sq_train: the training windows' squared norms."""
+    A = window[None, :]
+    same = A.shape == model.train_X.shape and np.array_equal(A, model.train_X)  # as cross_gram
+    k_row = _kernel_matrix(model.params, A, None if same else model.train_X, sq_train)
     # rollout turns a non-finite prediction into RolloutDiverged
     with np.errstate(over="ignore", invalid="ignore"):
         return (k_row @ model.coefficients)[0]
+
+
+def predict_one(model: TrainedModel, window) -> np.ndarray:
+    """Next state for a single delay window (length tau*d, newest first)."""
+    return _predict(model, _window(model, window))
 
 
 def one_step_forecast(model: TrainedModel, test: DelayDataset) -> np.ndarray:
@@ -110,12 +119,13 @@ def rollout(model: TrainedModel, seed_window, steps: int) -> np.ndarray:
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
-    window = np.asarray(seed_window, dtype=float).ravel().copy()
+    window = _window(model, seed_window).copy()
+    sq_train = (model.train_X * model.train_X).sum(axis=1)  # as _kernel_matrix does
     d = model.dim
     out = np.empty((steps, d))
     for t in range(steps):
         try:
-            state = predict_one(model, window)
+            state = _predict(model, window, sq_train)
         except KernelEvalError:
             # an overflowing window blows up inside the kernel itself
             raise RolloutDiverged(t, out[:t].copy()) from None

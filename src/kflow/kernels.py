@@ -9,9 +9,10 @@ Every elemental is a function of the pair geometry only: the inner
 product ``s = x.y``, the Euclidean distance ``r = ||x - y||`` and its
 square ``q = r**2``.  Every evaluation (``gram``, ``cross_gram``, and the
 scalar entry points as 1x1 ``cross_gram`` calls) forms ``S = A B'`` once,
-then per cache-sized row tile (s, r, q) and the sum of the active terms
-through one checked block evaluator.  A Gram's tiles cover its upper
-triangle and are mirrored into the lower one: it is symmetric bitwise.
+then per cache-sized row tile (s, r, q) and the sum of the active terms,
+checked once.  Outside process pools the tiles run on the usable cores,
+bit-identical to serial.  A Gram's tiles cover its upper triangle and
+are mirrored into the lower one: it is symmetric bitwise.
 
 Weights enter squared, so a combination is nonnegative whenever its
 terms are, and ``alpha_i == 0`` removes term i exactly (the elemental
@@ -37,6 +38,9 @@ IEEE warnings are silenced: these checks report instead.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,11 +435,8 @@ def _check_finite(arr, kernel_id):
 
 
 def _eval_block(index: int, stats, theta) -> np.ndarray:
-    """Elemental Gram block, silencing IEEE noise; finiteness is checked."""
-    with np.errstate(all="ignore"):
-        block = ELEMENTALS[index](*stats, theta)
-    _check_finite(block, index + 1)
-    return block
+    """Elemental Gram block; the caller silences IEEE noise and checks the sum."""
+    return ELEMENTALS[index](*stats, theta)
 
 
 def _grad_blocks(index: int, stats, theta, block):
@@ -448,38 +449,80 @@ def _grad_blocks(index: int, stats, theta, block):
 
 
 def _weighted_sum(shape, alpha, block):
-    """Checked sum of alpha[i]**2 * block(i) over the nonzero weights, ascending i."""
+    """Sum of alpha[i]**2 * block(i) over the nonzero weights, ascending i, checked once:
+    a non-finite block makes the total non-finite (0 * inf is nan), and only then is it named."""
+    active = [i for i in range(N_KERNELS) if alpha[i] != 0.0]
     total = np.zeros(shape)
     with np.errstate(all="ignore"):
-        for i in range(N_KERNELS):
-            a = alpha[i]
-            if a != 0.0:
-                total += (a * a) * block(i)
-    if not np.all(np.isfinite(total)):
-        raise KernelEvalError("weighted kernel sum is non-finite (check the alpha scale)")
-    return total
+        for i in active:
+            total += (alpha[i] * alpha[i]) * block(i)
+        if np.all(np.isfinite(total)):
+            return total
+        for i in active:
+            _check_finite(block(i), i + 1)
+    raise KernelEvalError("weighted kernel sum is non-finite (check the alpha scale)")
 
 
 def _combine(params: KernelParams, stats):
-    """Checked weighted sum of the active elementals on one tile's geometry;
-    of elementals failing in different tiles, the first met in tile order is named."""
+    """Checked weighted sum of the active elementals on one tile's geometry."""
     return _weighted_sum(np.broadcast(stats[0], stats[2]).shape, params.alpha,
                          lambda i: _eval_block(i, stats, params.theta))
 
 
-def _kernel_matrix(params: KernelParams, A, B=None) -> np.ndarray:
-    """k(A_i, B_j) in row tiles of about _TILE entries; the Gram of A if B is None."""
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_tiles(tile, count: int) -> None:
+    """tile(0..count-1), handed out in order to this thread and helpers on the usable cores
+    (none in a pool worker or beside live ones).  A failure stops the hand-out after every
+    earlier tile, so the first failing tile re-raises, as serially.  No helper outlives it."""
+    tiles, lock, errors = iter(range(count)), threading.Lock(), {}
+
+    def take():
+        with lock:
+            return None if errors else next(tiles, None)
+
+    def work():
+        with np.errstate(all="ignore"):  # errstate does not carry into a new thread
+            for i in iter(take, None):
+                try:
+                    tile(i)
+                except BaseException as exc:  # re-raised by the caller
+                    errors[i] = exc
+
+    serial = count < 2 or multiprocessing.parent_process() or multiprocessing.active_children()
+    helpers = [] if serial else [threading.Thread(target=work)
+                                 for _ in range(min(count, _usable_cores()) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+
+
+def _kernel_matrix(params: KernelParams, A, B=None, sq_b=None) -> np.ndarray:
+    """k(A_i, B_j) in row tiles of about _TILE entries; the Gram of A if B is None.
+    sq_b: B's squared row norms, if the caller has them."""
     sym = B is None
     with np.errstate(all="ignore"):
         S = A @ (A if sym else B).T
         sq_a = np.diagonal(S).copy() if sym else (A * A).sum(axis=1)
-        sq_b = sq_a if sym else (B * B).sum(axis=1)
+        sq_b = sq_a if sym else (B * B).sum(axis=1) if sq_b is None else sq_b
         m, n = S.shape
         K = np.empty((m, n))
-        a = 0
-        while a < m:
+        rows = [0]
+        while rows[-1] < m:
+            a = rows[-1]
+            rows.append(min(m, a + max(1, _TILE // max(1, n - (a if sym else 0)))))
+
+        def tile(t):
+            a, b = rows[t], rows[t + 1]
             lo = a if sym else 0
-            b = min(m, a + max(1, _TILE // max(1, n - lo)))
             if sym:  # tile rows [a, b) x columns [a, n): S's upper triangle only
                 S[a:b, a:b] = np.triu(S[a:b, a:b]) + np.triu(S[a:b, a:b], 1).T
             q = sq_a[a:b, None] + sq_b[None, lo:] - 2.0 * S[a:b, lo:]
@@ -489,7 +532,8 @@ def _kernel_matrix(params: KernelParams, A, B=None) -> np.ndarray:
             K[a:b, lo:] = _combine(params, (S[a:b, lo:], np.sqrt(q), q))
             if sym:
                 K[b:, a:b] = K[a:b, b:].T
-            a = b
+
+        _run_tiles(tile, len(rows) - 1)
     return K
 
 

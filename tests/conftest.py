@@ -31,6 +31,17 @@ def single_kernel(kernel_id, theta=None, weight=1.0):
     return KernelParams(alpha, np.ones(N_THETA) if theta is None else theta)
 
 
+def pin_usable_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture(params=[1, 2], ids=["1core", "2cores"])
+def usable_cores(request, monkeypatch):
+    """Pin the usable-core count to 1 and to 2: kernel tiles run serially, then threaded."""
+    pin_usable_cores(monkeypatch, request.param)
+    return request.param
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

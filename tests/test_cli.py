@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,6 +13,8 @@ import pytest
 import kflow
 import kflow.cli
 import kflow.evaluation
+import kflow.kernels
+from conftest import pin_usable_cores
 from kflow.cli import main
 from kflow.evaluation import EvalProtocol
 from kflow.systems import load_csv
@@ -98,6 +101,30 @@ def test_benchmark_report_is_the_same_with_blas_variables_unset_or_one(tmp_path,
                         str(tmp_path / name), "--steps", "4", *FAST], **blas)
         reports.append((tmp_path / name / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_artifacts_are_byte_identical_at_one_and_two_usable_cores(tmp_path, rng, monkeypatch):
+    # a small tile makes every kernel matrix span many tiles, so two cores thread them
+    monkeypatch.setattr(kflow.kernels, "_TILE", 64)
+    data = toy_csv(tmp_path, rng)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{data}\n")
+    out, artifacts = tmp_path / "out", []  # one path: forecast artifacts record the model's
+    for cores in (1, 2):
+        pin_usable_cores(monkeypatch, cores)
+        model = str(out / "model.json")
+        assert run_cli("train", str(data), "--mode", "sparse", "--out", model, "--seed", "1",
+                       *FAST) == 0
+        for mode in ("onestep", "rollout"):
+            assert run_cli("forecast", "--model", model, "--input", str(data), "--mode", mode,
+                           "--out", str(out / f"{mode}.csv")) == 0
+        assert run_cli("benchmark", str(manifest), "--out-dir", str(out / "bench"),
+                       "--steps", "4", *FAST) == 0
+        artifacts.append({str(p.relative_to(out)): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        shutil.rmtree(out)
+    assert "bench/report.json" in artifacts[0] and "rollout.csv" in artifacts[0]
+    assert artifacts[0] == artifacts[1]
 
 
 def test_train_forecast_pipeline(tmp_path, rng, capsys):

@@ -1,14 +1,17 @@
 import json
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import kflow.evaluation
+import kflow.kernels
 from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.evaluation import (
     DEFAULT_LAMBDA2_GRID,
@@ -28,7 +31,7 @@ from kflow.evaluation import (
     win_counts,
 )
 from kflow.forecast import fit, one_step_forecast
-from kflow.kernels import N_KERNELS
+from kflow.kernels import N_KERNELS, gram
 from kflow.metrics import smape
 from kflow.training import TrainConfig, default_init, train
 
@@ -271,6 +274,30 @@ def test_benchmark_trains_sparse_kf_in_the_parent_and_the_rest_in_workers(
             workers = set(where["CV cell"] + where["TrainedRBF"] + where["RegularKF"])
             assert parent not in workers and len(workers) <= cores  # one pool per system
         assert multiprocessing.active_children() == []
+
+
+def test_kernel_tiles_start_no_thread_in_a_pool_or_beside_one(rng, monkeypatch, tmp_path):
+    # forked children cannot reach a closure in the parent, so thread starts go through a file
+    log = tmp_path / "threads.log"
+
+    class Recorded(threading.Thread):
+        def start(self):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            super().start()
+
+    monkeypatch.setattr(kflow.kernels, "threading", SimpleNamespace(Thread=Recorded,
+                                                                    Lock=threading.Lock))
+    monkeypatch.setattr(kflow.kernels, "_TILE", 64)  # every kernel matrix here spans many tiles
+    _usable_cores(monkeypatch, 2)
+    protocol = EvalProtocol(tau=3, lambda2_grid=(0.1,), train_config=quick_config(2),
+                            rollout_steps=3)
+    # workers train the CV cells and the dense methods; the parent trains and fits SparseKF
+    benchmark_system(toy_series(rng, n=70), protocol)
+    assert not log.exists()
+    assert multiprocessing.active_children() == []
+    gram(fixed_rbf_params(), rng.normal(size=(20, 2)))  # no pool: the parent's tiles get a helper
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 class WorkerFailure(Exception):

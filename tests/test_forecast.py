@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kflow.forecast
 from conftest import make_theta, single_kernel
 from kflow.embedding import DelayDataset, TimeSeries, build_delay_dataset
 from kflow.forecast import (
@@ -11,7 +12,9 @@ from kflow.forecast import (
     predict_one,
     rollout,
 )
-from kflow.kernels import KernelParams, N_KERNELS, N_THETA
+from kflow.evaluation import prepare_series
+from kflow.kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA
+from kflow.systems import builtin_systems, integrate_rk4
 
 
 def gaussian_params(width=1.0):
@@ -139,6 +142,56 @@ def test_rollout_divergence_truncates_and_reports():
     assert 0 < info.value.step < 800
     assert info.value.partial.shape == (info.value.step, 1)
     np.testing.assert_allclose(info.value.partial[:4, 0], [3.0, 9.0, 27.0, 81.0])
+
+
+def _chained_predict_one(model, window, steps):
+    """Reference rollout: (path, divergence step or None) from predict_one calls."""
+    window, d, path = np.asarray(window, dtype=float), model.dim, []
+    for t in range(steps):
+        try:
+            state = predict_one(model, window)
+        except KernelEvalError:
+            return np.array(path).reshape(-1, d), t
+        if not np.all(np.isfinite(state)):
+            return np.array(path).reshape(-1, d), t
+        path.append(state)
+        window = np.concatenate([state, window[:-d]])
+    return np.array(path), None
+
+
+def _lorenz_prepared():
+    lorenz = next(s for s in builtin_systems() if s.name == "lorenz")
+    return prepare_series(integrate_rk4(lorenz, 400), 5, 0.8)
+
+
+def test_rollout_equals_chained_predict_one_bitwise():
+    prepared = _lorenz_prepared()
+    test = prepared.test
+    model = fit(KernelParams.random(np.random.default_rng(3)), prepared.train, 0.05)
+    want, step = _chained_predict_one(model, test.X[0], test.n_pairs)
+    assert step is None
+    assert rollout(model, test.X[0], test.n_pairs).tobytes() == want.tobytes()
+    # the linear kernel with tripled coefficients grows until the sum overflows
+    linear = fit(single_kernel(1), prepared.train, 0.05)
+    linear = TrainedModel(linear.params, linear.train_X, 3.0 * linear.coefficients,
+                          linear.lambda1, linear.tau, linear.dim)
+    want, step = _chained_predict_one(linear, test.X[0], 1000)
+    assert step is not None and step > 0
+    with pytest.raises(RolloutDiverged) as info:
+        rollout(linear, test.X[0], 1000)
+    assert info.value.step == step
+    assert info.value.partial.tobytes() == want.tobytes()
+
+
+def test_rollout_checks_the_seed_window_before_any_step(rng, monkeypatch):
+    ds = scattered_dataset(rng)
+    model = fit(gaussian_params(), ds, 0.05)
+    steps = []
+    monkeypatch.setattr(kflow.forecast, "_kernel_matrix", lambda *args: steps.append(args))
+    for seed in (ds.X[0][:-1], np.append(ds.X[0], 0.0)):
+        with pytest.raises(ValueError, match="window length"):
+            rollout(model, seed, 3)
+    assert steps == []
 
 
 def test_rollout_bad_steps():

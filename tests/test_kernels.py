@@ -1,12 +1,16 @@
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import make_theta, single_kernel
+from conftest import make_theta, pin_usable_cores, single_kernel
 from kflow import kernels
 from kflow.kernels import (
     ELEMENTALS,
@@ -338,6 +342,94 @@ def test_cross_gram_failure_in_last_tile_raises(rng, tile_rows, params, message)
         with pytest.raises(KernelEvalError, match=message):
             cross_gram(params, A, B)
     assert len(tile_rows) >= 3 and sum(tile_rows) == len(A)
+
+
+@pytest.fixture
+def tile_threads(monkeypatch):
+    """Idents of the threads that evaluated tiles; each tile sleeps 1 ms so helpers get some."""
+    idents = []
+    combine = kernels._combine
+
+    def slowed(params, stats):
+        idents.append(threading.get_ident())
+        time.sleep(1e-3)
+        return combine(params, stats)
+
+    monkeypatch.setattr(kernels, "_combine", slowed)
+    return idents
+
+
+def test_threaded_tiles_equal_serial_bitwise(rng, monkeypatch, tile_threads):
+    # a lost or doubled tile would leave np.empty's garbage; a short switch interval
+    # interleaves the hand-out as much as the interpreter allows
+    monkeypatch.setattr(kernels, "_TILE", 64)
+    X, A, B = rng.normal(size=(40, 4)), rng.normal(size=(37, 4)), rng.normal(size=(23, 4))
+    full = KernelParams.random(rng)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 2, 4):
+            pin_usable_cores(monkeypatch, cores)
+            runs.append([])
+            for params in (full, _sparse(full)):
+                for matrix in (partial(gram, params, X), partial(cross_gram, params, A, B)):
+                    tile_threads.clear()
+                    runs[-1].append(matrix().tobytes())
+                    assert (len(set(tile_threads)) > 1) == (cores > 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({37: "k2"}, "elemental kernel 2"),                # a late tile only
+    ({5: "k9", 37: "k2"}, "elemental kernel 9"),       # two tiles: the earlier one is named,
+    ({5: "k2", 37: "k9"}, "elemental kernel 2"),       # not the lower kernel id
+    ({r: "k2" if r else "k9" for r in range(0, 40, 4)}, "elemental kernel 9"),  # every tile
+])
+def test_first_failing_tile_is_named_on_any_thread(rng, monkeypatch, usable_cores, tile_threads,
+                                                   rows, message):
+    # k2 overflows where s = 300 (with B's first row), k9 where q overflows;
+    # the k9 row points away from every B row, so k2's base there is floored, finite
+    monkeypatch.setattr(kernels, "_TILE", 4 * CROSS_COLS)
+    alpha = np.zeros(N_KERNELS)
+    alpha[[1, 8]] = 1.0
+    params = KernelParams(alpha, make_theta(t2=1.0, t3=0.0, t4=125.0))
+    A = rng.uniform(0.1, 1.0, size=(40, 3))
+    B = rng.uniform(0.1, 1.0, size=(CROSS_COLS, 3))
+    B[0] = [1.8, 0.0, 2.4]
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(cross_gram(params, A, B)).all()
+        assert threading.active_count() == before
+        for row, kind in rows.items():
+            A[row] = (100.0 if kind == "k2" else -1e160) * np.array([0.6, 0.0, 0.8])
+        with pytest.raises(KernelEvalError, match=message):
+            cross_gram(params, A, B)
+    assert threading.active_count() == before
+
+
+def test_overflow_in_a_helper_thread_warns_nothing(monkeypatch, tile_threads):
+    # |a|^2 + |b|^2 overflows in every tile; errstate does not carry into a new thread
+    monkeypatch.setattr(kernels, "_TILE", 2 * CROSS_COLS)
+    pin_usable_cores(monkeypatch, 2)
+    A = np.zeros((20, 3))
+    A[:, 0] = 1.1e154
+    B = np.zeros((CROSS_COLS, 3))
+    B[:, 1] = 1.1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not cross_gram(single_kernel(3), A, B).any()  # q = inf: the Gaussian is 0
+    assert len(set(tile_threads)) == 2
+
+
+def test_nonfinite_elemental_is_named_when_its_weight_squared_underflows():
+    # (1e-170)**2 is 0, but 0 * nan is nan: the checked-once total still fails and names it
+    params = single_kernel(5, make_theta(t7=0.0), weight=1e-170)
+    with pytest.raises(KernelEvalError, match="elemental kernel 5.*theta_7"):
+        gram(params, np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,33 @@ def test_nested_eval_reused_terms_are_bitwise_identical(rng):
             [np.asarray(v).tobytes() for v in fresh]
 
 
+def test_nonfinite_elemental_on_the_loss_path_is_named_and_keeps_the_terms(rng):
+    # t7 = 0 makes elemental 5 nan: the batch path checks its sum once, names the
+    # elemental as gram does, and the epoch's terms keep the previous call's batch
+    X, Y, sub = rng.normal(size=(8, 2)), rng.normal(size=(8, 1)), np.arange(4)
+    good = KernelParams.random(rng)
+    theta = np.array(good.theta)
+    theta[6] = 0.0
+    bad = KernelParams(good.alpha, theta)
+    with pytest.raises(KernelEvalError) as expected:
+        gram(bad, X)
+    assert "elemental kernel 5" in str(expected.value)
+    terms = []
+    _nested_eval(good, X, Y, sub, 0.05, require_positive=False, terms=terms)
+    kept = terms[0]
+    calls = (lambda: _BatchTerms(bad, X, Y, 0.05),
+             lambda: _BatchTerms(bad, X, Y, 0.05, kept),
+             lambda: _nested_eval(bad, X, Y, sub, 0.05, wrt_theta=True,
+                                  require_positive=False, terms=terms))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(KernelEvalError) as info:
+                call()
+            assert str(info.value) == str(expected.value)
+    assert len(terms) == 1 and terms[0] is kept
+
+
 def test_overflowing_weighted_sum_raises_on_the_loss_path(rng):
     # every block is finite, but alpha**2 = 1e400 overflows the sum: the
     # loss path raises gram's typed error, with no IEEE warning on the way
