@@ -66,6 +66,21 @@ class CliDataError(Exception):
     pass
 
 
+# settings outside whose range a run scores nothing: key -> (test, the range in words)
+_RANGES = {"tau": (lambda v: v >= 1, "at least 1"),
+           "train_fraction": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+           "cv_epochs": (lambda v: v >= 0, "nonnegative"),
+           "steps": (lambda v: v >= 1, "at least 1")}
+
+
+def _in_range(key, value):
+    """value, unless it is set and outside key's range: then a data error naming key."""
+    test, words = _RANGES.get(key, (None, None))
+    if test and value is not None and not test(value):
+        raise CliDataError(f"setting {key!r} = {value!r}: must be {words}")
+    return value
+
+
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -101,9 +116,9 @@ def _load_config_file(path) -> dict:
 def _setting(args, key, cast, default):
     """Flag value if given, else config-file value, else default, cast.
 
-    A value that does not cast is a data error naming its key, and an int
-    setting takes an integral number only; null is the default only where
-    that default is None.
+    A value that does not cast, or falls outside its key's _RANGES entry, is
+    a data error naming its key, and an int setting takes an integral number
+    only; null is the default only where that default is None.
     """
     flag = getattr(args, key, None)
     value = flag if flag is not None else (args._config_doc or {}).get(key, default)
@@ -112,9 +127,10 @@ def _setting(args, key, cast, default):
     try:
         if cast is int and (isinstance(value, bool) or value != int(value)):
             raise ValueError("not an integer")
-        return cast(value)
+        value = cast(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise CliDataError(f"setting {key!r} = {value!r}: {err}") from None
+    return _in_range(key, value)
 
 
 def _grid(value) -> tuple:
@@ -137,7 +153,7 @@ def _protocol(args) -> EvalProtocol:
             for f in fields(TrainConfig) if f.name != "lambda2"
         }),
         cv_epochs=_setting(args, "cv_epochs", int, default.cv_epochs),
-        rollout_steps=getattr(args, "steps", None),
+        rollout_steps=_in_range("steps", getattr(args, "steps", None)),
     )
 
 
@@ -262,6 +278,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    steps = _in_range("steps", args.steps)
     with open(args.model, "r", encoding="utf-8") as fh:
         model_doc = json.load(fh)
     if model_doc.get("artifact") != "model":
@@ -281,7 +298,7 @@ def cmd_forecast(args) -> int:
         "model": str(args.model),
         "input": str(args.input),
         "mode": args.mode,
-        "steps": args.steps,
+        "steps": steps,
     }
     digest = _digest(args.input)
 
@@ -290,9 +307,8 @@ def cmd_forecast(args) -> int:
         truth_std = ds.Y
         divergence_step = None
     else:
-        steps = args.steps or ds.n_pairs
         try:
-            pred_std = rollout(model, ds.X[0], steps)
+            pred_std = rollout(model, ds.X[0], steps or ds.n_pairs)
             divergence_step = None
         except RolloutDiverged as err:
             pred_std = err.partial

@@ -20,7 +20,7 @@ is never evaluated, so a zeroed term cannot raise).
 
 Domain guards
 -------------
-Two elementals are clamped so they stay defined on the whole data
+Three elementals are guarded so they stay defined on the whole data
 domain during gradient-based optimization:
 
 * term 2, ``(t2^2 s + t3^2) ** |t4|``: the base is floored at ``EPS``
@@ -29,6 +29,10 @@ domain during gradient-based optimization:
   before exponentiation (negative t31 would be singular at r = 0);
 * term 21 returns 0 wherever its arccos/sqrt argument leaves [-1, 1],
   i.e. outside the region where the bracket is real-valued.
+
+The bare divisors t7, t10, t12, t15 (periods) and t26 (a length) are
+``clamped`` in :data:`DICTIONARY`: the optimizer's :func:`clamp_theta`
+keeps them at ``|t| >= EPS`` after every theta step.
 
 Everything else that produces a non-finite entry (for example t7 = 0
 inside the sin of term 5) raises :class:`KernelEvalError` naming the
@@ -41,12 +45,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-
-N_KERNELS = 21
-N_THETA = 34
 
 #: floor used for clamped power bases and for bare divisors re-projected
 #: by the optimizer
@@ -55,57 +58,9 @@ EPS = 1e-8
 # entries per row tile (128 KB a temporary): larger tiles page-fault in a fresh process
 _TILE = 1 << 14
 
-# contiguous theta block owned by each elemental, 0-based half-open
-THETA_SLICES = (
-    (0, 1),    # 1: s + t1^2
-    (1, 4),    # 2: (t2^2 s + t3^2)^|t4|
-    (4, 5),    # 3: exp(-q / (2 t5^2))
-    (5, 6),    # 4: exp(-r / (2 t6^2))
-    (6, 9),    # 5: exp(-sin^2(pi q/t7)/t8^2) exp(-q/t9^2)
-    (9, 11),   # 6: exp(-sin^2(pi q/t10)/t11^2)
-    (11, 14),  # 7: exp(-sin^2(pi r/t12)/t13^2) exp(-r/t14^2)
-    (14, 16),  # 8: exp(-sin^2(pi r/t15)/t16^2)
-    (16, 17),  # 9: sqrt(q + t17^2)
-    (17, 19),  # 10: (t18^2 + t19^2 q)^(-1/2)
-    (19, 21),  # 11: (t20^2 + t21^2 r)^(-1/2)
-    (21, 23),  # 12: (t22^2 + r)^t23
-    (23, 25),  # 13: (t24^2 + q)^t25
-    (25, 26),  # 14: (1 + (r/t26)^2)^(-1)
-    (26, 27),  # 15: (1 + r/t27^2)^(-1)
-    (27, 28),  # 16: 1 - q/(q + t28^2)
-    (28, 29),  # 17: max(0, 1 - q/t29^2)
-    (29, 30),  # 18: max(0, 1 - r/t30^2)
-    (30, 31),  # 19: log(r^t31 + 1)
-    (31, 33),  # 20: tanh(t32 s + t33)
-    (33, 34),  # 21: circular bump with support q < t34^2
-)
-
-# theta slots used as bare divisors; the optimizer projects these away
-# from zero after every gradient step (0-based: t7, t10, t12, t15, t26)
-CLAMPED_THETA_SLOTS = (6, 9, 11, 14, 25)
-
-# elementals whose Gram is positive semidefinite for generic parameter
-# values (term 2 additionally needs an integer exponent).  Terms 9, 12,
-# 13, 19 and 20 are excluded: they are useful regressor features but
-# not PSD in general.
-PSD_KERNEL_IDS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 14, 15, 16, 17, 18, 21)
-
 
 class KernelEvalError(ValueError):
     """A kernel evaluation produced a non-finite value or got bad input."""
-
-
-def theta_slice(kernel_id: int) -> slice:
-    """Half-open slice of theta owned by elemental ``kernel_id`` (1-based)."""
-    if not 1 <= kernel_id <= N_KERNELS:
-        raise KernelEvalError(f"kernel id must be in 1..{N_KERNELS}, got {kernel_id}")
-    lo, hi = THETA_SLICES[kernel_id - 1]
-    return slice(lo, hi)
-
-
-def _slot_names(kernel_id: int) -> str:
-    lo, hi = THETA_SLICES[kernel_id - 1]
-    return ", ".join(f"theta_{j + 1}" for j in range(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -161,22 +116,27 @@ class KernelParams:
 # pair geometry
 # ---------------------------------------------------------------------------
 
-def _self_stats(X):
-    """(s, r, q) arrays for all pairs of rows of X, exactly symmetric.
+def _pair_stats(S, sq_a, sq_b, sym: bool):
+    """(s, r, q) of a row tile from its inner products S and both sides' squared norms.
+    sym: a Gram's tile from its diagonal on, whose square head S mirrors from its upper
+    triangle in place (so the Gram is symmetric bitwise) and whose q is 0 on the diagonal."""
+    if sym:
+        m = S.shape[0]
+        S[:, :m] = np.triu(S[:, :m]) + np.triu(S[:, :m], 1).T
+    q = sq_a[:, None] + sq_b[None, :] - 2.0 * S
+    np.maximum(q, 0.0, out=q)
+    if sym:
+        np.fill_diagonal(q, 0.0)
+    return S, np.sqrt(q), q
 
-    The inner-product matrix is mirrored from its upper triangle so that
-    every derived quantity (and hence every Gram) is symmetric bitwise,
-    not merely to rounding.
-    """
+
+def _self_stats(X):
+    """(s, r, q) arrays for all pairs of rows of X, exactly symmetric: one Gram tile."""
     X = np.asarray(X, dtype=float)
     with np.errstate(all="ignore"):
         S = X @ X.T
-        S = np.triu(S) + np.triu(S, 1).T
         sq = np.diagonal(S).copy()
-        Q = sq[:, None] + sq[None, :] - 2.0 * S
-        np.maximum(Q, 0.0, out=Q)
-        np.fill_diagonal(Q, 0.0)
-        return S, np.sqrt(Q), Q
+        return _pair_stats(S, sq, sq, sym=True)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +241,6 @@ def _k21(s, r, q, t):
     u = np.where(valid, u, 0.0)
     bracket = np.arccos(-u) - u * np.sqrt(1.0 - u * u)
     return np.where(valid, bracket, 0.0)
-
-
-ELEMENTALS = (_k1, _k2, _k3, _k4, _k5, _k6, _k7, _k8, _k9, _k10, _k11,
-              _k12, _k13, _k14, _k15, _k16, _k17, _k18, _k19, _k20, _k21)
 
 
 # ---------------------------------------------------------------------------
@@ -418,33 +374,73 @@ def _g21(s, r, q, t, val):
     return (np.where(interior, grad, 0.0),)
 
 
-ELEMENTAL_GRADS = (_g1, _g2, _g3, _g4, _g5, _g6, _g7, _g8, _g9, _g10, _g11,
-                   _g12, _g13, _g14, _g15, _g16, _g17, _g18, _g19, _g20, _g21)
+# ---------------------------------------------------------------------------
+# the dictionary table
+# ---------------------------------------------------------------------------
+
+# One record per term: its _kN and _gN; one geometry-scale rule, named as in
+# training.geometry_scales, per theta slot it owns, in slot order (term i owns the
+# len(scales) slots after term i-1's); whether its Gram is PSD for generic parameters
+# (the others are useful regressor features; term 2 needs an integer exponent); and
+# the positions among its slots of the bare divisors that clamp_theta clamps.
+Elemental = namedtuple("Elemental", "value grad scales psd clamped", defaults=(True, ()))
+
+DICTIONARY = (
+    Elemental(_k1, _g1, ("unit",)),  # s + t1^2
+    Elemental(_k2, _g2, ("inv_s", "unit", "unit")),  # (t2^2 s + t3^2)^|t4|
+    Elemental(_k3, _g3, ("sqrt_q",)),  # exp(-q / (2 t5^2))
+    Elemental(_k4, _g4, ("sqrt_r",)),  # exp(-r / (2 t6^2))
+    Elemental(_k5, _g5, ("period_q", "unit", "sqrt_q"),
+              clamped=(0,)),  # exp(-sin^2(pi q/t7)/t8^2) exp(-q/t9^2)
+    Elemental(_k6, _g6, ("period_q", "unit"), clamped=(0,)),  # exp(-sin^2(pi q/t10)/t11^2)
+    Elemental(_k7, _g7, ("period_r", "unit", "sqrt_r"),
+              clamped=(0,)),  # exp(-sin^2(pi r/t12)/t13^2) exp(-r/t14^2)
+    Elemental(_k8, _g8, ("period_r", "unit"), clamped=(0,)),  # exp(-sin^2(pi r/t15)/t16^2)
+    Elemental(_k9, _g9, ("sqrt_q",), psd=False),  # sqrt(q + t17^2)
+    Elemental(_k10, _g10, ("unit", "inv_sqrt_q")),  # (t18^2 + t19^2 q)^(-1/2)
+    Elemental(_k11, _g11, ("unit", "inv_sqrt_r")),  # (t20^2 + t21^2 r)^(-1/2)
+    Elemental(_k12, _g12, ("sqrt_r", "unit"), psd=False),  # (t22^2 + r)^t23
+    Elemental(_k13, _g13, ("sqrt_q", "unit"), psd=False),  # (t24^2 + q)^t25
+    Elemental(_k14, _g14, ("r",), clamped=(0,)),  # (1 + (r/t26)^2)^(-1)
+    Elemental(_k15, _g15, ("sqrt_r",)),  # (1 + r/t27^2)^(-1)
+    Elemental(_k16, _g16, ("sqrt_q",)),  # 1 - q/(q + t28^2)
+    Elemental(_k17, _g17, ("support_q",)),  # max(0, 1 - q/t29^2)
+    Elemental(_k18, _g18, ("support_r",)),  # max(0, 1 - r/t30^2)
+    Elemental(_k19, _g19, ("unit",), psd=False),  # log(r^t31 + 1)
+    Elemental(_k20, _g20, ("inv_s", "unit"), psd=False),  # tanh(t32 s + t33)
+    Elemental(_k21, _g21, ("support_r",)),  # circular bump with support q < t34^2
+)
+
+N_KERNELS = len(DICTIONARY)
+#: the 0-based theta slots each term owns
+SLOTS = tuple(range(end - len(e.scales), end)
+              for e, end in zip(DICTIONARY, accumulate(len(e.scales) for e in DICTIONARY)))
+N_THETA = SLOTS[-1].stop
 
 
 # ---------------------------------------------------------------------------
 # public evaluation API
 # ---------------------------------------------------------------------------
 
-def _check_finite(arr, kernel_id):
+def _check_finite(arr, index: int):
     if not np.all(np.isfinite(arr)):
         raise KernelEvalError(
-            f"elemental kernel {kernel_id} produced non-finite values "
-            f"(check {_slot_names(kernel_id)})"
+            f"elemental kernel {index + 1} produced non-finite values "
+            f"(check {', '.join(f'theta_{j + 1}' for j in SLOTS[index])})"
         )
 
 
 def _eval_block(index: int, stats, theta) -> np.ndarray:
     """Elemental Gram block; the caller silences IEEE noise and checks the sum."""
-    return ELEMENTALS[index](*stats, theta)
+    return DICTIONARY[index].value(*stats, theta)
 
 
 def _grad_blocks(index: int, stats, theta, block):
     """Theta-derivative blocks of one elemental (own slots, in order), given its value block."""
     with np.errstate(all="ignore"):
-        grads = ELEMENTAL_GRADS[index](*stats, theta, block)
+        grads = DICTIONARY[index].grad(*stats, theta, block)
     for block in grads:
-        _check_finite(block, index + 1)
+        _check_finite(block, index)
     return grads
 
 
@@ -459,7 +455,7 @@ def _weighted_sum(shape, alpha, block):
         if np.all(np.isfinite(total)):
             return total
         for i in active:
-            _check_finite(block(i), i + 1)
+            _check_finite(block(i), i)
     raise KernelEvalError("weighted kernel sum is non-finite (check the alpha scale)")
 
 
@@ -522,14 +518,8 @@ def _kernel_matrix(params: KernelParams, A, B=None, sq_b=None) -> np.ndarray:
 
         def tile(t):
             a, b = rows[t], rows[t + 1]
-            lo = a if sym else 0
-            if sym:  # tile rows [a, b) x columns [a, n): S's upper triangle only
-                S[a:b, a:b] = np.triu(S[a:b, a:b]) + np.triu(S[a:b, a:b], 1).T
-            q = sq_a[a:b, None] + sq_b[None, lo:] - 2.0 * S[a:b, lo:]
-            np.maximum(q, 0.0, out=q)
-            if sym:
-                np.fill_diagonal(q, 0.0)
-            K[a:b, lo:] = _combine(params, (S[a:b, lo:], np.sqrt(q), q))
+            lo = a if sym else 0  # a Gram's tile covers S's upper triangle only
+            K[a:b, lo:] = _combine(params, _pair_stats(S[a:b, lo:], sq_a[a:b], sq_b[lo:], sym))
             if sym:
                 K[b:, a:b] = K[a:b, b:].T
 
@@ -558,7 +548,8 @@ def cross_gram(params: KernelParams, A, B) -> np.ndarray:
 
 def eval_elemental(kernel_id: int, x, y, theta) -> float:
     """Evaluate a single elemental kernel at one pair of points."""
-    theta_slice(kernel_id)  # rejects an id outside 1..N_KERNELS
+    if not 1 <= kernel_id <= N_KERNELS:
+        raise KernelEvalError(f"kernel id must be in 1..{N_KERNELS}, got {kernel_id}")
     alpha = np.zeros(N_KERNELS)
     alpha[kernel_id - 1] = 1.0
     return eval_combined(KernelParams(alpha, theta), x, y)
@@ -572,7 +563,7 @@ def eval_combined(params: KernelParams, x, y) -> float:
 def clamp_theta(theta: np.ndarray) -> np.ndarray:
     """Project bare-divisor theta slots away from zero (|t| >= EPS)."""
     out = np.array(theta, dtype=float)
-    for j in CLAMPED_THETA_SLOTS:
+    for j in (slots[k] for e, slots in zip(DICTIONARY, SLOTS) for k in e.clamped):
         if abs(out[j]) < EPS:
             out[j] = EPS if out[j] >= 0.0 else -EPS
     return out

@@ -35,7 +35,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from .kernels import (
     N_KERNELS,
     N_THETA,
-    THETA_SLICES,
+    SLOTS,
     KernelParams,
     _eval_block,
     _grad_blocks,
@@ -210,9 +210,8 @@ class _BatchTerms:
             if wrt_alpha:
                 ga[i] = -2.0 * alpha[i] * np.vdot(block, M)
             if wrt_theta:
-                lo = THETA_SLICES[i][0]
-                for off, grad in enumerate(_grad_blocks(i, self.stats, self.params.theta, block)):
-                    gt[lo + off] = -(alpha[i] ** 2) * np.vdot(grad, M)
+                for j, grad in zip(SLOTS[i], _grad_blocks(i, self.stats, self.params.theta, block)):
+                    gt[j] = -(alpha[i] ** 2) * np.vdot(grad, M)
         return ga, gt
 
 

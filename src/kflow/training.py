@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedding import DelayDataset
-from .kernels import N_KERNELS, N_THETA, KernelEvalError, KernelParams, _self_stats, clamp_theta
+from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelEvalError, KernelParams, _self_stats,
+                      clamp_theta)
 from .loss import DegenerateBatchError, FactorizationError, LossBreakdown, _nested_eval
 
 
@@ -34,12 +35,11 @@ class TrainingAborted(RuntimeError):
     """Too many failed epochs (factorization/evaluation errors)."""
 
 
-# dictionary members of conditionally-negative type (their kernel grows
-# with distance: multiquadric, both power terms, the log term, and the
-# sigmoid).  At O(1) weights they make the shifted Gram indefinite and
-# the loss ratio loses its norm meaning, so the default initialization
+# the dictionary's non-PSD members are of conditionally-negative type (their
+# kernel grows with distance: multiquadric, both power terms, the log term,
+# and the sigmoid).  At O(1) weights they make the shifted Gram indefinite
+# and the loss ratio loses its norm meaning, so the default initialization
 # starts them small; their gradients regrow them whenever they help.
-CND_KERNELS = (8, 11, 12, 18, 19)
 CND_INIT_SCALE = 0.1
 
 # the loss ratio has a pole where the denominator quadratic form crosses
@@ -55,18 +55,6 @@ FAILURE_BUDGET_FRACTION = 0.1  # of the epochs, rounded up
 SCALE_CANDIDATES = (1.0, 2.0, 4.0, 8.0, 16.0)
 CALIBRATION_ROWS = 1024  # fit rows of that tail, at most
 PROBE_ROWS = 256  # rows in geometry_scales' strided probe
-
-# theta slots grouped by the pair-geometry quantity they compare against:
-# squared distances, distances, or window inner products.  Slots listed
-# under "sqrt" multiply the geometry under a square in their formula.
-_SCALE_SQRT_Q = (4, 8, 16, 23, 27, 28)      # t5, t9, t17, t24, t28, t29
-_SCALE_SQRT_R = (5, 13, 21, 26, 29, 33)     # t6, t14, t22, t27, t30, t34
-_SCALE_PERIOD_Q = (6, 9)                    # t7, t10: periods in q
-_SCALE_PERIOD_R = (11, 14)                  # t12, t15: periods in r
-_SCALE_INV_SQRT_Q = (18,)                   # t19
-_SCALE_INV_SQRT_R = (20,)                   # t21
-_SCALE_R = (25,)                            # t26
-_SCALE_INV_S = (1, 31)                      # t2 (under a square), t32
 
 
 def geometry_scales(dataset: DelayDataset) -> np.ndarray:
@@ -87,32 +75,32 @@ def geometry_scales(dataset: DelayDataset) -> np.ndarray:
     r_med, r_hi = np.sqrt(q_med), np.sqrt(q_hi)
     s_hi = max(s_hi, 1e-12)
 
-    scales = np.ones(N_THETA)
-    scales[list(_SCALE_SQRT_Q)] = np.sqrt(q_med)
-    scales[list(_SCALE_SQRT_R)] = np.sqrt(r_med)
-    scales[list(_SCALE_PERIOD_Q)] = 4.0 * q_hi
-    scales[list(_SCALE_PERIOD_R)] = 4.0 * r_hi
-    scales[list(_SCALE_INV_SQRT_Q)] = 1.0 / np.sqrt(q_med)
-    scales[list(_SCALE_INV_SQRT_R)] = 1.0 / np.sqrt(r_med)
-    scales[list(_SCALE_R)] = r_med
-    scales[list(_SCALE_INV_S)] = 1.0 / np.sqrt(s_hi)
-    # supports of the compactly supported terms should cover most pairs
-    scales[28] = np.sqrt(2.0 * q_hi)   # t29: support in q
-    scales[29] = np.sqrt(2.0 * r_hi)   # t30: support in r
-    scales[33] = np.sqrt(2.0 * r_hi)   # t34: support in q, argument in r
-    return scales
+    rule = {  # a slot's multiplier, by the pair-geometry quantity it meets in its term
+        "unit": 1.0,
+        "sqrt_q": np.sqrt(q_med),            # squared, on the scale of q
+        "sqrt_r": np.sqrt(r_med),            # squared, on the scale of r
+        "period_q": 4.0 * q_hi,              # a period in q
+        "period_r": 4.0 * r_hi,              # a period in r
+        "inv_sqrt_q": 1.0 / np.sqrt(q_med),  # squared, it multiplies q
+        "inv_sqrt_r": 1.0 / np.sqrt(r_med),  # squared, it multiplies r
+        "r": r_med,                          # on the scale of r
+        "inv_s": 1.0 / np.sqrt(s_hi),        # it multiplies s (t2 squared)
+        # supports of the compactly supported terms should cover most pairs
+        "support_q": np.sqrt(2.0 * q_hi),    # t29: support in q
+        "support_r": np.sqrt(2.0 * r_hi),    # t30 in r; t34 in q, argument in r
+    }
+    return np.array([rule[name] for term in DICTIONARY for name in term.scales])
 
 
 def default_init(dataset: DelayDataset, seed: int) -> KernelParams:
     """Seeded random initialization adapted to the dataset geometry.
 
-    Weights draw from U(0.5, 1.0) with the conditionally-negative-type
-    members damped (see CND_KERNELS); theta draws from U(0.5, 1.5) times
-    the geometry scales.
+    Weights draw from U(0.5, 1.0) with the non-PSD members damped by
+    CND_INIT_SCALE; theta draws from U(0.5, 1.5) times the geometry scales.
     """
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.5, 1.0, N_KERNELS)
-    alpha[list(CND_KERNELS)] *= CND_INIT_SCALE
+    alpha[[i for i, term in enumerate(DICTIONARY) if not term.psd]] *= CND_INIT_SCALE
     theta = rng.uniform(0.5, 1.5, N_THETA) * geometry_scales(dataset)
     return KernelParams(alpha, theta)
 

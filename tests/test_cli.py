@@ -349,6 +349,7 @@ def test_train_and_benchmark_share_the_sparse_recipe(tmp_path, rng):
     ("batch_size", None), ("tau", None), ("lr", [0.1]), ("lambda2_grid", 5),
     ("lambda2_grid", [[0.1]]), ("epochs", float("inf")), ("seed", "x"),
     ("epochs", 2.7), ("seed", True), ("tau", "4"), ("cv_epochs", 1.5),
+    ("tau", 0), ("train_fraction", 1.5), ("cv_epochs", -1),
 ])
 def test_config_value_of_the_wrong_type_is_a_data_error(tmp_path, rng, capsys,
                                                         command, key, value):
@@ -363,6 +364,26 @@ def test_config_value_of_the_wrong_type_is_a_data_error(tmp_path, rng, capsys,
         target = [str(manifest), "--out-dir", str(tmp_path / "bench")]
     assert run_cli(command, *target, "--config", str(config)) == 3
     assert f"setting {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_steps_below_one_is_a_data_error(tmp_path, rng, capsys, steps):
+    # before any training or scoring: no report where every method would score inf
+    data = toy_csv(tmp_path, rng)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{data}\n")
+    assert run_cli("benchmark", str(manifest), "--out-dir", str(tmp_path / "bench"),
+                   "--steps", steps, *FAST) == 3
+    assert "setting 'steps'" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
+    model_path = tmp_path / "model.json"
+    assert run_cli("train", str(data), "--mode", "regular", "--out", str(model_path), *FAST) == 0
+    capsys.readouterr()
+    assert run_cli("forecast", "--model", str(model_path), "--input", str(data),
+                   "--mode", "rollout", "--steps", steps, "--out", str(tmp_path / "roll.csv")) == 3
+    assert "setting 'steps'" in capsys.readouterr().err
+    assert not (tmp_path / "roll.csv").exists() and not (tmp_path / "roll_scores.json").exists()
 
 
 def test_config_integer_settings_accept_integral_floats(tmp_path, rng):

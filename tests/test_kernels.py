@@ -12,13 +12,13 @@ import pytest
 
 from conftest import make_theta, pin_usable_cores, single_kernel
 from kflow import kernels
+from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.kernels import (
-    ELEMENTALS,
+    DICTIONARY,
     EPS,
     N_KERNELS,
     N_THETA,
-    PSD_KERNEL_IDS,
-    THETA_SLICES,
+    SLOTS,
     KernelEvalError,
     KernelParams,
     _eval_block,
@@ -29,15 +29,31 @@ from kflow.kernels import (
     eval_combined,
     eval_elemental,
     gram,
-    theta_slice,
 )
+from kflow.training import geometry_scales
 
 
-def test_theta_slices_partition():
-    covered = []
-    for lo, hi in THETA_SLICES:
-        covered.extend(range(lo, hi))
-    assert covered == list(range(N_THETA))
+def test_dictionary_table_invariants(rng):
+    # 21 terms own the 34 theta slots, each exactly once and in order
+    assert (len(DICTIONARY), N_KERNELS, N_THETA) == (21, 21, 34)
+    assert [j for slots in SLOTS for j in slots] == list(range(N_THETA))
+    # one derivative block per owned slot, shaped like the value block
+    stats = _self_stats(rng.uniform(-1.0, 1.0, size=(6, 3)))
+    theta = rng.uniform(0.5, 1.5, size=N_THETA)
+    for term, slots in zip(DICTIONARY, SLOTS):
+        value = term.value(*stats, theta)
+        grads = term.grad(*stats, theta, value)
+        assert len(grads) == len(slots) and all(g.shape == value.shape for g in grads)
+    # one geometry-scale rule per slot, each one geometry_scales knows
+    assert [len(term.scales) for term in DICTIONARY] == [len(slots) for slots in SLOTS]
+    ds = build_delay_dataset(TimeSeries(rng.normal(size=(60, 2)), 0.1), 3)
+    scales = geometry_scales(ds)
+    assert scales.shape == (N_THETA,) and (scales > 0.0).all()
+    # the non-PSD terms (1-based) and the clamped bare divisors (0-based slots)
+    assert {i + 1 for i, term in enumerate(DICTIONARY) if not term.psd} == {9, 12, 13, 19, 20}
+    clamped = tuple(slots[k] for term, slots in zip(DICTIONARY, SLOTS) for k in term.clamped)
+    assert clamped == (6, 9, 11, 14, 25)
+    assert tuple(np.flatnonzero(clamp_theta(np.zeros(N_THETA)))) == clamped
 
 
 def test_gaussian_at_zero_distance_is_one():
@@ -232,7 +248,7 @@ def _whole_array_sum(params, A, B=None):
         for i in range(N_KERNELS):
             a = params.alpha[i]
             if a != 0.0:
-                total += (a * a) * ELEMENTALS[i](*stats, params.theta)
+                total += (a * a) * DICTIONARY[i].value(*stats, params.theta)
     return total
 
 
@@ -473,11 +489,11 @@ def test_gradients_match_finite_differences(rng):
     params = KernelParams(alpha, theta)
     stats = _self_stats(X)
 
-    for i, (lo, hi) in enumerate(THETA_SLICES):
+    for i, slots in enumerate(SLOTS):
         grads = _grad_blocks(i, stats, theta, _eval_block(i, stats, theta))
-        for j in range(lo, hi):
+        for j, grad in zip(slots, grads):
             name = f"theta_{j + 1}"
-            got = alpha[i] ** 2 * grads[j - lo]
+            got = alpha[i] ** 2 * grad
             want = _fd_gram(params, X, j, 1e-5 * max(1.0, abs(theta[j])))
             # the absolute floor covers FD cancellation noise on tiny entries
             scale = np.maximum(np.abs(want), 1e-6)
@@ -541,7 +557,7 @@ def psd_fixture_theta():
 
 def test_psd_subset_gram_eigenvalues(point_cloud):
     theta = psd_fixture_theta()
-    for kid in PSD_KERNEL_IDS:
+    for kid in (i + 1 for i, term in enumerate(DICTIONARY) if term.psd):
         params = single_kernel(kid, theta)
         G = gram(params, point_cloud)
         min_eig = np.linalg.eigvalsh(G).min()
@@ -576,11 +592,12 @@ def test_clamp_theta_projects_bare_divisors():
     assert (out[[0, 1, 2]] == 1.0).all()
 
 
-def test_theta_slice_bounds():
-    assert theta_slice(1) == slice(0, 1)
-    assert theta_slice(21) == slice(33, 34)
-    with pytest.raises(KernelEvalError):
-        theta_slice(22)
+def test_eval_elemental_id_bounds():
+    assert eval_elemental(1, [1.0], [2.0], make_theta(t1=0.0)) == 2.0
+    assert eval_elemental(21, [0.0], [0.0], make_theta()) == math.pi / 2.0
+    for kernel_id in (0, 22):
+        with pytest.raises(KernelEvalError, match="kernel id must be in 1..21"):
+            eval_elemental(kernel_id, [1.0], [2.0], make_theta())
 
 
 def test_params_json_round_trip(rng):

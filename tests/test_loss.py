@@ -6,11 +6,10 @@ from scipy.linalg import hilbert
 
 from conftest import make_theta, single_kernel
 from kflow.kernels import (
-    ELEMENTAL_GRADS,
-    ELEMENTALS,
+    DICTIONARY,
     N_KERNELS,
     N_THETA,
-    THETA_SLICES,
+    SLOTS,
     KernelEvalError,
     KernelParams,
     _grad_blocks,
@@ -368,8 +367,8 @@ def test_derivative_blocks_take_the_held_value_block_bitwise(rng):
         for kernel_id in (3, 4, 5, 6, 7, 8, 9, 14, 15, 20):
             i = kernel_id - 1
             with np.errstate(all="ignore"):
-                fresh = ELEMENTALS[i](*terms.stats, moved.theta)
-                want = ELEMENTAL_GRADS[i](*terms.stats, moved.theta, fresh)
+                fresh = DICTIONARY[i].value(*terms.stats, moved.theta)
+                want = DICTIONARY[i].grad(*terms.stats, moved.theta, fresh)
             got = _grad_blocks(i, terms.stats, moved.theta, terms.blocks[i])
             assert terms.blocks[i].tobytes() == fresh.tobytes(), kernel_id
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kernel_id
@@ -380,11 +379,11 @@ def _two_batch_gradient(params, X, Y, lam):
     stats = _self_stats(X)
     W = np.linalg.solve(gram(params, X) + lam * np.eye(len(X)), Y)
     ga, gt = np.zeros(N_KERNELS), np.zeros(N_THETA)
-    for i, (a, (lo, _)) in enumerate(zip(params.alpha, THETA_SLICES)):
-        block = ELEMENTALS[i](*stats, params.theta)
+    for i, (a, term) in enumerate(zip(params.alpha, DICTIONARY)):
+        block = term.value(*stats, params.theta)
         ga[i] = -2.0 * a * np.sum(W * (block @ W))
-        for off, grad in enumerate(ELEMENTAL_GRADS[i](*stats, params.theta, block)):
-            gt[lo + off] = -a * a * np.sum(W * (grad @ W))
+        for j, grad in zip(SLOTS[i], term.grad(*stats, params.theta, block)):
+            gt[j] = -a * a * np.sum(W * (grad @ W))
     return float(np.sum(Y * W)), ga, gt
 
 

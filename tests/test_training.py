@@ -10,17 +10,22 @@ import kflow.forecast
 import kflow.loss
 import kflow.training
 from kflow.embedding import TimeSeries, build_delay_dataset
+from kflow.evaluation import prepare_series
 from kflow.forecast import fit, one_step_forecast
-from kflow.kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA, cross_gram, gram
+from kflow.kernels import (KernelEvalError, KernelParams, N_KERNELS, N_THETA, _self_stats,
+                           cross_gram, gram)
 from kflow.loss import FactorizationError
 from kflow.metrics import smape
+from kflow.systems import get_system, integrate_rk4
 from kflow.training import (
     CALIBRATION_ROWS,
+    PROBE_ROWS,
     SCALE_CANDIDATES,
     TrainConfig,
     TrainingAborted,
     _calibrate_scale,
     default_init,
+    geometry_scales,
     sample_nested_batches,
     soft_threshold,
     train,
@@ -272,6 +277,51 @@ def test_report_serialization_omits_wall_time(rng):
     assert doc["epochs_run"] == 3
     assert len(doc["loss_history"]) == 3
     assert doc["loss_history"][0]["epoch"] == 1
+
+
+# ---------------------------------------------------------------------------
+# initialization
+# ---------------------------------------------------------------------------
+
+def _reference_scales(dataset):
+    # reference: the slots grouped by rule, then t29, t30 and t34 assigned again,
+    # which overwrites their group entries
+    step = max(1, dataset.n_pairs // PROBE_ROWS)
+    S, _, Q = _self_stats(dataset.X[::step][:PROBE_ROWS])
+    iu = np.triu_indices(S.shape[0], k=1)
+    q_med, q_hi = np.percentile(Q[iu], [50.0, 95.0])
+    s_hi = np.percentile(np.abs(S[iu]), 95.0)
+    q_med, q_hi = max(q_med, 1e-12), max(q_hi, 1e-12)
+    r_med, r_hi = np.sqrt(q_med), np.sqrt(q_hi)
+    s_hi = max(s_hi, 1e-12)
+    scales = np.ones(N_THETA)
+    scales[[4, 8, 16, 23, 27, 28]] = np.sqrt(q_med)      # t5, t9, t17, t24, t28, t29
+    scales[[5, 13, 21, 26, 29, 33]] = np.sqrt(r_med)     # t6, t14, t22, t27, t30, t34
+    scales[[6, 9]] = 4.0 * q_hi                          # t7, t10
+    scales[[11, 14]] = 4.0 * r_hi                        # t12, t15
+    scales[[18]] = 1.0 / np.sqrt(q_med)                  # t19
+    scales[[20]] = 1.0 / np.sqrt(r_med)                  # t21
+    scales[[25]] = r_med                                 # t26
+    scales[[1, 31]] = 1.0 / np.sqrt(s_hi)                # t2, t32
+    scales[28] = np.sqrt(2.0 * q_hi)                     # t29
+    scales[29] = np.sqrt(2.0 * r_hi)                     # t30
+    scales[33] = np.sqrt(2.0 * r_hi)                     # t34
+    return scales
+
+
+@pytest.mark.parametrize("system", ["lorenz", "duffing"])
+def test_default_init_equals_the_grouped_reference_bitwise(system):
+    train_ds = prepare_series(integrate_rk4(get_system(system), 600), 5, 0.8).train
+    scales = _reference_scales(train_ds)
+    assert geometry_scales(train_ds).tobytes() == scales.tobytes()
+    for seed in (0, 11):
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(0.5, 1.0, N_KERNELS)
+        alpha[[8, 11, 12, 18, 19]] *= 0.1                # the non-PSD terms 9, 12, 13, 19, 20
+        theta = rng.uniform(0.5, 1.5, N_THETA) * scales
+        init = default_init(train_ds, seed)
+        assert init.alpha.tobytes() == alpha.tobytes()
+        assert init.theta.tobytes() == theta.tobytes()
 
 
 # ---------------------------------------------------------------------------
