@@ -29,6 +29,7 @@ from . import __version__
 from .embedding import TimeSeries, build_delay_dataset
 from .evaluation import (
     EvalProtocol,
+    check_range,
     emit_distribution_csv,
     emit_report,
     prepare_series,
@@ -66,21 +67,6 @@ class CliDataError(Exception):
     pass
 
 
-# settings outside whose range a run scores nothing: key -> (test, the range in words)
-_RANGES = {"tau": (lambda v: v >= 1, "at least 1"),
-           "train_fraction": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
-           "cv_epochs": (lambda v: v >= 0, "nonnegative"),
-           "steps": (lambda v: v >= 1, "at least 1")}
-
-
-def _in_range(key, value):
-    """value, unless it is set and outside key's range: then a data error naming key."""
-    test, words = _RANGES.get(key, (None, None))
-    if test and value is not None and not test(value):
-        raise CliDataError(f"setting {key!r} = {value!r}: must be {words}")
-    return value
-
-
 def _digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -116,7 +102,7 @@ def _load_config_file(path) -> dict:
 def _setting(args, key, cast, default):
     """Flag value if given, else config-file value, else default, cast.
 
-    A value that does not cast, or falls outside its key's _RANGES entry, is
+    A value that does not cast, or falls outside its key's EvalProtocol range, is
     a data error naming its key, and an int setting takes an integral number
     only; null is the default only where that default is None.
     """
@@ -130,7 +116,7 @@ def _setting(args, key, cast, default):
         value = cast(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise CliDataError(f"setting {key!r} = {value!r}: {err}") from None
-    return _in_range(key, value)
+    return check_range(key, value, error=CliDataError)
 
 
 def _grid(value) -> tuple:
@@ -153,7 +139,8 @@ def _protocol(args) -> EvalProtocol:
             for f in fields(TrainConfig) if f.name != "lambda2"
         }),
         cv_epochs=_setting(args, "cv_epochs", int, default.cv_epochs),
-        rollout_steps=_in_range("steps", getattr(args, "steps", None)),
+        rollout_steps=check_range("rollout_steps", getattr(args, "steps", None), "steps",
+                                  CliDataError),
     )
 
 
@@ -278,7 +265,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    steps = _in_range("steps", args.steps)
+    steps = check_range("rollout_steps", args.steps, "steps", CliDataError)
     with open(args.model, "r", encoding="utf-8") as fh:
         model_doc = json.load(fh)
     if model_doc.get("artifact") != "model":

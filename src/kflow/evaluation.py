@@ -188,6 +188,21 @@ def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
         return _select(grid, [result(i) for i in range(len(cells))])
 
 
+# EvalProtocol fields outside whose range a run scores nothing: field -> (test, range in words)
+_RANGES = {"tau": (lambda v: v >= 1, "at least 1"),
+           "train_fraction": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+           "cv_epochs": (lambda v: v >= 0, "nonnegative"),
+           "rollout_steps": (lambda v: v >= 1, "at least 1")}
+
+
+def check_range(key, value, name=None, error=ValueError):
+    """value, unless it is set and outside field key's range: then ``error`` naming name (or key)."""
+    test, words = _RANGES.get(key, (None, None))
+    if test and value is not None and not test(value):
+        raise error(f"setting {name or key!r} = {value!r}: must be {words}")
+    return value
+
+
 @dataclass(frozen=True)
 class EvalProtocol:
     """Resolved settings shared by ``kflow train`` and ``kflow benchmark``.
@@ -202,6 +217,10 @@ class EvalProtocol:
     train_config: TrainConfig = field(default_factory=TrainConfig)
     cv_epochs: int | None = None
     rollout_steps: int | None = None  # None: full test length
+
+    def __post_init__(self):
+        for key in _RANGES:
+            check_range(key, getattr(self, key))
 
     @property
     def cv_config(self) -> TrainConfig:

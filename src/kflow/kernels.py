@@ -47,6 +47,7 @@ import os
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -57,6 +58,7 @@ EPS = 1e-8
 
 # entries per row tile (128 KB a temporary): larger tiles page-fault in a fresh process
 _TILE = 1 << 14
+_CACHED_ROWS = 1024  # the largest batch whose triangle positions are cached: 8 MB
 
 
 class KernelEvalError(ValueError):
@@ -130,13 +132,33 @@ def _pair_stats(S, sq_a, sq_b, sym: bool):
     return S, np.sqrt(q), q
 
 
-def _self_stats(X):
-    """(s, r, q) arrays for all pairs of rows of X, exactly symmetric: one Gram tile."""
+def _triangle(n: int):
+    """Read-only flat positions of an n x n array's upper triangle with its diagonal in row-major
+    order (the packed order), their mirror images, and the diagonal's packed positions.  They
+    take about 8 n^2 bytes: kept for a few sizes of at most _CACHED_ROWS rows only."""
+    return (_triangle_cached if n <= _CACHED_ROWS else _triangle_cached.__wrapped__)(n)
+
+
+@lru_cache(maxsize=4)
+def _triangle_cached(n: int):
+    i, j = np.triu_indices(n)
+    out = (i * n + j, j * n + i, np.flatnonzero(i == j))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _packed_stats(X):
+    """(s, r, q) of all pairs of rows of X, packed: entrywise a Gram tile's upper triangle."""
     X = np.asarray(X, dtype=float)
+    upper, _, diag = _triangle(len(X))
     with np.errstate(all="ignore"):
         S = X @ X.T
-        sq = np.diagonal(S).copy()
-        return _pair_stats(S, sq, sq, sym=True)
+        sq = np.diagonal(S)
+        s = np.take(S, upper)
+        q = np.maximum(np.take(sq[:, None] + sq[None, :], upper) - 2.0 * s, 0.0)
+        q[diag] = 0.0
+        return s, np.sqrt(q), q
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +470,10 @@ def _weighted_sum(shape, alpha, block):
     """Sum of alpha[i]**2 * block(i) over the nonzero weights, ascending i, checked once:
     a non-finite block makes the total non-finite (0 * inf is nan), and only then is it named."""
     active = [i for i in range(N_KERNELS) if alpha[i] != 0.0]
-    total = np.zeros(shape)
+    total, term = np.zeros(shape), np.empty(shape)
     with np.errstate(all="ignore"):
         for i in active:
-            total += (alpha[i] * alpha[i]) * block(i)
+            total += np.multiply(alpha[i] * alpha[i], block(i), out=term)
         if np.all(np.isfinite(total)):
             return total
         for i in active:

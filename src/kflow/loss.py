@@ -16,8 +16,9 @@ step, so :func:`grad_loss` differentiates the smooth part only.
 The public ops and the training loop share one path: :func:`_nested_eval`
 builds one :class:`_BatchTerms` for batch b; batch c's Gram is its
 submatrix K[sub, sub], and c's gradient folds into b's, so every block
-is evaluated on b only.  :class:`RidgeSystem` factorizes K + lambda1 I
-once per batch and verifies every solve by its residual.
+is evaluated on b's packed upper triangle (with its diagonal) only; K is
+unpacked once.  :class:`RidgeSystem` factorizes K + lambda1 I once per
+batch and verifies every solve by its residual.
 
 An epoch's three calls share one batch and hand b's terms on: pair
 geometry is always reused, elemental blocks only while theta is bitwise
@@ -39,7 +40,8 @@ from .kernels import (
     KernelParams,
     _eval_block,
     _grad_blocks,
-    _self_stats,
+    _packed_stats,
+    _triangle,
     _weighted_sum,
 )
 
@@ -82,16 +84,12 @@ class RidgeSystem:
             raise FactorizationError("gram contains non-finite entries")
         self.lambda1 = float(lambda1)
         self._gram = gram
-        A = np.array(gram, order="F")  # LAPACK's layout, so the factors overwrite it
-        A[np.diag_indices_from(A)] += self.lambda1
-        self._anorm = _lange("1", A)
+        A = self._shifted(np.empty(gram.shape, order="F"))  # the factors overwrite A
         self._factors, info = _potrf(A, lower=1, clean=0, overwrite_a=1)
         self._pivots = None  # None: Cholesky factors; else LU row pivots
         if info != 0:
             # not positive definite, and potrf stopped part-way through A: rebuild it
-            np.copyto(A, gram)
-            A[np.diag_indices_from(A)] += self.lambda1
-            self._factors, self._pivots, info = _getrf(A, overwrite_a=1)
+            self._factors, self._pivots, info = _getrf(self._shifted(A), overwrite_a=1)
             if info != 0:
                 # info > 0 is an exactly zero pivot: the matrix is singular
                 raise FactorizationError(f"LU factorization failed (getrf info={info})",
@@ -101,16 +99,24 @@ class RidgeSystem:
     def n(self) -> int:
         return self._gram.shape[0]
 
+    def _shifted(self, A: np.ndarray) -> np.ndarray:
+        """A := gram + lambda1 I, A in LAPACK's (column-major) layout."""
+        np.copyto(A, self._gram)
+        A.flat[::self.n + 1] += self.lambda1
+        return A
+
     def _condition(self) -> float:
         """1-norm condition estimate (pocon/gecon) from the factors in hand.
 
         They are scaled to ||A||_1 = 1 first, so the inverse's norm of a
         tiny (subnormal) system cannot overflow and read as singular.
+        Only a failed solve asks, so only it pays for ||A||_1.
         """
+        anorm = _lange("1", self._shifted(np.empty(self._gram.shape, order="F")))
         if self._pivots is None:
-            rcond, _ = _pocon(self._factors / np.sqrt(self._anorm), 1.0, uplo="L")
+            rcond, _ = _pocon(self._factors / np.sqrt(anorm), 1.0, uplo="L")
         else:  # A = PLU with unit L: only U scales
-            U = np.triu(self._factors) / self._anorm
+            U = np.triu(self._factors) / anorm
             rcond, _ = _gecon(U + np.tril(self._factors, -1), 1.0, norm="1")
         return 1.0 / rcond if rcond > 0.0 else np.inf
 
@@ -175,20 +181,23 @@ class LossBreakdown:
 #     M = (qf_c / qf_b^2) W_b W_b' - E W_c W_c' E' / qf_b
 # and d rho / d alpha_i = -2 alpha_i <B_i, M>, d rho / d theta_j =
 # -alpha_i^2 <dB_i/d theta_j, M>, with B_i the elemental blocks of b.
+# B_i and M are symmetric (numpy forms W W' by syrk), so <B_i, M> is the
+# dot of B_i's packed upper triangle with M's, off-diagonal entries doubled.
 # ---------------------------------------------------------------------------
 
 class _BatchTerms:
-    """Batch b's quantities shared by the loss value and its gradient."""
+    """Batch b's quantities shared by the loss value and its gradient: pair geometry and
+    every value and theta-derivative block packed (kernels._packed_stats), K unpacked once."""
 
     def __init__(self, params: KernelParams, X, Y, lambda1: float,
                  prev: _BatchTerms | None = None):
         self.params = params
         Y = np.asarray(Y, dtype=float)
         self.Y = Y[:, None] if Y.ndim == 1 else Y
-        self.stats = _self_stats(np.asarray(X, dtype=float)) if prev is None else prev.stats
-        n = self.stats[0].shape[0]
+        n = len(X)
         if n != self.Y.shape[0]:
             raise ValueError(f"X has {n} rows but Y has {self.Y.shape[0]}")
+        self.stats = _packed_stats(X) if prev is None else prev.stats
         same_theta = prev is not None and prev.params.theta.tobytes() == params.theta.tobytes()
         old = prev.blocks if same_theta else {}
         self.blocks = {}
@@ -197,7 +206,10 @@ class _BatchTerms:
             self.blocks[i] = old[i] if i in old else _eval_block(i, self.stats, params.theta)
             return self.blocks[i]
 
-        self.K = _weighted_sum((n, n), params.alpha, block)
+        upper, lower, _ = _triangle(n)
+        K = np.empty(n * n)
+        K[upper] = K[lower] = _weighted_sum(len(upper), params.alpha, block)
+        self.K = K.reshape(n, n)
         self.W = RidgeSystem(self.K, lambda1).solve(self.Y)
         self.qf = float(np.sum(self.Y * self.W))
 
@@ -206,12 +218,15 @@ class _BatchTerms:
         ga = np.zeros(N_KERNELS) if wrt_alpha else None
         gt = np.zeros(N_THETA) if wrt_theta else None
         alpha = self.params.alpha
+        upper, _, diag = _triangle(len(M))
+        w = 2.0 * np.take(M, upper)
+        w[diag] = np.diagonal(M)
         for i, block in self.blocks.items():
             if wrt_alpha:
-                ga[i] = -2.0 * alpha[i] * np.vdot(block, M)
+                ga[i] = -2.0 * alpha[i] * np.dot(block, w)
             if wrt_theta:
                 for j, grad in zip(SLOTS[i], _grad_blocks(i, self.stats, self.params.theta, block)):
-                    gt[j] = -(alpha[i] ** 2) * np.vdot(grad, M)
+                    gt[j] = -(alpha[i] ** 2) * np.dot(grad, w)
         return ga, gt
 
 

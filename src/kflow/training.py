@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .embedding import DelayDataset
-from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelEvalError, KernelParams, _self_stats,
-                      clamp_theta)
+from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelEvalError, KernelParams, _packed_stats,
+                      _triangle, clamp_theta)
 from .loss import DegenerateBatchError, FactorizationError, LossBreakdown, _nested_eval
 
 
@@ -67,10 +67,11 @@ def geometry_scales(dataset: DelayDataset) -> np.ndarray:
     subset, so the scales are a deterministic function of the dataset.
     """
     step = max(1, dataset.n_pairs // PROBE_ROWS)
-    S, _, Q = _self_stats(dataset.X[::step][:PROBE_ROWS])
-    iu = np.triu_indices(S.shape[0], k=1)
-    q_med, q_hi = np.percentile(Q[iu], [50.0, 95.0])
-    s_hi = np.percentile(np.abs(S[iu]), 95.0)
+    probe = dataset.X[::step][:PROBE_ROWS]
+    s, _, q = _packed_stats(probe)
+    diag = _triangle(len(probe))[2]  # each row with itself: not a pair
+    q_med, q_hi = np.percentile(np.delete(q, diag), [50.0, 95.0])
+    s_hi = np.percentile(np.abs(np.delete(s, diag)), 95.0)
     q_med, q_hi = max(q_med, 1e-12), max(q_hi, 1e-12)
     r_med, r_hi = np.sqrt(q_med), np.sqrt(q_hi)
     s_hi = max(s_hi, 1e-12)

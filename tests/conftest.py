@@ -31,6 +31,20 @@ def single_kernel(kernel_id, theta=None, weight=1.0):
     return KernelParams(alpha, np.ones(N_THETA) if theta is None else theta)
 
 
+def full_stats(X):
+    """Reference pair geometry (s, r, q) of all pairs of rows of X as n x n arrays: S = X X'
+    with its upper triangle mirrored, q = |x|^2 + |y|^2 - 2 s floored at 0 and 0 on the
+    diagonal, r = sqrt(q)."""
+    X = np.asarray(X, dtype=float)
+    with np.errstate(all="ignore"):
+        S = X @ X.T
+        sq = np.diagonal(S).copy()
+        S = np.triu(S) + np.triu(S, 1).T
+        Q = np.maximum(sq[:, None] + sq[None, :] - 2.0 * S, 0.0)
+        np.fill_diagonal(Q, 0.0)
+        return S, np.sqrt(Q), Q
+
+
 def pin_usable_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 

@@ -36,6 +36,14 @@ from kflow.metrics import smape
 from kflow.training import TrainConfig, default_init, train
 
 
+@pytest.mark.parametrize("key, value", [("tau", 0), ("rollout_steps", 0),
+                                        ("train_fraction", 1.5)])
+def test_protocol_field_out_of_range_is_rejected(key, value):
+    # a run at any of these would score every method inf and report best "none"
+    with pytest.raises(ValueError, match=f"setting '{key}' = {value}: must be"):
+        EvalProtocol(**{key: value})
+
+
 def toy_series(rng, n=90, name="toy"):
     t = np.linspace(0.0, 9.0, n)
     values = np.column_stack([np.sin(t), np.cos(1.3 * t)])

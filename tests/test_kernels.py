@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import make_theta, pin_usable_cores, single_kernel
+from conftest import full_stats, make_theta, pin_usable_cores, single_kernel
 from kflow import kernels
 from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.kernels import (
@@ -23,14 +23,17 @@ from kflow.kernels import (
     KernelParams,
     _eval_block,
     _grad_blocks,
-    _self_stats,
+    _packed_stats,
+    _triangle,
     clamp_theta,
     cross_gram,
     eval_combined,
     eval_elemental,
     gram,
 )
-from kflow.training import geometry_scales
+from kflow.evaluation import prepare_series
+from kflow.systems import get_system, integrate_rk4
+from kflow.training import default_init, geometry_scales
 
 
 def test_dictionary_table_invariants(rng):
@@ -38,7 +41,7 @@ def test_dictionary_table_invariants(rng):
     assert (len(DICTIONARY), N_KERNELS, N_THETA) == (21, 21, 34)
     assert [j for slots in SLOTS for j in slots] == list(range(N_THETA))
     # one derivative block per owned slot, shaped like the value block
-    stats = _self_stats(rng.uniform(-1.0, 1.0, size=(6, 3)))
+    stats = _packed_stats(rng.uniform(-1.0, 1.0, size=(6, 3)))
     theta = rng.uniform(0.5, 1.5, size=N_THETA)
     for term, slots in zip(DICTIONARY, SLOTS):
         value = term.value(*stats, theta)
@@ -239,7 +242,7 @@ def _whole_array_sum(params, A, B=None):
     """Reference: every pair's geometry at once, terms summed from zeros in ascending order."""
     with np.errstate(all="ignore"):
         if B is None:
-            stats = _self_stats(A)
+            stats = full_stats(A)
         else:
             S = A @ B.T
             Q = np.maximum((A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * S, 0.0)
@@ -297,9 +300,34 @@ def test_cross_gram_tiles_equal_whole_array_sum(rng, tile_rows, m, tiles):
         assert C.tobytes() == _whole_array_sum(params, A, B).tobytes()
 
 
+def test_lorenz_gram_and_cross_gram_equal_the_reference_loop_bitwise():
+    # the weighted sum writes each term into one buffer: still (a*a) * block, added in order
+    prepared = prepare_series(integrate_rk4(get_system("lorenz"), 400), 5, 0.8)
+    X, T = prepared.train.X, prepared.test.X
+    params = default_init(prepared.train, 0)
+    assert gram(params, X).tobytes() == _whole_array_sum(params, X).tobytes()
+    assert cross_gram(params, T, X).tobytes() == _whole_array_sum(params, T, X).tobytes()
+
+
+def test_triangle_positions_are_read_only_and_cached_for_a_few_small_sizes():
+    upper, lower, diag = _triangle(3)
+    assert (upper.tolist(), lower.tolist(), diag.tolist()) == (
+        [0, 1, 2, 4, 5, 8], [0, 3, 6, 4, 7, 8], [0, 3, 5])
+    assert not any(a.flags.writeable for a in (upper, lower, diag))
+    assert _triangle(3)[0] is upper
+    for n in range(4, 40):
+        _triangle(n)
+    assert kernels._triangle_cached.cache_info().currsize <= 4
+    # a large size is rebuilt per call, never pinned
+    large = kernels._CACHED_ROWS + 1
+    assert _triangle(large)[0] is not _triangle(large)[0]
+    assert kernels._triangle_cached.cache_info().currsize <= 4
+
+
 def test_gram_self_distance_is_zero_when_the_norm_overflows():
     # |x|^2 overflows, but a point's distance to itself is still exactly 0
     assert gram(single_kernel(3), np.array([[1e200, 0.0]])).tolist() == [[1.0]]
+    assert _packed_stats(np.array([[1e200, 0.0], [0.0, 1.0]]))[2][[0, 2]].tolist() == [0.0, 0.0]
 
 
 def test_gram_peak_memory_below_three_matrices(rng):
@@ -466,7 +494,7 @@ def test_alpha_gradient_zero_weight_is_zero_matrix(point_cloud):
 
 
 def test_theta_gradient_linear_constant():
-    stats, theta = _self_stats(np.array([[1.0], [2.0]])), make_theta(t1=3.0)
+    stats, theta = full_stats(np.array([[1.0], [2.0]])), make_theta(t1=3.0)
     (D,) = _grad_blocks(0, stats, theta, _eval_block(0, stats, theta))
     np.testing.assert_allclose(D, np.full((2, 2), 6.0), rtol=0, atol=0)
 
@@ -487,7 +515,7 @@ def test_gradients_match_finite_differences(rng):
     theta[33] = 1.3  # circular-term domain valid for |t34| >= 1
     alpha = rng.uniform(0.5, 1.0, size=N_KERNELS)
     params = KernelParams(alpha, theta)
-    stats = _self_stats(X)
+    stats = full_stats(X)
 
     for i, slots in enumerate(SLOTS):
         grads = _grad_blocks(i, stats, theta, _eval_block(i, stats, theta))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
-from conftest import make_theta, single_kernel
+from conftest import full_stats, make_theta, single_kernel
 from kflow.kernels import (
     DICTIONARY,
     N_KERNELS,
@@ -13,7 +13,8 @@ from kflow.kernels import (
     KernelEvalError,
     KernelParams,
     _grad_blocks,
-    _self_stats,
+    _packed_stats,
+    _triangle,
     gram,
 )
 from kflow.loss import (
@@ -74,6 +75,18 @@ def test_indefinite_system_falls_back_to_lu(rng):
     Y = rng.normal(size=3)
     x = system.solve(Y)
     np.testing.assert_allclose((K + 0.1 * np.eye(3)) @ x, Y, atol=1e-10)
+
+
+def test_a_successful_build_and_solve_never_take_the_norm(rng, monkeypatch):
+    # ||A||_1 only scales the condition estimate that a failed solve reports
+    calls = []
+    monkeypatch.setattr("kflow.loss._lange", lambda *args, **kw: calls.append(args))
+    M = rng.normal(size=(50, 50))
+    for K, lu in ((M @ M.T, False), (M + M.T, True)):
+        system = RidgeSystem(K, 0.05)
+        assert (system._pivots is not None) == lu
+        system.solve(rng.normal(size=(50, 2)))
+    assert calls == []
 
 
 def test_solve_leaves_the_gram_unwritten(rng):
@@ -376,7 +389,7 @@ def test_derivative_blocks_take_the_held_value_block_bitwise(rng):
 
 def _two_batch_gradient(params, X, Y, lam):
     """(qf, d qf/d alpha, d qf/d theta) of one batch, from its own geometry."""
-    stats = _self_stats(X)
+    stats = full_stats(X)
     W = np.linalg.solve(gram(params, X) + lam * np.eye(len(X)), Y)
     ga, gt = np.zeros(N_KERNELS), np.zeros(N_THETA)
     for i, (a, term) in enumerate(zip(params.alpha, DICTIONARY)):
@@ -399,6 +412,58 @@ def test_folded_gradient_matches_the_two_batch_quotient_rule(rng):
         for got, d_b, d_c in ((ga, ga_b, ga_c), (gt, gt_b, gt_c)):
             want = (qf_c * d_b - d_c * qf_b) / qf_b ** 2
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
+
+
+def _full_batch(params, X, Y, sub, lam):
+    """The batch path on n x n arrays: blocks of the full geometry, K summed from zeros in
+    ascending term order, <B, M> by np.vdot."""
+    stats = full_stats(X)
+    K, blocks = np.zeros((len(X), len(X))), {}
+    with np.errstate(all="ignore"):
+        for i, a in enumerate(params.alpha):
+            if a != 0.0:
+                blocks[i] = DICTIONARY[i].value(*stats, params.theta)
+                K += (a * a) * blocks[i]
+    W = RidgeSystem(K, lam).solve(Y)
+    Wc = RidgeSystem(K[np.ix_(sub, sub)], lam).solve(Y[sub])
+    qf_b, qf_c = float(np.sum(Y * W)), float(np.sum(Y[sub] * Wc))
+    M = (qf_c / (qf_b * qf_b)) * (W @ W.T)
+    M[np.ix_(sub, sub)] -= (Wc @ Wc.T) / qf_b
+    ga, gt = np.zeros(N_KERNELS), np.zeros(N_THETA)
+    for i, block in blocks.items():
+        ga[i] = -2.0 * params.alpha[i] * np.vdot(block, M)
+        for j, grad in zip(SLOTS[i], _grad_blocks(i, stats, params.theta, block)):
+            gt[j] = -(params.alpha[i] ** 2) * np.vdot(grad, M)
+    return stats, blocks, K, W, qf_b, 1.0 - qf_c / qf_b, ga, gt
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 200, "duplicate rows"])
+def test_packed_batch_equals_the_full_array_path(rng, n):
+    duplicates = n == "duplicate rows"
+    params, X, Y, sub = smooth_fixture(rng, n=60 if duplicates else n)
+    if duplicates:  # dyadic coordinates: each duplicate pair has q = 0 exactly
+        X = np.round(4.0 * X) / 4.0
+        X[30:] = X[:30]
+    n = len(X)
+    stats, blocks, K, W, qf_b, r, ga, gt = _full_batch(params, X, Y, sub, 0.05)
+    iu = np.triu_indices(n)
+    packed = _packed_stats(X)
+    assert all((p == f[iu]).all() for p, f in zip(packed, stats))
+    assert (packed[2][_triangle(n)[2]] == 0.0).all()
+    assert np.count_nonzero(packed[2] == 0.0) >= n + (30 if duplicates else 0)
+    terms = _BatchTerms(params, X, Y, 0.05)
+    for i, block in blocks.items():
+        assert terms.blocks[i].tobytes() == block[iu].tobytes(), i + 1
+        want = _grad_blocks(i, stats, params.theta, block)
+        got = _grad_blocks(i, terms.stats, params.theta, terms.blocks[i])
+        assert [g.tobytes() for g in got] == [w[iu].tobytes() for w in want], i + 1
+    assert terms.K.tobytes() == K.tobytes()
+    assert terms.W.tobytes() == W.tobytes() and terms.qf == qf_b
+    got = _nested_eval(params, X, Y, sub, 0.05, wrt_alpha=True, wrt_theta=True,
+                       require_positive=False)
+    assert got[0] == r and got[2] == qf_b
+    for g, want in zip(got[3:], (ga, gt)):
+        assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_grad_inactive_alpha_is_zero(rng):

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_theta
+from conftest import full_stats, make_theta
 import kflow.forecast
 import kflow.loss
 import kflow.training
 from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.evaluation import prepare_series
 from kflow.forecast import fit, one_step_forecast
-from kflow.kernels import (KernelEvalError, KernelParams, N_KERNELS, N_THETA, _self_stats,
-                           cross_gram, gram)
+from kflow.kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA, cross_gram, gram
 from kflow.loss import FactorizationError
 from kflow.metrics import smape
 from kflow.systems import get_system, integrate_rk4
@@ -287,7 +286,7 @@ def _reference_scales(dataset):
     # reference: the slots grouped by rule, then t29, t30 and t34 assigned again,
     # which overwrites their group entries
     step = max(1, dataset.n_pairs // PROBE_ROWS)
-    S, _, Q = _self_stats(dataset.X[::step][:PROBE_ROWS])
+    S, _, Q = full_stats(dataset.X[::step][:PROBE_ROWS])
     iu = np.triu_indices(S.shape[0], k=1)
     q_med, q_hi = np.percentile(Q[iu], [50.0, 95.0])
     s_hi = np.percentile(np.abs(S[iu]), 95.0)
