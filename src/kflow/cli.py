@@ -28,9 +28,8 @@ import numpy as np
 from . import __version__
 from .embedding import TimeSeries, build_delay_dataset
 from .evaluation import (
+    REPORT_HEADER_NOTE,
     EvalProtocol,
-    check_range,
-    emit_distribution_csv,
     emit_report,
     prepare_series,
     run_benchmark,
@@ -51,7 +50,7 @@ from .systems import (
     load_csv,
     save_csv,
 )
-from .training import TrainConfig, TrainingAborted, default_init, train
+from .training import TrainConfig, TrainingAborted, check_range, default_init, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -102,7 +101,7 @@ def _load_config_file(path) -> dict:
 def _setting(args, key, cast, default):
     """Flag value if given, else config-file value, else default, cast.
 
-    A value that does not cast, or falls outside its key's EvalProtocol range, is
+    A value that does not cast, or falls outside its key's range (check_range), is
     a data error naming its key, and an int setting takes an integral number
     only; null is the default only where that default is None.
     """
@@ -364,12 +363,10 @@ def cmd_benchmark(args) -> int:
     resolved = _resolved({"command": "benchmark", "manifest": str(args.manifest)},
                          protocol, n=args.n)
     report_doc = _envelope("benchmark", resolved, _digest(args.manifest))
-    report_doc.update(json.loads(emit_report(rows, "json")))  # note, rows
+    report_doc["note"] = REPORT_HEADER_NOTE
+    report_doc["rows"] = [r.to_dict() for r in rows]
     _write_json(out_dir / "report.json", report_doc)
-    for fmt, name in (("csv", "report.csv"), ("markdown", "report.md")):
-        (out_dir / name).write_text(emit_report(rows, fmt), encoding="utf-8")
-    (out_dir / "distributions.csv").write_text(emit_distribution_csv(rows),
-                                               encoding="utf-8")
+    (out_dir / "report.csv").write_text(emit_report(rows), encoding="utf-8")
 
     parts = " ".join(f"{k}={v}" for k, v in win_counts(rows).items())
     print(f"win counts: {parts} (scored systems: {len(rows)})")

@@ -39,7 +39,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -50,7 +50,7 @@ from .kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA, _usable_
 from .loss import DegenerateBatchError, FactorizationError
 from .metrics import hausdorff, smape
 from .systems import Standardizer
-from .training import TrainConfig, TrainingAborted, default_init, train
+from .training import TrainConfig, TrainingAborted, check_range, default_init, train
 
 DEFAULT_LAMBDA2_GRID = (0.0, 0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
 METHOD_NAMES = ("RBF", "TrainedRBF", "RegularKF", "SparseKF")
@@ -150,9 +150,7 @@ def _cv_cell(shared, task: int) -> float:
 
 def _cv_cells(dataset: DelayDataset, grid, config: TrainConfig):
     """(grid, its 3 * len(grid) _cv_cell tasks); ValueError if none can run."""
-    grid = tuple(float(g) for g in grid)
-    if not grid:
-        raise ValueError("lambda2 grid must be nonempty")
+    grid = check_range("lambda2_grid", tuple(float(g) for g in grid))
     n = dataset.n_pairs
     if n < 9:
         raise ValueError(f"need at least 9 embedded pairs for 3 folds, got {n}")
@@ -188,21 +186,6 @@ def select_lambda2(dataset: DelayDataset, grid=DEFAULT_LAMBDA2_GRID,
         return _select(grid, [result(i) for i in range(len(cells))])
 
 
-# EvalProtocol fields outside whose range a run scores nothing: field -> (test, range in words)
-_RANGES = {"tau": (lambda v: v >= 1, "at least 1"),
-           "train_fraction": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
-           "cv_epochs": (lambda v: v >= 0, "nonnegative"),
-           "rollout_steps": (lambda v: v >= 1, "at least 1")}
-
-
-def check_range(key, value, name=None, error=ValueError):
-    """value, unless it is set and outside field key's range: then ``error`` naming name (or key)."""
-    test, words = _RANGES.get(key, (None, None))
-    if test and value is not None and not test(value):
-        raise error(f"setting {name or key!r} = {value!r}: must be {words}")
-    return value
-
-
 @dataclass(frozen=True)
 class EvalProtocol:
     """Resolved settings shared by ``kflow train`` and ``kflow benchmark``.
@@ -219,8 +202,8 @@ class EvalProtocol:
     rollout_steps: int | None = None  # None: full test length
 
     def __post_init__(self):
-        for key in _RANGES:
-            check_range(key, getattr(self, key))
+        for f in fields(self):
+            check_range(f.name, getattr(self, f.name))
 
     @property
     def cv_config(self) -> TrainConfig:
@@ -362,55 +345,16 @@ REPORT_HEADER_NOTE = (
 )
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
-def _row_cells(row: BenchmarkRow):
-    cells = [row.system]
-    for m in METHOD_NAMES:
-        cells.append(_fmt(row.smapes[m]))
-        cells.append(_fmt(row.hausdorffs[m]))
-    cells.append(row.best)
-    return cells
-
-
-def _csv_header():
-    cols = ["Name"]
-    for m in METHOD_NAMES:
-        cols += [f"{m}_SMAPE", f"{m}_HD"]
-    cols.append("Best")
-    return cols
-
-
-def emit_report(rows, format: str) -> str:
-    """Render benchmark rows as json, csv or a markdown table."""
+def emit_report(rows) -> str:
+    """The rows as csv, one line per system under the header, after a comment line
+    holding the note; every score in repr form."""
     if not rows:
         raise ValueError("no rows to report")
-    if format == "json":
-        import json
-        doc = {"note": REPORT_HEADER_NOTE, "rows": [r.to_dict() for r in rows]}
-        return json.dumps(doc, indent=2)
-    if format == "csv":
-        lines = ["# " + REPORT_HEADER_NOTE, ",".join(_csv_header())]
-        lines += [",".join(_row_cells(r)) for r in rows]
-        return "\n".join(lines) + "\n"
-    if format == "markdown":
-        header = _csv_header()
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join(["---"] * len(header)) + "|"]
-        lines += ["| " + " | ".join(_row_cells(r)) + " |" for r in rows]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def emit_distribution_csv(rows) -> str:
-    """Per-method SMAPE columns, one row per system (box-plot input)."""
-    if not rows:
-        raise ValueError("no rows to report")
-    lines = [",".join(METHOD_NAMES)]
+    header = ["Name", *(f"{m}_{col}" for m in METHOD_NAMES for col in ("SMAPE", "HD")), "Best"]
+    lines = ["# " + REPORT_HEADER_NOTE, ",".join(header)]
     for r in rows:
-        lines.append(",".join(_fmt(r.smapes[m]) for m in METHOD_NAMES))
+        scores = (repr(float(v)) for m in METHOD_NAMES for v in (r.smapes[m], r.hausdorffs[m]))
+        lines.append(",".join([r.system, *scores, r.best]))
     return "\n".join(lines) + "\n"
 
 

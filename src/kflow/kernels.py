@@ -7,12 +7,12 @@ The combined kernel is
 with 21 elemental terms k_i drawing on 34 intrinsic parameters theta.
 Every elemental is a function of the pair geometry only: the inner
 product ``s = x.y``, the Euclidean distance ``r = ||x - y||`` and its
-square ``q = r**2``.  Every evaluation (``gram``, ``cross_gram``, and the
-scalar entry points as 1x1 ``cross_gram`` calls) forms ``S = A B'`` once,
-then per cache-sized row tile (s, r, q) and the sum of the active terms,
-checked once.  Outside process pools the tiles run on the usable cores,
-bit-identical to serial.  A Gram's tiles cover its upper triangle and
-are mirrored into the lower one: it is symmetric bitwise.
+square ``q = r**2``.  Both evaluations, ``gram`` and ``cross_gram``,
+form ``S = A B'`` once, then per cache-sized row tile (s, r, q) and the
+sum of the active terms, checked once.  Outside process pools the tiles
+run on the usable cores, bit-identical to serial.  A Gram's tiles cover
+its upper triangle and are mirrored into the lower one: it is symmetric
+bitwise.
 
 Weights enter squared, so a combination is nonnegative whenever its
 terms are, and ``alpha_i == 0`` removes term i exactly (the elemental
@@ -100,11 +100,6 @@ class KernelParams:
     @property
     def nnz(self) -> int:
         return int(np.count_nonzero(self.active_mask))
-
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "KernelParams":
-        """Random initialization: alpha ~ U(0.5, 1), theta ~ U(0.5, 1.5)."""
-        return cls(rng.uniform(0.5, 1.0, N_KERNELS), rng.uniform(0.5, 1.5, N_THETA))
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha.tolist(), "theta": self.theta.tolist()}
@@ -566,20 +561,6 @@ def cross_gram(params: KernelParams, A, B) -> np.ndarray:
     if A.shape == B.shape and np.array_equal(A, B):
         return gram(params, A)
     return _kernel_matrix(params, A, B)
-
-
-def eval_elemental(kernel_id: int, x, y, theta) -> float:
-    """Evaluate a single elemental kernel at one pair of points."""
-    if not 1 <= kernel_id <= N_KERNELS:
-        raise KernelEvalError(f"kernel id must be in 1..{N_KERNELS}, got {kernel_id}")
-    alpha = np.zeros(N_KERNELS)
-    alpha[kernel_id - 1] = 1.0
-    return eval_combined(KernelParams(alpha, theta), x, y)
-
-
-def eval_combined(params: KernelParams, x, y) -> float:
-    """Weighted sum of active elementals at one pair of points."""
-    return float(cross_gram(params, np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0, 0])
 
 
 def clamp_theta(theta: np.ndarray) -> np.ndarray:

@@ -11,14 +11,14 @@ interpolants fitted on each batch through the ratio of quadratic forms
 should not lose much accuracy under a good kernel, so small rho is
 good.  Sparse training adds an l1 penalty lambda2 * ||alpha||_1 on the
 dictionary weights; that term is handled by the optimizer's proximal
-step, so :func:`grad_loss` differentiates the smooth part only.
+step, so the gradient here is of the smooth part rho only.
 
-The public ops and the training loop share one path: :func:`_nested_eval`
-builds one :class:`_BatchTerms` for batch b; batch c's Gram is its
-submatrix K[sub, sub], and c's gradient folds into b's, so every block
-is evaluated on b's packed upper triangle (with its diagonal) only; K is
-unpacked once.  :class:`RidgeSystem` factorizes K + lambda1 I once per
-batch and verifies every solve by its residual.
+:func:`_nested_eval` is the one entry point, for the value and the
+gradient alike: it builds one :class:`_BatchTerms` for batch b; batch
+c's Gram is its submatrix K[sub, sub], and c's gradient folds into b's,
+so every block is evaluated on b's packed upper triangle (with its
+diagonal) only; K is unpacked once.  :class:`RidgeSystem` factorizes
+K + lambda1 I once per batch and verifies every solve by its residual.
 
 An epoch's three calls share one batch and hand b's terms on: pair
 geometry is always reused, elemental blocks only while theta is bitwise
@@ -61,7 +61,7 @@ class FactorizationError(np.linalg.LinAlgError):
 
 
 class DegenerateBatchError(ValueError):
-    """The denominator quadratic form is not positive."""
+    """The denominator quadratic form vanishes, so the loss ratio is undefined."""
 
 
 class RidgeSystem:
@@ -78,8 +78,8 @@ class RidgeSystem:
         gram = np.asarray(gram, dtype=float)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError(f"gram must be square, got {gram.shape}")
-        if lambda1 < 0:
-            raise ValueError(f"lambda1 must be nonnegative, got {lambda1}")
+        if not 0.0 <= lambda1 < np.inf:
+            raise ValueError(f"lambda1 must be finite and nonnegative, got {lambda1}")
         if not np.all(np.isfinite(gram)):
             raise FactorizationError("gram contains non-finite entries")
         self.lambda1 = float(lambda1)
@@ -232,17 +232,14 @@ class _BatchTerms:
 
 def _nested_eval(params: KernelParams, X, Y, sub, lambda1: float,
                  wrt_alpha: bool = False, wrt_theta: bool = False,
-                 require_positive: bool = True, terms: list | None = None):
+                 terms: list | None = None):
     """rho, the two quadratic forms and (optionally) gradient parts.
 
     Batch b is (X, Y), batch c its rows ``sub``.  Returns (rho, qf_c,
-    qf_b, grad_alpha | None, grad_theta | None).  The one entry point for
-    the public ops and the training loop.  The public ops require a
-    positive denominator (the RKHS-norm reading of the ratio); the
-    optimizer passes require_positive=False because an indefinite
-    parameter draw makes the quadratic forms sign-free while the ratio
-    and its gradient stay perfectly well defined — only a vanishing
-    denominator is degenerate there.
+    qf_b, grad_alpha | None, grad_theta | None).  An indefinite parameter
+    draw makes the quadratic forms sign-free while the ratio and its
+    gradient stay well defined, so only a vanishing denominator is
+    degenerate.
 
     ``terms``, when given, holds b's terms from the previous call on the
     same batch (empty on the first) and receives this call's.
@@ -253,13 +250,7 @@ def _nested_eval(params: KernelParams, X, Y, sub, lambda1: float,
         raise ValueError(f"sub must be a non-empty 1-d array of distinct row positions "
                          f"in [0, {len(X)}), got {sub}")
     b = _BatchTerms(params, X, Y, lambda1, terms[0] if terms else None)
-    if require_positive:
-        if not b.qf > 0.0:
-            raise DegenerateBatchError(
-                f"denominator quadratic form is {b.qf:.3e}; batch is degenerate "
-                "(zero targets or an indefinite system)"
-            )
-    elif abs(b.qf) < 1e-12:
+    if abs(b.qf) < 1e-12:
         raise DegenerateBatchError(
             f"denominator quadratic form is {b.qf:.3e}; ratio is undefined"
         )
@@ -275,35 +266,3 @@ def _nested_eval(params: KernelParams, X, Y, sub, lambda1: float,
     M[np.ix_(sub, sub)] -= (Wc @ Wc.T) / b.qf
     grad_alpha, grad_theta = b.gradient(M, wrt_alpha, wrt_theta)
     return r, qf_c, b.qf, grad_alpha, grad_theta
-
-
-def regularized_quadratic_form(params: KernelParams, X, Y, lambda1: float) -> float:
-    """Y' (K + lambda1 I)^{-1} Y via factorization, never an explicit inverse."""
-    return _BatchTerms(params, X, Y, lambda1).qf
-
-
-def rho(params: KernelParams, X, Y, sub, lambda1: float) -> float:
-    """Relative-loss ratio 1 - qf_c / qf_b, batch c being the rows ``sub`` of (X, Y)."""
-    return _nested_eval(params, X, Y, sub, lambda1)[0]
-
-
-def sparse_loss(params: KernelParams, X, Y, sub, lambda1: float,
-                lambda2: float) -> LossBreakdown:
-    """rho plus the l1 weight penalty, with the parts broken out."""
-    if lambda2 < 0:
-        raise ValueError(f"lambda2 must be nonnegative, got {lambda2}")
-    r, qf_c, qf_b, _, _ = _nested_eval(params, X, Y, sub, lambda1)
-    l1 = lambda2 * float(np.sum(np.abs(params.alpha)))
-    return LossBreakdown(r, l1, r + l1, qf_c, qf_b)
-
-
-def grad_loss(params: KernelParams, X, Y, sub, lambda1: float):
-    """Gradient of rho over (alpha[21], theta[34]) — smooth part only.
-
-    The l1 term is non-smooth and belongs to the optimizer's proximal
-    step, so it does not enter the returned gradient.
-    """
-    _, _, _, grad_alpha, grad_theta = _nested_eval(
-        params, X, Y, sub, lambda1, wrt_alpha=True, wrt_theta=True
-    )
-    return grad_alpha, grad_theta

@@ -14,6 +14,15 @@ sweeps up numerically tiny survivors.  With lambda2 = 0 neither the
 proximal step nor the threshold acts, and the loop is regular (dense)
 kernel-flow training.
 
+Zeros are absorbing.  A weight enters the kernel squared, so
+d rho / d alpha_i = -2 alpha_i <B_i, M> is 0 at alpha_i = 0: a weight
+that the proximal step (or the initialization) zeroes never returns.
+The term's theta slots freeze with it, since their gradients carry the
+factor alpha_i**2.  The threshold lr * lambda2 / sqrt(epoch) is largest
+in the first epochs, so those epochs fix the support.  And on the
+effective weight w_i = alpha_i**2 the penalty lambda2 |alpha_i| reads
+lambda2 sqrt(w_i), which is not convex.
+
 Both updates within an epoch reuse the same batch draw and one step
 size, lr / sqrt(epoch).  A batch whose factorization fails is skipped
 and counted against a budget of FAILURE_BUDGET_FRACTION of the epochs.
@@ -21,7 +30,7 @@ and counted against a budget of FAILURE_BUDGET_FRACTION of the epochs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -55,6 +64,30 @@ FAILURE_BUDGET_FRACTION = 0.1  # of the epochs, rounded up
 SCALE_CANDIDATES = (1.0, 2.0, 4.0, 8.0, 16.0)
 CALIBRATION_ROWS = 1024  # fit rows of that tail, at most
 PROBE_ROWS = 256  # rows in geometry_scales' strided probe
+
+# settings outside whose range a run fails or scores nothing: field -> (test, range in
+# words); TrainConfig and evaluation.EvalProtocol check their fields on construction
+_FINITE_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
+_RANGES = {"epochs": (lambda v: v >= 0, "nonnegative"),
+           "batch_size": (lambda v: v >= 2, "at least 2"),
+           "lr": (lambda v: 0.0 < v < np.inf, "finite and positive"),
+           "lambda1": _FINITE_NONNEGATIVE,
+           "lambda2": _FINITE_NONNEGATIVE,
+           "zero_clamp": _FINITE_NONNEGATIVE,
+           "tau": (lambda v: v >= 1, "at least 1"),
+           "train_fraction": (lambda v: 0.0 < v < 1.0, "strictly between 0 and 1"),
+           "cv_epochs": (lambda v: v >= 0, "nonnegative"),
+           "rollout_steps": (lambda v: v >= 1, "at least 1"),
+           "lambda2_grid": (lambda v: len(v) > 0 and all(0.0 <= g < np.inf for g in v),
+                            "nonempty, each value finite and nonnegative")}
+
+
+def check_range(key, value, name=None, error=ValueError):
+    """value, unless it is set and outside field key's range: then ``error`` naming name (or key)."""
+    test, words = _RANGES.get(key, (None, None))
+    if test and value is not None and not test(value):
+        raise error(f"setting {name or key!r} = {value!r}: must be {words}")
+    return value
 
 
 def geometry_scales(dataset: DelayDataset) -> np.ndarray:
@@ -119,16 +152,8 @@ class TrainConfig:
     zero_clamp: float = 1e-3
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be nonnegative")
-        if self.zero_clamp < 0:
-            raise ValueError("zero_clamp must be nonnegative")
+        for f in fields(self):
+            check_range(f.name, getattr(self, f.name))
 
 
 def _clip_norm(g: np.ndarray, cap: float) -> np.ndarray:
@@ -213,20 +238,18 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
         try:
             params = KernelParams(alpha, theta)
             _, _, _, _, g_theta = _nested_eval(params, X, Y, sub, config.lambda1,
-                                               wrt_theta=True, require_positive=False,
-                                               terms=terms)
+                                               wrt_theta=True, terms=terms)
             theta = clamp_theta(theta - lr * _clip_norm(g_theta, MAX_GRAD_NORM))
 
             params = KernelParams(alpha, theta)
             _, _, _, g_alpha, _ = _nested_eval(params, X, Y, sub, config.lambda1,
-                                               wrt_alpha=True, require_positive=False,
-                                               terms=terms)
+                                               wrt_alpha=True, terms=terms)
             alpha = soft_threshold(alpha - lr * _clip_norm(g_alpha, MAX_GRAD_NORM),
                                    lr * config.lambda2)
 
             params = KernelParams(alpha, theta)
             rho_val, qf_c, qf_b, _, _ = _nested_eval(params, X, Y, sub, config.lambda1,
-                                                     require_positive=False, terms=terms)
+                                                     terms=terms)
             l1 = config.lambda2 * float(np.sum(np.abs(alpha)))
             history.append(LossBreakdown(rho_val, l1, rho_val + l1, qf_c, qf_b))
         except (FactorizationError, DegenerateBatchError, KernelEvalError) as err:

@@ -31,6 +31,11 @@ def single_kernel(kernel_id, theta=None, weight=1.0):
     return KernelParams(alpha, np.ones(N_THETA) if theta is None else theta)
 
 
+def random_params(rng):
+    """A full-dictionary draw: alpha ~ U(0.5, 1), theta ~ U(0.5, 1.5)."""
+    return KernelParams(rng.uniform(0.5, 1.0, N_KERNELS), rng.uniform(0.5, 1.5, N_THETA))
+
+
 def full_stats(X):
     """Reference pair geometry (s, r, q) of all pairs of rows of X as n x n arrays: S = X X'
     with its upper triangle mirrored, q = |x|^2 + |y|^2 - 2 s floored at 0 and 0 on the

@@ -301,15 +301,16 @@ def test_benchmark_manifest(tmp_path, rng, capsys):
     out_dir = tmp_path / "bench"
     assert run_cli("benchmark", str(manifest), "--out-dir", str(out_dir),
                    "--steps", "4", *FAST) == 0
-    for name in ("report.json", "report.csv", "report.md", "distributions.csv"):
-        assert (out_dir / name).exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["report.csv", "report.json"]
     report = json.loads((out_dir / "report.json").read_text())
     assert len(report["rows"]) == 3
     printed = capsys.readouterr().out
-    assert "win counts:" in printed
     # the win-count line partitions the scored systems
-    dist = (out_dir / "distributions.csv").read_text().splitlines()
-    assert len(dist) == 4
+    line = next(ln for ln in printed.splitlines() if ln.startswith("win counts:"))
+    counts = dict(part.split("=") for part in line.split(" (")[0].split()[2:])
+    assert set(counts) == {"RBF", "TrainedRBF", "RegularKF", "SparseKF", "none"}
+    assert sum(int(v) for v in counts.values()) == 3
+    assert line.endswith("(scored systems: 3)")
 
 
 def test_benchmark_honours_zero_clamp(tmp_path, rng):
@@ -350,6 +351,8 @@ def test_train_and_benchmark_share_the_sparse_recipe(tmp_path, rng):
     ("lambda2_grid", [[0.1]]), ("epochs", float("inf")), ("seed", "x"),
     ("epochs", 2.7), ("seed", True), ("tau", "4"), ("cv_epochs", 1.5),
     ("tau", 0), ("train_fraction", 1.5), ("cv_epochs", -1),
+    ("lambda1", float("nan")), ("lambda1", float("inf")), ("zero_clamp", float("nan")),
+    ("lambda2_grid", [0, -1]), ("lambda2_grid", [0, float("nan")]),
 ])
 def test_config_value_of_the_wrong_type_is_a_data_error(tmp_path, rng, capsys,
                                                         command, key, value):

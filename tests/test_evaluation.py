@@ -22,7 +22,6 @@ from kflow.evaluation import (
     _fold_blocks,
     _task_pool,
     benchmark_system,
-    emit_distribution_csv,
     emit_report,
     fixed_rbf_params,
     prepare_series,
@@ -42,6 +41,16 @@ def test_protocol_field_out_of_range_is_rejected(key, value):
     # a run at any of these would score every method inf and report best "none"
     with pytest.raises(ValueError, match=f"setting '{key}' = {value}: must be"):
         EvalProtocol(**{key: value})
+
+
+@pytest.mark.parametrize("grid", [(), (0.0, -1.0), (0.0, float("nan")), (float("inf"),)],
+                         ids=["empty", "negative", "nan", "inf"])
+def test_lambda2_grid_must_be_nonempty_finite_and_nonnegative(rng, grid):
+    # a bad value would fail every SparseKF cell, or write NaN into the report
+    with pytest.raises(ValueError, match="setting 'lambda2_grid' = .*: must be nonempty"):
+        EvalProtocol(lambda2_grid=grid)
+    with pytest.raises(ValueError, match="setting 'lambda2_grid'"):
+        select_lambda2(toy_dataset(rng), grid, quick_config())
 
 
 def toy_series(rng, n=90, name="toy"):
@@ -155,28 +164,15 @@ def test_benchmark_row_and_reports(rng):
     if finite:
         assert row.best == min(finite, key=lambda m: row.smapes[m])
 
-    rows = [row]
-    csv_text = emit_report(rows, "csv")
-    data_line = csv_text.splitlines()[2]
-    assert len(data_line.split(",")) == 10
-
-    md = emit_report(rows, "markdown")
-    md_cells = [c.strip() for c in md.splitlines()[2].strip("|").split("|")]
-    csv_cells = data_line.split(",")
-    assert md_cells == csv_cells  # markdown round-trips the csv values
-
-    doc = json.loads(emit_report(rows, "json"))
-    assert doc["rows"][0]["system"] == "toy"
-
-    dist = emit_distribution_csv(rows)
-    lines = dist.splitlines()
-    assert lines[0] == ",".join(METHOD_NAMES)
-    assert len(lines) == 2
+    lines = emit_report([row]).splitlines()
+    assert len(lines) == 3 and lines[0].startswith("# SMAPE")
+    cells = lines[2].split(",")
+    assert cells[0] == "toy" and cells[-1] == row.best and len(cells) == 10
+    assert [float(c) for c in cells[1:9:2]] == [row.smapes[m] for m in METHOD_NAMES]
+    assert json.loads(json.dumps(row.to_dict()))["system"] == "toy"
 
     with pytest.raises(ValueError):
-        emit_report(rows, "html")
-    with pytest.raises(ValueError):
-        emit_report([], "csv")
+        emit_report([])
 
 
 def test_benchmark_all_fail_best_none(rng):

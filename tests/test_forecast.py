@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kflow.forecast
-from conftest import make_theta, single_kernel
+from conftest import make_theta, random_params, single_kernel
 from kflow.embedding import DelayDataset, TimeSeries, build_delay_dataset
 from kflow.forecast import (
     RolloutDiverged,
@@ -167,7 +167,7 @@ def _lorenz_prepared():
 def test_rollout_equals_chained_predict_one_bitwise():
     prepared = _lorenz_prepared()
     test = prepared.test
-    model = fit(KernelParams.random(np.random.default_rng(3)), prepared.train, 0.05)
+    model = fit(random_params(np.random.default_rng(3)), prepared.train, 0.05)
     want, step = _chained_predict_one(model, test.X[0], test.n_pairs)
     assert step is None
     assert rollout(model, test.X[0], test.n_pairs).tobytes() == want.tobytes()

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import full_stats, make_theta, pin_usable_cores, single_kernel
+from conftest import full_stats, make_theta, pin_usable_cores, random_params, single_kernel
 from kflow import kernels
 from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.kernels import (
@@ -27,8 +27,6 @@ from kflow.kernels import (
     _triangle,
     clamp_theta,
     cross_gram,
-    eval_combined,
-    eval_elemental,
     gram,
 )
 from kflow.evaluation import prepare_series
@@ -59,21 +57,26 @@ def test_dictionary_table_invariants(rng):
     assert tuple(np.flatnonzero(clamp_theta(np.zeros(N_THETA)))) == clamped
 
 
+def at_pair(params, x, y):
+    """The combined kernel at one pair of points: a 1x1 cross_gram."""
+    return float(cross_gram(params, np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0, 0])
+
+
 def test_gaussian_at_zero_distance_is_one():
     for t5 in (0.3, 1.0, 7.5):
-        assert eval_elemental(3, [1.0, 2.0], [1.0, 2.0], make_theta(t5=t5)) == 1.0
+        assert at_pair(single_kernel(3, make_theta(t5=t5)), [1.0, 2.0], [1.0, 2.0]) == 1.0
 
 
 def test_linear_kernel_hand_dot_product():
     # oracle: x.y + t1^2 computed by hand
     x, y = np.array([1.0]), np.array([2.0])
     expected = float(x @ y) + 0.0
-    assert eval_elemental(1, x, y, make_theta(t1=0.0)) == expected == 2.0
+    assert at_pair(single_kernel(1, make_theta(t1=0.0)), x, y) == expected == 2.0
 
 
 def test_triangular_squared_outside_support():
     # ||x-y||^2 = 4, t29 = 1 -> max(0, 1 - 4) = 0
-    assert eval_elemental(17, [0.0], [2.0], make_theta(t29=1.0)) == 0.0
+    assert at_pair(single_kernel(17, make_theta(t29=1.0)), [0.0], [2.0]) == 0.0
 
 
 def test_all_21_match_scalar_formulas(rng):
@@ -134,9 +137,11 @@ def test_all_21_match_scalar_formulas(rng):
         y = rng.uniform(-1.5, 1.5, size=4)
         t = rng.uniform(0.5, 1.5, size=N_THETA)
         for kid in range(1, N_KERNELS + 1):
-            got = eval_elemental(kid, x, y, t)
+            got = at_pair(single_kernel(kid, t), x, y)
             want = oracle(kid, x, y, t)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300), f"kernel {kid}"
+    # at coincident points the circular term is arccos(0) = pi/2 exactly
+    assert at_pair(single_kernel(21), [0.0], [0.0]) == math.pi / 2.0
 
 
 def test_symmetry_all_elementals(rng):
@@ -145,31 +150,31 @@ def test_symmetry_all_elementals(rng):
             x = rng.uniform(-2, 2, size=3)
             y = rng.uniform(-2, 2, size=3)
             t = rng.uniform(0.5, 1.5, size=N_THETA)
-            kxy = eval_elemental(kid, x, y, t)
-            kyx = eval_elemental(kid, y, x, t)
+            kxy = at_pair(single_kernel(kid, t), x, y)
+            kyx = at_pair(single_kernel(kid, t), y, x)
             assert abs(kxy - kyx) <= 1e-12 * (1.0 + abs(kxy))
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(KernelEvalError):
-        eval_elemental(3, [1.0], [1.0, 2.0], make_theta())
+        at_pair(single_kernel(3), [1.0], [1.0, 2.0])
 
 
 def test_nonfinite_intermediate_names_theta():
     # t7 = 0 puts a bare zero divisor inside the sin of kernel 5
     with pytest.raises(KernelEvalError, match="theta_7"):
-        eval_elemental(5, [1.0, 0.0], [0.0, 1.0], make_theta(t7=0.0))
+        at_pair(single_kernel(5, make_theta(t7=0.0)), [1.0, 0.0], [0.0, 1.0])
 
 
 def test_combined_empty_sum_is_zero(rng):
     params = KernelParams(np.zeros(N_KERNELS), np.ones(N_THETA))
     for _ in range(5):
         x, y = rng.normal(size=3), rng.normal(size=3)
-        assert eval_combined(params, x, y) == 0.0
+        assert at_pair(params, x, y) == 0.0
 
 
 def test_combined_gaussian_only_at_coincident_points():
-    assert eval_combined(single_kernel(3), [0.3, -0.7], [0.3, -0.7]) == 1.0
+    assert at_pair(single_kernel(3), [0.3, -0.7], [0.3, -0.7]) == 1.0
 
 
 def test_combined_two_terms_hand_sum():
@@ -178,7 +183,7 @@ def test_combined_two_terms_hand_sum():
     params = KernelParams(alpha, make_theta(t1=0.0, t5=1.0))
     # oracle: linear term 1*2 = 2 plus gaussian exp(-1/2)
     expected = 2.0 + math.exp(-0.5)
-    got = eval_combined(params, [1.0], [2.0])
+    got = at_pair(params, [1.0], [2.0])
     assert got == pytest.approx(expected, rel=1e-15)
     assert got == pytest.approx(2.6065, abs=5e-5)
 
@@ -188,7 +193,7 @@ def test_zeroed_kernel_is_never_evaluated():
     alpha = np.zeros(N_KERNELS)
     alpha[2] = 1.0
     params = KernelParams(alpha, make_theta(t7=0.0))
-    assert eval_combined(params, [1.0, 1.0], [0.0, 1.0]) > 0.0
+    assert at_pair(params, [1.0, 1.0], [0.0, 1.0]) > 0.0
     gram(params, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
@@ -203,13 +208,13 @@ def test_gram_linear_hand_values():
 
 
 def test_gram_exact_symmetry(rng, point_cloud):
-    params = KernelParams.random(rng)
+    params = random_params(rng)
     G = gram(params, point_cloud)
     assert (G == G.T).all()
 
 
 def test_cross_gram_same_input_equals_gram(rng, point_cloud):
-    params = KernelParams.random(rng)
+    params = random_params(rng)
     assert (cross_gram(params, point_cloud, point_cloud) == gram(params, point_cloud)).all()
 
 
@@ -279,7 +284,7 @@ def _sparse(params):
                                       (ONE_TILE + 1, 2), (2 * ONE_TILE + 45, 4)])
 def test_gram_tiles_equal_whole_array_sum(rng, tile_rows, n, tiles):
     X = rng.normal(size=(n, 4))
-    full = KernelParams.random(rng)
+    full = random_params(rng)
     for params in (full, _sparse(full)):
         tile_rows.clear()
         K = gram(params, X)
@@ -292,7 +297,7 @@ def test_gram_tiles_equal_whole_array_sum(rng, tile_rows, n, tiles):
                                       (CROSS_TILE + 1, 2), (3 * CROSS_TILE + 50, 4)])
 def test_cross_gram_tiles_equal_whole_array_sum(rng, tile_rows, m, tiles):
     A, B = rng.normal(size=(m, 4)), rng.normal(size=(CROSS_COLS, 4))
-    full = KernelParams.random(rng)
+    full = random_params(rng)
     for params in (full, _sparse(full)):
         tile_rows.clear()
         C = cross_gram(params, A, B)
@@ -333,7 +338,7 @@ def test_gram_self_distance_is_zero_when_the_norm_overflows():
 def test_gram_peak_memory_below_three_matrices(rng):
     n = 1500
     X = rng.normal(size=(n, 15))
-    params = KernelParams.random(rng)
+    params = random_params(rng)
     tracemalloc.start()
     try:
         gram(params, X)
@@ -408,7 +413,7 @@ def test_threaded_tiles_equal_serial_bitwise(rng, monkeypatch, tile_threads):
     # interleaves the hand-out as much as the interpreter allows
     monkeypatch.setattr(kernels, "_TILE", 64)
     X, A, B = rng.normal(size=(40, 4)), rng.normal(size=(37, 4)), rng.normal(size=(23, 4))
-    full = KernelParams.random(rng)
+    full = random_params(rng)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -593,7 +598,7 @@ def test_psd_subset_gram_eigenvalues(point_cloud):
 
 
 def test_zero_weight_neutrality_bitwise(rng, point_cloud):
-    full = KernelParams.random(rng)
+    full = random_params(rng)
     theta = np.array(full.theta)
     removed = 7  # drop kernel 8
     alpha = np.array(full.alpha)
@@ -620,16 +625,8 @@ def test_clamp_theta_projects_bare_divisors():
     assert (out[[0, 1, 2]] == 1.0).all()
 
 
-def test_eval_elemental_id_bounds():
-    assert eval_elemental(1, [1.0], [2.0], make_theta(t1=0.0)) == 2.0
-    assert eval_elemental(21, [0.0], [0.0], make_theta()) == math.pi / 2.0
-    for kernel_id in (0, 22):
-        with pytest.raises(KernelEvalError, match="kernel id must be in 1..21"):
-            eval_elemental(kernel_id, [1.0], [2.0], make_theta())
-
-
 def test_params_json_round_trip(rng):
-    params = KernelParams.random(rng)
+    params = random_params(rng)
     back = KernelParams.from_dict(json.loads(json.dumps(params.to_dict())))
     assert (back.alpha == params.alpha).all() and (back.theta == params.theta).all()
 

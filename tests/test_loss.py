@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
-from conftest import full_stats, make_theta, single_kernel
+from conftest import full_stats, make_theta, random_params, single_kernel
 from kflow.kernels import (
     DICTIONARY,
     N_KERNELS,
@@ -17,6 +17,7 @@ from kflow.kernels import (
     _triangle,
     gram,
 )
+from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.loss import (
     DegenerateBatchError,
     FactorizationError,
@@ -24,11 +25,8 @@ from kflow.loss import (
     RidgeSystem,
     _BatchTerms,
     _nested_eval,
-    grad_loss,
-    regularized_quadratic_form,
-    rho,
-    sparse_loss,
 )
+from kflow.training import TrainConfig, sample_nested_batches, train
 
 
 def linear_two_point_fixture():
@@ -46,6 +44,16 @@ def psd_params(rng):
     alpha[3] = rng.uniform(0.5, 1.0)   # laplacian
     alpha[15] = rng.uniform(0.5, 1.0)  # rational
     return KernelParams(alpha, rng.uniform(0.8, 1.5, N_THETA))
+
+
+def ratio(params, X, Y, sub, lambda1):
+    """The loss ratio 1 - qf_c / qf_b alone."""
+    return _nested_eval(params, X, Y, sub, lambda1)[0]
+
+
+def gradient(params, X, Y, sub, lambda1):
+    """(d rho / d alpha, d rho / d theta)."""
+    return _nested_eval(params, X, Y, sub, lambda1, wrt_alpha=True, wrt_theta=True)[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +83,13 @@ def test_indefinite_system_falls_back_to_lu(rng):
     Y = rng.normal(size=3)
     x = system.solve(Y)
     np.testing.assert_allclose((K + 0.1 * np.eye(3)) @ x, Y, atol=1e-10)
+
+
+@pytest.mark.parametrize("lambda1", [-0.1, float("nan"), float("inf")])
+def test_ridge_shift_must_be_finite_and_nonnegative(lambda1):
+    # an infinite shift would only fail later, in the solve, with a stray RuntimeWarning
+    with pytest.raises(ValueError, match="lambda1 must be finite and nonnegative"):
+        RidgeSystem(np.eye(2), lambda1)
 
 
 def test_a_successful_build_and_solve_never_take_the_norm(rng, monkeypatch):
@@ -176,7 +191,7 @@ def test_residual_check_reports_condition(rng, monkeypatch):
 
 def test_qf_zero_targets():
     params, X, _ = linear_two_point_fixture()
-    assert regularized_quadratic_form(params, X, np.zeros((2, 1)), 1.0) == 0.0
+    assert _BatchTerms(params, X, np.zeros((2, 1)), 1.0).qf == 0.0
 
 
 def test_qf_two_point_linear_oracle():
@@ -184,7 +199,7 @@ def test_qf_two_point_linear_oracle():
     params, X, Y = linear_two_point_fixture()
     A = np.array([[2.0, 2.0], [2.0, 5.0]])
     oracle = float(Y[:, 0] @ np.linalg.inv(A) @ Y[:, 0])
-    got = regularized_quadratic_form(params, X, Y, 1.0)
+    got = _BatchTerms(params, X, Y, 1.0).qf
     assert got == pytest.approx(oracle, rel=1e-12)
     assert got == pytest.approx(5.0 / 6.0, rel=1e-12)
 
@@ -194,7 +209,7 @@ def test_qf_identity_gram_frobenius(rng):
     params = single_kernel(3, make_theta(t5=0.01))
     X = np.arange(5.0)[:, None] * 100.0
     Y = rng.normal(size=(5, 3))
-    got = regularized_quadratic_form(params, X, Y, 0.0)
+    got = _BatchTerms(params, X, Y, 0.0).qf
     assert got == pytest.approx(float((Y * Y).sum()), rel=1e-10)
 
 
@@ -202,10 +217,8 @@ def test_qf_multi_output_sums_columns(rng):
     params = psd_params(rng)
     X = rng.normal(size=(6, 2))
     Y = rng.normal(size=(6, 3))
-    total = regularized_quadratic_form(params, X, Y, 0.05)
-    per_col = sum(
-        regularized_quadratic_form(params, X, Y[:, j:j + 1], 0.05) for j in range(3)
-    )
+    total = _BatchTerms(params, X, Y, 0.05).qf
+    per_col = sum(_BatchTerms(params, X, Y[:, j:j + 1], 0.05).qf for j in range(3))
     assert total == pytest.approx(per_col, rel=1e-12)
 
 
@@ -215,13 +228,13 @@ def test_qf_multi_output_sums_columns(rng):
 
 def test_rho_identical_subsets_is_zero():
     params, X, Y = linear_two_point_fixture()
-    assert rho(params, X, Y, [0, 1], 1.0) == 0.0
+    assert ratio(params, X, Y, [0, 1], 1.0) == 0.0
 
 
 def test_rho_two_point_oracle():
     # qf_c = 1 / (1 + 1) = 0.5, qf_b = 5/6 -> rho = 1 - 0.6 = 0.4
     params, X, Y = linear_two_point_fixture()
-    got = rho(params, X, Y, [0], 1.0)
+    got = ratio(params, X, Y, [0], 1.0)
     assert got == pytest.approx(0.4, rel=1e-12)
 
 
@@ -230,16 +243,16 @@ def test_rho_scale_invariance(rng):
     X = rng.normal(size=(8, 2))
     Y = rng.normal(size=(8, 2))
     sub = rng.permutation(8)[:4]
-    base = rho(params, X, Y, sub, 0.05)
+    base = ratio(params, X, Y, sub, 0.05)
     for s in (2.0, -3.0, 0.125):
-        scaled = rho(params, X, s * Y, sub, 0.05)
+        scaled = ratio(params, X, s * Y, sub, 0.05)
         assert abs(scaled - base) <= 1e-12 * max(1.0, abs(base))
 
 
 def test_rho_zero_targets_degenerate():
     params, X, _ = linear_two_point_fixture()
     with pytest.raises(DegenerateBatchError):
-        rho(params, X, np.zeros((2, 1)), [0], 1.0)
+        ratio(params, X, np.zeros((2, 1)), [0], 1.0)
 
 
 def test_rho_bounds_on_psd_fixture(rng):
@@ -249,7 +262,7 @@ def test_rho_bounds_on_psd_fixture(rng):
         X = rng.normal(size=(10, 3))
         Y = rng.normal(size=(10, 2))
         idx = rng.choice(10, size=5, replace=False)
-        val = rho(params, X, Y, idx, 0.05)
+        val = ratio(params, X, Y, idx, 0.05)
         assert -1e-6 <= val <= 1.0 + 1e-6
 
 
@@ -259,9 +272,9 @@ def test_rho_matches_the_quadratic_forms_of_the_row_subset(rng):
         X = rng.normal(size=(12, 3))
         Y = rng.normal(size=(12, 2))
         sub = rng.choice(12, size=rng.integers(1, 13), replace=False)  # random order
-        want = 1.0 - (regularized_quadratic_form(params, X[sub], Y[sub], 0.05)
-                      / regularized_quadratic_form(params, X, Y, 0.05))
-        assert rho(params, X, Y, sub, 0.05) == pytest.approx(want, rel=1e-10)
+        want = 1.0 - (_BatchTerms(params, X[sub], Y[sub], 0.05).qf
+                      / _BatchTerms(params, X, Y, 0.05).qf)
+        assert ratio(params, X, Y, sub, 0.05) == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("sub", [[], [[0, 1]], [0, 6], [-1, 2], [2, 3, 2]],
@@ -270,53 +283,58 @@ def test_sub_must_be_distinct_row_positions(rng, sub):
     params = psd_params(rng)
     X = rng.normal(size=(6, 2))
     Y = rng.normal(size=(6, 1))
-    for call in (rho, grad_loss, lambda *args: sparse_loss(*args, 0.1)):
+    for call in (ratio, gradient):
         with pytest.raises(ValueError, match="sub"):
             call(params, X, Y, np.array(sub, dtype=int), 0.05)
 
 
 # ---------------------------------------------------------------------------
-# sparse loss
+# the logged loss: each training epoch logs rho plus the l1 penalty
 # ---------------------------------------------------------------------------
 
-def test_sparse_loss_lambda2_zero_equals_rho(rng):
-    params = psd_params(rng)
-    X = rng.normal(size=(6, 2))
-    Y = rng.normal(size=(6, 1))
-    breakdown = sparse_loss(params, X, Y, [4, 0, 2], 0.05, 0.0)
-    assert breakdown.l1_penalty == 0.0
-    assert breakdown.total == breakdown.rho
-    assert breakdown.rho == pytest.approx(rho(params, X, Y, [4, 0, 2], 0.05))
+def trained(rng, config):
+    """(dataset, report) of ``train`` on a small delay dataset from a PSD initialization."""
+    t = np.linspace(0.0, 12.0, 80)
+    values = np.column_stack([np.sin(t), np.cos(0.9 * t)]) + 0.01 * rng.normal(size=(80, 2))
+    ds = build_delay_dataset(TimeSeries(values, 0.1), 3)
+    return ds, train(ds, psd_params(rng), config)
 
 
-def test_sparse_loss_additivity():
-    params, X, Y = linear_two_point_fixture()
-    # |alpha|_1 = 1, lambda2 = 0.1, rho = 0.4 -> total = 0.5
-    breakdown = sparse_loss(params, X, Y, [0], 1.0, 0.1)
-    assert breakdown.l1_penalty == pytest.approx(0.1)
-    assert breakdown.total == pytest.approx(breakdown.rho + breakdown.l1_penalty)
-    assert breakdown.total == pytest.approx(0.5, rel=1e-12)
+def test_logged_loss_at_lambda2_zero_is_rho(rng):
+    _, report = trained(rng, TrainConfig(epochs=4, batch_size=16, seed=3))
+    assert None not in report.loss_history
+    assert all(h.l1_penalty == 0.0 and h.total == h.rho for h in report.loss_history)
 
 
-def test_sparse_loss_rho_zero_pure_penalty():
-    # identical subsets: total is exactly the l1 term
-    alpha = np.zeros(N_KERNELS)
-    alpha[0] = 2.0  # |alpha|_1 = 2
-    params = KernelParams(alpha, make_theta(t1=0.0))
-    X = np.array([[1.0], [2.0]])
-    Y = np.array([[1.0], [2.0]])
-    breakdown = sparse_loss(params, X, Y, [0, 1], 1.0, 1.0)
-    assert breakdown.rho == 0.0
-    assert breakdown.total == pytest.approx(2.0)
+def test_logged_loss_is_rho_plus_the_l1_penalty(rng, monkeypatch):
+    # one epoch, no final clamp or rescale: the logged loss is rho at the epoch's final
+    # weights on its batch, plus lambda2 ||alpha||_1 of those weights
+    monkeypatch.setattr("kflow.training._calibrate_scale", lambda ds, alpha, theta, cfg: alpha)
+    ds, report = trained(rng, TrainConfig(epochs=1, batch_size=16, lambda2=0.1,
+                                          zero_clamp=0.0, seed=6))
+    (entry,) = report.loss_history
+    idx_b, sub = sample_nested_batches(ds, 16, np.random.default_rng(6))
+    final = report.final_params
+    r, qf_c, qf_b, _, _ = _nested_eval(final, ds.X[idx_b], ds.Y[idx_b], sub, 0.05)
+    assert (entry.rho, entry.numerator_qf, entry.denominator_qf) == (r, qf_c, qf_b)
+    assert entry.l1_penalty == 0.1 * float(np.sum(np.abs(final.alpha))) > 0.0
+    assert entry.total == entry.rho + entry.l1_penalty
+
+
+def test_logged_loss_is_the_l1_penalty_when_rho_is_zero(rng, monkeypatch):
+    # batch c is all of batch b: rho is exactly 0 and the logged total is the l1 term
+    monkeypatch.setattr("kflow.training.sample_nested_batches", lambda ds, size, gen: (
+        gen.choice(ds.n_pairs, size, replace=False), np.arange(size)))
+    _, report = trained(rng, TrainConfig(epochs=3, batch_size=16, lambda2=1.0, seed=1))
+    for h in report.loss_history:
+        assert h.rho == 0.0 and h.total == h.l1_penalty > 0.0
 
 
 def test_breakdown_total_invariant(rng):
-    params = psd_params(rng)
-    X = rng.normal(size=(7, 2))
-    Y = rng.normal(size=(7, 2))
-    b = sparse_loss(params, X, Y, [0, 1, 2], 0.05, 0.37)
-    assert b.total == b.rho + b.l1_penalty
-    assert b.denominator_qf > 0.0
+    _, report = trained(rng, TrainConfig(epochs=4, batch_size=16, lambda2=0.37, seed=8))
+    for b in report.loss_history:
+        assert b.total == b.rho + b.l1_penalty and b.l1_penalty > 0.0
+        assert b.denominator_qf > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +346,10 @@ def _fd_rho(params, X, Y, sub, lam, kind, idx, h):
         if kind == "alpha":
             arr = np.array(params.alpha)
             arr[idx] += delta
-            return rho(KernelParams(arr, params.theta), X, Y, sub, lam)
+            return ratio(KernelParams(arr, params.theta), X, Y, sub, lam)
         arr = np.array(params.theta)
         arr[idx] += delta
-        return rho(KernelParams(params.alpha, arr), X, Y, sub, lam)
+        return ratio(KernelParams(params.alpha, arr), X, Y, sub, lam)
     return (at(h) - at(-h)) / (2.0 * h)
 
 
@@ -350,7 +368,7 @@ def smooth_fixture(rng, n=12, p=3):
 
 def test_grad_matches_finite_differences_fixture(rng):
     params, X, Y, sub = smooth_fixture(rng)
-    ga, gt = grad_loss(params, X, Y, sub, 0.05)
+    ga, gt = gradient(params, X, Y, sub, 0.05)
     checked = mismatched = 0
     for i in range(N_KERNELS):
         h = 1e-5 * max(1.0, abs(params.alpha[i]))
@@ -407,8 +425,7 @@ def test_folded_gradient_matches_the_two_batch_quotient_rule(rng):
         params, X, Y, sub = smooth_fixture(rng)
         qf_b, ga_b, gt_b = _two_batch_gradient(params, X, Y, 0.05)
         qf_c, ga_c, gt_c = _two_batch_gradient(params, X[sub], Y[sub], 0.05)
-        _, _, _, ga, gt = _nested_eval(params, X, Y, sub, 0.05, wrt_alpha=True,
-                                       wrt_theta=True, require_positive=False)
+        ga, gt = gradient(params, X, Y, sub, 0.05)
         for got, d_b, d_c in ((ga, ga_b, ga_c), (gt, gt_b, gt_c)):
             want = (qf_c * d_b - d_c * qf_b) / qf_b ** 2
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.max(np.abs(want)))
@@ -459,8 +476,7 @@ def test_packed_batch_equals_the_full_array_path(rng, n):
         assert [g.tobytes() for g in got] == [w[iu].tobytes() for w in want], i + 1
     assert terms.K.tobytes() == K.tobytes()
     assert terms.W.tobytes() == W.tobytes() and terms.qf == qf_b
-    got = _nested_eval(params, X, Y, sub, 0.05, wrt_alpha=True, wrt_theta=True,
-                       require_positive=False)
+    got = _nested_eval(params, X, Y, sub, 0.05, wrt_alpha=True, wrt_theta=True)
     assert got[0] == r and got[2] == qf_b
     for g, want in zip(got[3:], (ga, gt)):
         assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want)
@@ -472,7 +488,7 @@ def test_grad_inactive_alpha_is_zero(rng):
     params = KernelParams(alpha, rng.uniform(0.8, 1.2, N_THETA))
     X = rng.normal(size=(8, 2))
     Y = rng.normal(size=(8, 1))
-    ga, gt = grad_loss(params, X, Y, np.arange(4), 0.05)
+    ga, gt = gradient(params, X, Y, np.arange(4), 0.05)
     inactive = np.arange(N_KERNELS) != 2
     assert (ga[inactive] == 0.0).all()
     # theta slots of inactive kernels get exact zeros too
@@ -487,7 +503,7 @@ def test_grad_zero_numerator_targets(rng):
     Y = rng.normal(size=(6, 1))
     sub = np.array([4, 1, 3])
     Y[sub] = 0.0
-    ga, gt = grad_loss(params, X, Y, sub, 0.05)
+    ga, gt = gradient(params, X, Y, sub, 0.05)
     # rho = 1 identically in the numerator path; gradient comes only from
     # qf_b, scaled by qf_c = 0 -> exactly zero
     assert (ga == 0.0).all() and (gt == 0.0).all()
@@ -505,16 +521,14 @@ def test_nested_eval_reused_terms_are_bitwise_identical(rng):
     Y = rng.normal(size=(16, 2))
     args = (X, Y, rng.permutation(16)[:8], 0.05)
     terms = []
-    _nested_eval(params, *args, wrt_theta=True, require_positive=False, terms=terms)
+    _nested_eval(params, *args, wrt_theta=True, terms=terms)
     new_alpha = alpha.copy()
     new_alpha[[4, 9]] = (0.0, 0.3)
     same_theta = KernelParams(new_alpha, params.theta)
     new_theta = KernelParams(new_alpha, params.theta * 1.01)
     for p in (same_theta, new_theta):
-        fresh = _nested_eval(p, *args, wrt_alpha=True, wrt_theta=True,
-                             require_positive=False)
-        reused = _nested_eval(p, *args, wrt_alpha=True, wrt_theta=True,
-                              require_positive=False, terms=terms)
+        fresh = _nested_eval(p, *args, wrt_alpha=True, wrt_theta=True)
+        reused = _nested_eval(p, *args, wrt_alpha=True, wrt_theta=True, terms=terms)
         assert [np.asarray(v).tobytes() for v in reused] == \
             [np.asarray(v).tobytes() for v in fresh]
 
@@ -523,7 +537,7 @@ def test_nonfinite_elemental_on_the_loss_path_is_named_and_keeps_the_terms(rng):
     # t7 = 0 makes elemental 5 nan: the batch path checks its sum once, names the
     # elemental as gram does, and the epoch's terms keep the previous call's batch
     X, Y, sub = rng.normal(size=(8, 2)), rng.normal(size=(8, 1)), np.arange(4)
-    good = KernelParams.random(rng)
+    good = random_params(rng)
     theta = np.array(good.theta)
     theta[6] = 0.0
     bad = KernelParams(good.alpha, theta)
@@ -531,12 +545,11 @@ def test_nonfinite_elemental_on_the_loss_path_is_named_and_keeps_the_terms(rng):
         gram(bad, X)
     assert "elemental kernel 5" in str(expected.value)
     terms = []
-    _nested_eval(good, X, Y, sub, 0.05, require_positive=False, terms=terms)
+    _nested_eval(good, X, Y, sub, 0.05, terms=terms)
     kept = terms[0]
     calls = (lambda: _BatchTerms(bad, X, Y, 0.05),
              lambda: _BatchTerms(bad, X, Y, 0.05, kept),
-             lambda: _nested_eval(bad, X, Y, sub, 0.05, wrt_theta=True,
-                                  require_positive=False, terms=terms))
+             lambda: _nested_eval(bad, X, Y, sub, 0.05, wrt_theta=True, terms=terms))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
@@ -554,10 +567,9 @@ def test_overflowing_weighted_sum_raises_on_the_loss_path(rng):
     Y = rng.normal(size=(6, 1))
     calls = (
         lambda: gram(params, X),
-        lambda: rho(params, X, Y, [0, 1, 2], 0.05),
-        lambda: grad_loss(params, X, Y, [0, 1, 2], 0.05),
-        lambda: _nested_eval(params, X, Y, [0, 1, 2], 0.05, wrt_theta=True,
-                             require_positive=False, terms=[]),
+        lambda: ratio(params, X, Y, [0, 1, 2], 0.05),
+        lambda: gradient(params, X, Y, [0, 1, 2], 0.05),
+        lambda: _nested_eval(params, X, Y, [0, 1, 2], 0.05, wrt_theta=True, terms=[]),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -72,7 +72,7 @@ def test_nested_eval_is_finite_or_raises(X, data, alpha, theta):
         try:
             r, _, _, g_alpha, g_theta = _nested_eval(
                 params_of(alpha, theta), X, Y, sub, 0.05,
-                wrt_alpha=True, wrt_theta=True, require_positive=False)
+                wrt_alpha=True, wrt_theta=True)
         except (KernelEvalError, FactorizationError, DegenerateBatchError):
             return
     assert np.isfinite(r)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_stats, make_theta
+from conftest import full_stats, make_theta, random_params
 import kflow.forecast
 import kflow.loss
 import kflow.training
 from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.evaluation import prepare_series
 from kflow.forecast import fit, one_step_forecast
-from kflow.kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA, cross_gram, gram
+from kflow.kernels import SLOTS, KernelEvalError, KernelParams, N_KERNELS, N_THETA, cross_gram, gram
 from kflow.loss import FactorizationError
 from kflow.metrics import smape
 from kflow.systems import get_system, integrate_rk4
@@ -191,7 +191,7 @@ def test_regular_keeps_all_weights_dense(rng):
     # at lambda2 = 0 a huge clamp zeroes nothing; at lambda2 > 0 it zeroes
     # every weight
     ds = lorenz_like_dataset(rng)
-    init = KernelParams.random(np.random.default_rng(5))
+    init = random_params(np.random.default_rng(5))
     config = TrainConfig(epochs=15, batch_size=16, zero_clamp=1e6, seed=5)
     assert train(ds, init, config).nnz_alpha == N_KERNELS
     assert train(ds, init, replace(config, lambda2=1e-9)).nnz_alpha == 0
@@ -210,7 +210,7 @@ def test_batch_size_is_clamped_to_the_dataset(rng):
 
 def test_final_zeros_are_exact(rng):
     ds = lorenz_like_dataset(rng)
-    init = KernelParams.random(np.random.default_rng(2))
+    init = random_params(np.random.default_rng(2))
     config = TrainConfig(epochs=40, batch_size=16, lambda2=2.0, seed=2)
     report = train(ds, init, config)
     dropped = report.final_params.alpha[np.abs(report.final_params.alpha) == 0.0]
@@ -221,7 +221,7 @@ def test_final_zeros_are_exact(rng):
 
 def test_stronger_penalty_is_sparser(rng):
     ds = lorenz_like_dataset(rng)
-    init = KernelParams.random(np.random.default_rng(11))
+    init = random_params(np.random.default_rng(11))
     heavy = train(ds, init, TrainConfig(epochs=60, batch_size=16, lambda2=10.0, seed=0))
     light = train(ds, init, TrainConfig(epochs=60, batch_size=16, lambda2=0.0001, seed=0))
     assert heavy.nnz_alpha < light.nnz_alpha
@@ -234,13 +234,17 @@ def test_alpha_step_without_penalty_is_plain_sgd():
 
 
 def test_dead_weights_stay_dead(rng):
-    # alpha enters squared, so a zeroed weight has zero smooth gradient
+    # alpha enters squared, so a zeroed weight has zero smooth gradient, and so have
+    # its theta slots: they end bitwise where they began
     ds = lorenz_like_dataset(rng)
     alpha = np.zeros(N_KERNELS)
     alpha[2] = 0.9
     init = KernelParams(alpha, rng.uniform(0.8, 1.2, N_THETA))
     report = train(ds, init, TrainConfig(epochs=10, batch_size=16, lambda2=0.01, seed=4))
     assert (report.final_params.alpha[np.arange(N_KERNELS) != 2] == 0.0).all()
+    dead = [j for i, slots in enumerate(SLOTS) if i != 2 for j in slots]
+    assert report.final_params.theta[dead].tobytes() == init.theta[dead].tobytes()
+    assert report.final_params.theta[SLOTS[2]].tobytes() != init.theta[SLOTS[2]].tobytes()
 
 
 def test_failure_budget_aborts(rng, monkeypatch):
@@ -266,6 +270,11 @@ def test_config_validation():
         TrainConfig(lambda2=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
+    # nan passes every ordered comparison's negation, and inf breaks the ridge shift
+    for key in ("lr", "lambda1", "lambda2", "zero_clamp"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"setting '{key}' = {value}: must be finite"):
+                TrainConfig(**{key: value})
 
 
 def test_report_serialization_omits_wall_time(rng):
