@@ -44,6 +44,7 @@ from .systems import (
     DataFormatError,
     IntegrationError,
     Standardizer,
+    _write_csv,
     builtin_systems,
     get_system,
     integrate_rk4,
@@ -303,11 +304,7 @@ def cmd_forecast(args) -> int:
         truth_std = ds.Y[: pred_std.shape[0]]
 
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# dt={series.dt!r}\n")
-        fh.write(",".join(f"x{i + 1}" for i in range(model.dim)) + "\n")
-        for row in standardizer.inverse(pred_std):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(args.out, standardizer.inverse(pred_std), series.dt)
 
     scores_doc = _envelope("forecast_scores", resolved, digest)
     if truth_std.shape[0] >= 1 and pred_std.shape[0] >= 1:

@@ -245,12 +245,14 @@ def prepare_series(series: TimeSeries, tau: int, train_fraction: float) -> Prepa
     """Standardize on the training portion, embed, and split in time.
 
     The statistics come from exactly the raw rows the training windows
-    touch, so no test information leaks into the transform.
+    touch, so no test information leaks into the transform.  Training needs
+    at least two windows: a kernel learns from pairs of them.
     """
     n_pairs = series.n - tau
     n_train = int(np.floor(train_fraction * n_pairs))
-    if n_train < 1 or n_pairs - n_train < 1:
-        raise ValueError("series too short for the requested split")
+    if n_train < 2 or n_pairs - n_train < 1:
+        raise ValueError(f"series too short for the requested split: {n_train} training and "
+                         f"{n_pairs - n_train} test windows (need at least 2 and 1)")
     standardizer = Standardizer.fit(series.values[: n_train + tau])
     std = TimeSeries(standardizer.transform(series.values), series.dt, series.name)
     ds = build_delay_dataset(std, tau)

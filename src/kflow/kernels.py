@@ -14,6 +14,14 @@ run on the usable cores, bit-identical to serial.  A Gram's tiles cover
 its upper triangle and are mirrored into the lower one: it is symmetric
 bitwise.
 
+The terms come from 14 families: linear, polynomial, gauss, locally
+periodic, periodic, multiquadric, inverse multiquadric, power, cauchy,
+rational, triangular, log, sigmoid and bump.  A family is one value and
+one derivative function of a single geometry array and the term's own
+theta slots; seven of them serve a term on q and its twin on r.
+:data:`DICTIONARY` states each term's family, geometry and slots: it is
+the one statement of the theta layout.
+
 Weights enter squared, so a combination is nonnegative whenever its
 terms are, and ``alpha_i == 0`` removes term i exactly (the elemental
 is never evaluated, so a zeroed term cannot raise).
@@ -157,237 +165,164 @@ def _packed_stats(X):
 
 
 # ---------------------------------------------------------------------------
-# elemental values
+# elemental families
 #
-# Each _kN takes the pair-geometry arrays (s, r, q) plus the full theta
-# vector and returns the elemental Gram block; shapes broadcast.
+# _k_<family>(x, t) returns a term's value block and _g_<family>(x, t, val) its
+# derivative blocks, one per owned slot in slot order, given val: x is the pair
+# geometry the term is ``on`` (s, r or q) and t its own slots, t[0] first; shapes
+# broadcast.  At kink points (support boundaries of terms 17/18/21, the |t4| kink
+# at t4 = 0, clamped regions of terms 2/19) the gradient is the one-sided limit
+# from the interior, 0 exactly on the boundary.
 # ---------------------------------------------------------------------------
 
-def _k1(s, r, q, t):
+def _k_linear(s, t):
     return s + t[0] ** 2
 
 
-def _k2(s, r, q, t):
-    base = np.maximum(t[1] ** 2 * s + t[2] ** 2, EPS)
-    return base ** abs(t[3])
+def _g_linear(s, t, val):
+    return (np.full_like(np.asarray(s, dtype=float), 2.0 * t[0]),)
 
 
-def _k3(s, r, q, t):
-    return np.exp(-q / (2.0 * t[4] ** 2))
+def _k_polynomial(s, t):
+    base = np.maximum(t[0] ** 2 * s + t[1] ** 2, EPS)
+    return base ** abs(t[2])
 
 
-def _k4(s, r, q, t):
-    return np.exp(-r / (2.0 * t[5] ** 2))
+def _g_polynomial(s, t, val):
+    raw = t[0] ** 2 * s + t[1] ** 2
+    base = np.maximum(raw, EPS)
+    e = abs(t[2])
+    interior = raw > EPS
+    powm1 = base ** (e - 1.0)
+    d0 = np.where(interior, powm1 * e * 2.0 * t[0] * s, 0.0)
+    d1 = np.where(interior, powm1 * e * 2.0 * t[1], 0.0)
+    d2 = base ** e * np.log(base) * np.sign(t[2])
+    return d0, d1, d2
 
 
-def _k5(s, r, q, t):
-    phase = np.sin(np.pi * q / t[6]) ** 2
-    return np.exp(-phase / t[7] ** 2) * np.exp(-q / t[8] ** 2)
+def _k_gauss(x, t):
+    return np.exp(-x / (2.0 * t[0] ** 2))
 
 
-def _k6(s, r, q, t):
-    phase = np.sin(np.pi * q / t[9]) ** 2
-    return np.exp(-phase / t[10] ** 2)
+def _g_gauss(x, t, val):
+    return (val * x / t[0] ** 3,)
 
 
-def _k7(s, r, q, t):
-    phase = np.sin(np.pi * r / t[11]) ** 2
-    return np.exp(-phase / t[12] ** 2) * np.exp(-r / t[13] ** 2)
+def _k_locally_periodic(x, t):
+    phase = np.sin(np.pi * x / t[0]) ** 2
+    return np.exp(-phase / t[1] ** 2) * np.exp(-x / t[2] ** 2)
 
 
-def _k8(s, r, q, t):
-    phase = np.sin(np.pi * r / t[14]) ** 2
-    return np.exp(-phase / t[15] ** 2)
+def _g_locally_periodic(x, t, val):
+    arg = np.pi * x / t[0]
+    d0 = val * np.sin(2.0 * arg) * np.pi * x / (t[0] ** 2 * t[1] ** 2)
+    d1 = val * 2.0 * np.sin(arg) ** 2 / t[1] ** 3
+    d2 = val * 2.0 * x / t[2] ** 3
+    return d0, d1, d2
 
 
-def _k9(s, r, q, t):
-    return np.sqrt(q + t[16] ** 2)
+def _k_periodic(x, t):
+    phase = np.sin(np.pi * x / t[0]) ** 2
+    return np.exp(-phase / t[1] ** 2)
 
 
-def _k10(s, r, q, t):
-    return (t[17] ** 2 + t[18] ** 2 * q) ** -0.5
+def _g_periodic(x, t, val):
+    arg = np.pi * x / t[0]
+    d0 = val * np.sin(2.0 * arg) * np.pi * x / (t[0] ** 2 * t[1] ** 2)
+    d1 = val * 2.0 * np.sin(arg) ** 2 / t[1] ** 3
+    return d0, d1
 
 
-def _k11(s, r, q, t):
-    return (t[19] ** 2 + t[20] ** 2 * r) ** -0.5
+def _k_multiquadric(q, t):
+    return np.sqrt(q + t[0] ** 2)
 
 
-def _k12(s, r, q, t):
-    return (t[21] ** 2 + r) ** t[22]
+def _g_multiquadric(q, t, val):
+    return (np.where(val > 0.0, t[0] / np.where(val > 0.0, val, 1.0), 0.0),)
 
 
-def _k13(s, r, q, t):
-    return (t[23] ** 2 + q) ** t[24]
+def _k_inverse_multiquadric(x, t):
+    return (t[0] ** 2 + t[1] ** 2 * x) ** -0.5
 
 
-def _k14(s, r, q, t):
-    return 1.0 / (1.0 + q / t[25] ** 2)
+def _g_inverse_multiquadric(x, t, val):
+    pw = (t[0] ** 2 + t[1] ** 2 * x) ** -1.5
+    return -t[0] * pw, -t[1] * x * pw
 
 
-def _k15(s, r, q, t):
-    return 1.0 / (1.0 + r / t[26] ** 2)
+def _k_power(x, t):
+    return (t[0] ** 2 + x) ** t[1]
 
 
-def _k16(s, r, q, t):
-    return 1.0 - q / (q + t[27] ** 2)
+def _g_power(x, t, val):
+    base = t[0] ** 2 + x
+    d0 = t[1] * base ** (t[1] - 1.0) * 2.0 * t[0]
+    d1 = base ** t[1] * np.log(base)
+    return d0, d1
 
 
-def _k17(s, r, q, t):
-    return np.maximum(0.0, 1.0 - q / t[28] ** 2)
+def _k_cauchy(x, t):
+    return 1.0 / (1.0 + x / t[0] ** 2)
 
 
-def _k18(s, r, q, t):
-    return np.maximum(0.0, 1.0 - r / t[29] ** 2)
+def _g_cauchy(x, t, val):
+    return (val * val * 2.0 * x / t[0] ** 3,)
 
 
-def _k19(s, r, q, t):
+def _k_rational(q, t):
+    return 1.0 - q / (q + t[0] ** 2)
+
+
+def _g_rational(q, t, val):
+    return (2.0 * t[0] * q / (q + t[0] ** 2) ** 2,)
+
+
+def _k_triangular(x, t):
+    return np.maximum(0.0, 1.0 - x / t[0] ** 2)
+
+
+def _g_triangular(x, t, val):
+    return (np.where(x < t[0] ** 2, 2.0 * x / t[0] ** 3, 0.0),)
+
+
+def _k_log(r, t):
     rt = np.maximum(r, EPS)
-    return np.log1p(rt ** t[30])
+    return np.log1p(rt ** t[0])
 
 
-def _k20(s, r, q, t):
-    return np.tanh(t[31] * s + t[32])
+def _g_log(r, t, val):
+    rt = np.maximum(r, EPS)
+    p = rt ** t[0]
+    return (p * np.log(rt) / (p + 1.0),)
 
 
-def _k21(s, r, q, t):
+def _k_sigmoid(s, t):
+    return np.tanh(t[0] * s + t[1])
+
+
+def _g_sigmoid(s, t, val):
+    sech2 = 1.0 - val * val
+    return sech2 * s, sech2
+
+
+def _k_bump(q, t):
     # compactly supported circular bump; zero outside q < t34^2 and
     # wherever u = r / t34^2 leaves the real domain of the bracket
-    w = t[33] ** 2
-    u = r / w
+    w = t[0] ** 2
+    u = np.sqrt(q) / w
     valid = (q < w) & (u <= 1.0)
     u = np.where(valid, u, 0.0)
     bracket = np.arccos(-u) - u * np.sqrt(1.0 - u * u)
     return np.where(valid, bracket, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# elemental theta-gradients
-#
-# _gN returns one array per owned theta slot, in slot order, given the value
-# block val = _kN(s, r, q, t).  At kink points (support boundaries of terms
-# 17/18/21, the |t4| kink at t4 = 0, clamped regions of terms 2/19) the
-# gradient is the one-sided limit from the interior, 0 exactly on the boundary.
-# ---------------------------------------------------------------------------
-
-def _g1(s, r, q, t, val):
-    return (np.full_like(np.asarray(s, dtype=float), 2.0 * t[0]),)
-
-
-def _g2(s, r, q, t, val):
-    raw = t[1] ** 2 * s + t[2] ** 2
-    base = np.maximum(raw, EPS)
-    e = abs(t[3])
-    interior = raw > EPS
-    powm1 = base ** (e - 1.0)
-    d2 = np.where(interior, powm1 * e * 2.0 * t[1] * s, 0.0)
-    d3 = np.where(interior, powm1 * e * 2.0 * t[2], 0.0)
-    d4 = base ** e * np.log(base) * np.sign(t[3])
-    return d2, d3, d4
-
-
-def _g3(s, r, q, t, val):
-    return (val * q / t[4] ** 3,)
-
-
-def _g4(s, r, q, t, val):
-    return (val * r / t[5] ** 3,)
-
-
-def _g5(s, r, q, t, val):
-    arg = np.pi * q / t[6]
-    d7 = val * np.sin(2.0 * arg) * np.pi * q / (t[6] ** 2 * t[7] ** 2)
-    d8 = val * 2.0 * np.sin(arg) ** 2 / t[7] ** 3
-    d9 = val * 2.0 * q / t[8] ** 3
-    return d7, d8, d9
-
-
-def _g6(s, r, q, t, val):
-    arg = np.pi * q / t[9]
-    d10 = val * np.sin(2.0 * arg) * np.pi * q / (t[9] ** 2 * t[10] ** 2)
-    d11 = val * 2.0 * np.sin(arg) ** 2 / t[10] ** 3
-    return d10, d11
-
-
-def _g7(s, r, q, t, val):
-    arg = np.pi * r / t[11]
-    d12 = val * np.sin(2.0 * arg) * np.pi * r / (t[11] ** 2 * t[12] ** 2)
-    d13 = val * 2.0 * np.sin(arg) ** 2 / t[12] ** 3
-    d14 = val * 2.0 * r / t[13] ** 3
-    return d12, d13, d14
-
-
-def _g8(s, r, q, t, val):
-    arg = np.pi * r / t[14]
-    d15 = val * np.sin(2.0 * arg) * np.pi * r / (t[14] ** 2 * t[15] ** 2)
-    d16 = val * 2.0 * np.sin(arg) ** 2 / t[15] ** 3
-    return d15, d16
-
-
-def _g9(s, r, q, t, val):
-    return (np.where(val > 0.0, t[16] / np.where(val > 0.0, val, 1.0), 0.0),)
-
-
-def _g10(s, r, q, t, val):
-    pw = (t[17] ** 2 + t[18] ** 2 * q) ** -1.5
-    return -t[17] * pw, -t[18] * q * pw
-
-
-def _g11(s, r, q, t, val):
-    pw = (t[19] ** 2 + t[20] ** 2 * r) ** -1.5
-    return -t[19] * pw, -t[20] * r * pw
-
-
-def _g12(s, r, q, t, val):
-    base = t[21] ** 2 + r
-    d22 = t[22] * base ** (t[22] - 1.0) * 2.0 * t[21]
-    d23 = base ** t[22] * np.log(base)
-    return d22, d23
-
-
-def _g13(s, r, q, t, val):
-    base = t[23] ** 2 + q
-    d24 = t[24] * base ** (t[24] - 1.0) * 2.0 * t[23]
-    d25 = base ** t[24] * np.log(base)
-    return d24, d25
-
-
-def _g14(s, r, q, t, val):
-    return (val * val * 2.0 * q / t[25] ** 3,)
-
-
-def _g15(s, r, q, t, val):
-    return (val * val * 2.0 * r / t[26] ** 3,)
-
-
-def _g16(s, r, q, t, val):
-    return (2.0 * t[27] * q / (q + t[27] ** 2) ** 2,)
-
-
-def _g17(s, r, q, t, val):
-    return (np.where(q < t[28] ** 2, 2.0 * q / t[28] ** 3, 0.0),)
-
-
-def _g18(s, r, q, t, val):
-    return (np.where(r < t[29] ** 2, 2.0 * r / t[29] ** 3, 0.0),)
-
-
-def _g19(s, r, q, t, val):
-    rt = np.maximum(r, EPS)
-    p = rt ** t[30]
-    return (p * np.log(rt) / (p + 1.0),)
-
-
-def _g20(s, r, q, t, val):
-    sech2 = 1.0 - val * val
-    return sech2 * s, sech2
-
-
-def _g21(s, r, q, t, val):
-    w = t[33] ** 2
+def _g_bump(q, t, val):
+    w = t[0] ** 2
+    r = np.sqrt(q)
     u = r / w
     interior = (q < w) & (u < 1.0)
     u = np.where(interior, u, 0.0)
-    grad = -4.0 * u * u * r / (t[33] ** 3 * np.sqrt(1.0 - u * u))
+    grad = -4.0 * u * u * r / (t[0] ** 3 * np.sqrt(1.0 - u * u))
     return (np.where(interior, grad, 0.0),)
 
 
@@ -395,37 +330,46 @@ def _g21(s, r, q, t, val):
 # the dictionary table
 # ---------------------------------------------------------------------------
 
-# One record per term: its _kN and _gN; one geometry-scale rule, named as in
-# training.geometry_scales, per theta slot it owns, in slot order (term i owns the
-# len(scales) slots after term i-1's); whether its Gram is PSD for generic parameters
-# (the others are useful regressor features; term 2 needs an integer exponent); and
-# the positions among its slots of the bare divisors that clamp_theta clamps.
-Elemental = namedtuple("Elemental", "value grad scales psd clamped", defaults=(True, ()))
+# One record per term: its family's value and derivative functions; ``on``, the pair
+# geometry they act on (s, r or q; the bump forms r = sqrt(q) from q bitwise as both
+# geometry builders do); one geometry-scale rule, named as in training.geometry_scales, per
+# theta slot it owns, in slot order (term i owns the len(scales) slots after term
+# i-1's: the table is the one statement of the theta layout); whether its Gram is PSD
+# for generic parameters (the others are useful regressor features; term 2 needs an
+# integer exponent); and the positions among its slots of the bare divisors that
+# clamp_theta clamps.
+Elemental = namedtuple("Elemental", "value grad on scales psd clamped", defaults=(True, ()))
 
 DICTIONARY = (
-    Elemental(_k1, _g1, ("unit",)),  # s + t1^2
-    Elemental(_k2, _g2, ("inv_s", "unit", "unit")),  # (t2^2 s + t3^2)^|t4|
-    Elemental(_k3, _g3, ("sqrt_q",)),  # exp(-q / (2 t5^2))
-    Elemental(_k4, _g4, ("sqrt_r",)),  # exp(-r / (2 t6^2))
-    Elemental(_k5, _g5, ("period_q", "unit", "sqrt_q"),
+    Elemental(_k_linear, _g_linear, "s", ("unit",)),  # s + t1^2
+    Elemental(_k_polynomial, _g_polynomial, "s",
+              ("inv_s", "unit", "unit")),  # (t2^2 s + t3^2)^|t4|
+    Elemental(_k_gauss, _g_gauss, "q", ("sqrt_q",)),  # exp(-q / (2 t5^2))
+    Elemental(_k_gauss, _g_gauss, "r", ("sqrt_r",)),  # exp(-r / (2 t6^2))
+    Elemental(_k_locally_periodic, _g_locally_periodic, "q", ("period_q", "unit", "sqrt_q"),
               clamped=(0,)),  # exp(-sin^2(pi q/t7)/t8^2) exp(-q/t9^2)
-    Elemental(_k6, _g6, ("period_q", "unit"), clamped=(0,)),  # exp(-sin^2(pi q/t10)/t11^2)
-    Elemental(_k7, _g7, ("period_r", "unit", "sqrt_r"),
+    Elemental(_k_periodic, _g_periodic, "q", ("period_q", "unit"),
+              clamped=(0,)),  # exp(-sin^2(pi q/t10)/t11^2)
+    Elemental(_k_locally_periodic, _g_locally_periodic, "r", ("period_r", "unit", "sqrt_r"),
               clamped=(0,)),  # exp(-sin^2(pi r/t12)/t13^2) exp(-r/t14^2)
-    Elemental(_k8, _g8, ("period_r", "unit"), clamped=(0,)),  # exp(-sin^2(pi r/t15)/t16^2)
-    Elemental(_k9, _g9, ("sqrt_q",), psd=False),  # sqrt(q + t17^2)
-    Elemental(_k10, _g10, ("unit", "inv_sqrt_q")),  # (t18^2 + t19^2 q)^(-1/2)
-    Elemental(_k11, _g11, ("unit", "inv_sqrt_r")),  # (t20^2 + t21^2 r)^(-1/2)
-    Elemental(_k12, _g12, ("sqrt_r", "unit"), psd=False),  # (t22^2 + r)^t23
-    Elemental(_k13, _g13, ("sqrt_q", "unit"), psd=False),  # (t24^2 + q)^t25
-    Elemental(_k14, _g14, ("r",), clamped=(0,)),  # (1 + (r/t26)^2)^(-1)
-    Elemental(_k15, _g15, ("sqrt_r",)),  # (1 + r/t27^2)^(-1)
-    Elemental(_k16, _g16, ("sqrt_q",)),  # 1 - q/(q + t28^2)
-    Elemental(_k17, _g17, ("support_q",)),  # max(0, 1 - q/t29^2)
-    Elemental(_k18, _g18, ("support_r",)),  # max(0, 1 - r/t30^2)
-    Elemental(_k19, _g19, ("unit",), psd=False),  # log(r^t31 + 1)
-    Elemental(_k20, _g20, ("inv_s", "unit"), psd=False),  # tanh(t32 s + t33)
-    Elemental(_k21, _g21, ("support_r",)),  # circular bump with support q < t34^2
+    Elemental(_k_periodic, _g_periodic, "r", ("period_r", "unit"),
+              clamped=(0,)),  # exp(-sin^2(pi r/t15)/t16^2)
+    Elemental(_k_multiquadric, _g_multiquadric, "q", ("sqrt_q",),
+              psd=False),  # sqrt(q + t17^2)
+    Elemental(_k_inverse_multiquadric, _g_inverse_multiquadric, "q",
+              ("unit", "inv_sqrt_q")),  # (t18^2 + t19^2 q)^(-1/2)
+    Elemental(_k_inverse_multiquadric, _g_inverse_multiquadric, "r",
+              ("unit", "inv_sqrt_r")),  # (t20^2 + t21^2 r)^(-1/2)
+    Elemental(_k_power, _g_power, "r", ("sqrt_r", "unit"), psd=False),  # (t22^2 + r)^t23
+    Elemental(_k_power, _g_power, "q", ("sqrt_q", "unit"), psd=False),  # (t24^2 + q)^t25
+    Elemental(_k_cauchy, _g_cauchy, "q", ("sqrt_q",), clamped=(0,)),  # (1 + (r/t26)^2)^(-1)
+    Elemental(_k_cauchy, _g_cauchy, "r", ("sqrt_r",)),  # (1 + r/t27^2)^(-1)
+    Elemental(_k_rational, _g_rational, "q", ("sqrt_q",)),  # 1 - q/(q + t28^2)
+    Elemental(_k_triangular, _g_triangular, "q", ("support_q",)),  # max(0, 1 - q/t29^2)
+    Elemental(_k_triangular, _g_triangular, "r", ("support_r",)),  # max(0, 1 - r/t30^2)
+    Elemental(_k_log, _g_log, "r", ("unit",), psd=False),  # log(r^t31 + 1)
+    Elemental(_k_sigmoid, _g_sigmoid, "s", ("inv_s", "unit"), psd=False),  # tanh(t32 s + t33)
+    Elemental(_k_bump, _g_bump, "q", ("support_r",)),  # circular bump with support q < t34^2
 )
 
 N_KERNELS = len(DICTIONARY)
@@ -433,6 +377,10 @@ N_KERNELS = len(DICTIONARY)
 SLOTS = tuple(range(end - len(e.scales), end)
               for e, end in zip(DICTIONARY, accumulate(len(e.scales) for e in DICTIONARY)))
 N_THETA = SLOTS[-1].stop
+# per term: its value and derivative functions, the position of its geometry in
+# (s, r, q) and its theta slice, so a block evaluation is one lookup and one view
+_OPERANDS = tuple((e.value, e.grad, "srq".index(e.on), slice(slots.start, slots.stop))
+                  for e, slots in zip(DICTIONARY, SLOTS))
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +397,15 @@ def _check_finite(arr, index: int):
 
 def _eval_block(index: int, stats, theta) -> np.ndarray:
     """Elemental Gram block; the caller silences IEEE noise and checks the sum."""
-    return DICTIONARY[index].value(*stats, theta)
+    value, _, x, t = _OPERANDS[index]
+    return value(stats[x], theta[t])
 
 
 def _grad_blocks(index: int, stats, theta, block):
     """Theta-derivative blocks of one elemental (own slots, in order), given its value block."""
+    _, grad, x, t = _OPERANDS[index]
     with np.errstate(all="ignore"):
-        grads = DICTIONARY[index].grad(*stats, theta, block)
+        grads = grad(stats[x], theta[t], block)
     for block in grads:
         _check_finite(block, index)
     return grads

@@ -147,10 +147,10 @@ class RidgeSystem:
         X = self._solve_factored(rhs)
         norm_b = _nrm2(rhs.ravel())
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X fails the check
-            for _ in range(3):
+            for refined in range(3):  # a refinement only where a check follows it
                 r = rhs - (self._gram @ X + self.lambda1 * X)
                 residual = _nrm2(r.ravel()) / norm_b
-                if residual <= SOLVE_RESIDUAL_TOL or not np.isfinite(residual):
+                if residual <= SOLVE_RESIDUAL_TOL or not np.isfinite(residual) or refined == 2:
                     break
                 X = X + self._solve_factored(r)
         if not residual <= SOLVE_RESIDUAL_TOL:

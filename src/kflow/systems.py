@@ -180,10 +180,15 @@ def load_csv(path) -> TimeSeries:
 
 def save_csv(series: TimeSeries, path) -> None:
     """Write a series in the format :func:`load_csv` reads back exactly."""
+    _write_csv(path, series.values, series.dt)
+
+
+def _write_csv(path, values: np.ndarray, dt: float) -> None:
+    """save_csv's format for any 2-d array of rows, also one too short to be a TimeSeries."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# dt={series.dt!r}\n")
-        fh.write(",".join(f"x{i + 1}" for i in range(series.dim)) + "\n")
-        for row in series.values:
+        fh.write(f"# dt={dt!r}\n")
+        fh.write(",".join(f"x{i + 1}" for i in range(values.shape[1])) + "\n")
+        for row in values:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 

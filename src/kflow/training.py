@@ -99,6 +99,8 @@ def geometry_scales(dataset: DelayDataset) -> np.ndarray:
     median-heuristic sweet spot.  The probe uses an evenly strided row
     subset, so the scales are a deterministic function of the dataset.
     """
+    if dataset.n_pairs < 2:
+        raise ValueError(f"geometry scales need at least 2 windows, got {dataset.n_pairs}")
     step = max(1, dataset.n_pairs // PROBE_ROWS)
     probe = dataset.X[::step][:PROBE_ROWS]
     s, _, q = _packed_stats(probe)
@@ -117,7 +119,6 @@ def geometry_scales(dataset: DelayDataset) -> np.ndarray:
         "period_r": 4.0 * r_hi,              # a period in r
         "inv_sqrt_q": 1.0 / np.sqrt(q_med),  # squared, it multiplies q
         "inv_sqrt_r": 1.0 / np.sqrt(r_med),  # squared, it multiplies r
-        "r": r_med,                          # on the scale of r
         "inv_s": 1.0 / np.sqrt(s_hi),        # it multiplies s (t2 squared)
         # supports of the compactly supported terms should cover most pairs
         "support_q": np.sqrt(2.0 * q_hi),    # t29: support in q

@@ -431,6 +431,16 @@ def test_train_without_flags_records_the_defaults(tmp_path, rng, monkeypatch):
         assert len(trained) == 3 * len(default.lambda2_grid) + 1
 
 
+def test_one_training_window_is_data_error(tmp_path, capsys):
+    # 7 samples at tau 5 give 2 windows, 1 of them for training: too few to learn from
+    data = tmp_path / "s7.csv"
+    assert run_cli("generate", "lorenz", "--n", "7", "--out", str(data)) == 0
+    code = run_cli("train", str(data), "--mode", "regular", "--out", str(tmp_path / "m.json"),
+                   "--epochs", "3")
+    assert code == 3
+    assert "1 training and 1 test windows" in capsys.readouterr().err
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     code = run_cli("train", str(tmp_path / "absent.csv"), "--out",
                    str(tmp_path / "m.json"), *FAST)

@@ -218,9 +218,11 @@ def test_task_pool_runs_forked_workers_in_task_order(monkeypatch):
 
 
 def test_run_benchmark_pool_matches_serial(rng, monkeypatch):
-    # the middle series is too short to prepare, the last too short to cross-validate
+    # s1 is too short to prepare, s4 has one training window (too few to learn from) and
+    # s3 is too short to cross-validate
     series = [toy_series(rng, n=70, name="s0"), TimeSeries(rng.normal(size=(4, 2)), 0.1, "s1"),
-              toy_series(rng, n=70, name="s2"), toy_series(rng, n=14, name="s3")]
+              toy_series(rng, n=70, name="s2"), toy_series(rng, n=14, name="s3"),
+              TimeSeries(rng.normal(size=(5, 2)), 0.1, "s4")]
     protocol = EvalProtocol(
         tau=3, lambda2_grid=(0.0,), train_config=quick_config(2),
         rollout_steps=3,
@@ -234,7 +236,8 @@ def test_run_benchmark_pool_matches_serial(rng, monkeypatch):
         assert multiprocessing.active_children() == []
     assert runs[0] == runs[1]
     rows = runs[0][0]
-    assert rows[1]["best"] == "none" and rows[3]["selected_lambda2"] is None
+    assert rows[1]["best"] == rows[4]["best"] == "none" and rows[3]["selected_lambda2"] is None
+    assert all(np.isinf(v) for k, v in rows[4].items() if k.endswith(("_smape", "_hd")))
     assert np.isinf(rows[3]["SparseKF_smape"]) and "RegularKF" in rows[3]["nnz"]
 
 

@@ -41,10 +41,20 @@ def test_dictionary_table_invariants(rng):
     # one derivative block per owned slot, shaped like the value block
     stats = _packed_stats(rng.uniform(-1.0, 1.0, size=(6, 3)))
     theta = rng.uniform(0.5, 1.5, size=N_THETA)
-    for term, slots in zip(DICTIONARY, SLOTS):
-        value = term.value(*stats, theta)
-        grads = term.grad(*stats, theta, value)
+    for i, slots in enumerate(SLOTS):
+        value = _eval_block(i, stats, theta)
+        grads = _grad_blocks(i, stats, theta, value)
         assert len(grads) == len(slots) and all(g.shape == value.shape for g in grads)
+    # each term reads one geometry array; exactly the seven twin pairs (1-based) share a
+    # family's functions, once on q and once on r
+    assert all(term.on in ("s", "r", "q") for term in DICTIONARY)
+    shared = {(i + 1, j + 1) for i, a in enumerate(DICTIONARY) for j, b in enumerate(DICTIONARY)
+              if i < j and (a.value is b.value or a.grad is b.grad)}
+    assert shared == {(3, 4), (5, 7), (6, 8), (10, 11), (12, 13), (14, 15), (17, 18)}
+    assert all(DICTIONARY[i - 1].value is DICTIONARY[j - 1].value
+               and DICTIONARY[i - 1].grad is DICTIONARY[j - 1].grad
+               and {DICTIONARY[i - 1].on, DICTIONARY[j - 1].on} == {"q", "r"} for i, j in shared)
+    assert len({f for term in DICTIONARY for f in (term.value, term.grad)}) == 28
     # one geometry-scale rule per slot, each one geometry_scales knows
     assert [len(term.scales) for term in DICTIONARY] == [len(slots) for slots in SLOTS]
     ds = build_delay_dataset(TimeSeries(rng.normal(size=(60, 2)), 0.1), 3)
@@ -256,7 +266,7 @@ def _whole_array_sum(params, A, B=None):
         for i in range(N_KERNELS):
             a = params.alpha[i]
             if a != 0.0:
-                total += (a * a) * DICTIONARY[i].value(*stats, params.theta)
+                total += (a * a) * _eval_block(i, stats, params.theta)
     return total
 
 

@@ -6,12 +6,12 @@ from scipy.linalg import hilbert
 
 from conftest import full_stats, make_theta, random_params, single_kernel
 from kflow.kernels import (
-    DICTIONARY,
     N_KERNELS,
     N_THETA,
     SLOTS,
     KernelEvalError,
     KernelParams,
+    _eval_block,
     _grad_blocks,
     _packed_stats,
     _triangle,
@@ -183,6 +183,18 @@ def test_residual_check_reports_condition(rng, monkeypatch):
             RidgeSystem(K, 0.0).solve(np.ones(K.shape[0]))
         exact = np.linalg.cond(K, 1)
         assert exact / 3.0 <= info.value.condition <= 3.0 * exact
+
+
+def test_failing_solve_refines_twice_then_stops(monkeypatch):
+    # the first solve and two refinements, each residual-checked; no solve after the last check
+    calls = []
+    solve_factored = RidgeSystem._solve_factored
+    monkeypatch.setattr(RidgeSystem, "_solve_factored",
+                        lambda self, rhs: calls.append(1) or solve_factored(self, rhs))
+    monkeypatch.setattr("kflow.loss.SOLVE_RESIDUAL_TOL", 0.0)
+    with pytest.raises(FactorizationError, match="exceeds"):
+        RidgeSystem(hilbert(6), 0.0).solve(np.ones(6))
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +401,7 @@ def test_derivative_blocks_take_the_held_value_block_bitwise(rng):
     # the ten terms whose derivative contains their own value read it from
     # the block _BatchTerms holds, after a theta move (blocks evaluated
     # afresh) and at an unchanged theta (blocks handed on), and equal the
-    # derivative computed from scratch, _kN evaluated again, bit for bit
+    # derivative computed from scratch, the value evaluated again, bit for bit
     params, X, Y, _ = smooth_fixture(rng, n=40)
     moved = KernelParams(params.alpha, params.theta * 1.01)
     first = _BatchTerms(params, X, Y, 0.05)
@@ -398,8 +410,8 @@ def test_derivative_blocks_take_the_held_value_block_bitwise(rng):
         for kernel_id in (3, 4, 5, 6, 7, 8, 9, 14, 15, 20):
             i = kernel_id - 1
             with np.errstate(all="ignore"):
-                fresh = DICTIONARY[i].value(*terms.stats, moved.theta)
-                want = DICTIONARY[i].grad(*terms.stats, moved.theta, fresh)
+                fresh = _eval_block(i, terms.stats, moved.theta)
+            want = _grad_blocks(i, terms.stats, moved.theta, fresh)
             got = _grad_blocks(i, terms.stats, moved.theta, terms.blocks[i])
             assert terms.blocks[i].tobytes() == fresh.tobytes(), kernel_id
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kernel_id
@@ -410,10 +422,10 @@ def _two_batch_gradient(params, X, Y, lam):
     stats = full_stats(X)
     W = np.linalg.solve(gram(params, X) + lam * np.eye(len(X)), Y)
     ga, gt = np.zeros(N_KERNELS), np.zeros(N_THETA)
-    for i, (a, term) in enumerate(zip(params.alpha, DICTIONARY)):
-        block = term.value(*stats, params.theta)
+    for i, a in enumerate(params.alpha):
+        block = _eval_block(i, stats, params.theta)
         ga[i] = -2.0 * a * np.sum(W * (block @ W))
-        for j, grad in zip(SLOTS[i], term.grad(*stats, params.theta, block)):
+        for j, grad in zip(SLOTS[i], _grad_blocks(i, stats, params.theta, block)):
             gt[j] = -a * a * np.sum(W * (grad @ W))
     return float(np.sum(Y * W)), ga, gt
 
@@ -439,7 +451,7 @@ def _full_batch(params, X, Y, sub, lam):
     with np.errstate(all="ignore"):
         for i, a in enumerate(params.alpha):
             if a != 0.0:
-                blocks[i] = DICTIONARY[i].value(*stats, params.theta)
+                blocks[i] = _eval_block(i, stats, params.theta)
                 K += (a * a) * blocks[i]
     W = RidgeSystem(K, lam).solve(Y)
     Wc = RidgeSystem(K[np.ix_(sub, sub)], lam).solve(Y[sub])

@@ -332,6 +332,13 @@ def test_default_init_equals_the_grouped_reference_bitwise(system):
         assert init.theta.tobytes() == theta.tobytes()
 
 
+def test_geometry_scales_need_two_windows():
+    # one window has no pair to measure: a clear error, not an IndexError from the probe
+    one = build_delay_dataset(TimeSeries(np.arange(8.0).reshape(4, 2), 0.1), 3)
+    with pytest.raises(ValueError, match="at least 2 windows, got 1"):
+        geometry_scales(one)
+
+
 # ---------------------------------------------------------------------------
 # scale calibration and per-epoch reuse
 # ---------------------------------------------------------------------------
