@@ -57,6 +57,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -169,10 +170,10 @@ def _packed_stats(X):
 #
 # _k_<family>(x, t) returns a term's value block and _g_<family>(x, t, val) its
 # derivative blocks, one per owned slot in slot order, given val: x is the pair
-# geometry the term is ``on`` (s, r or q) and t its own slots, t[0] first; shapes
-# broadcast.  At kink points (support boundaries of terms 17/18/21, the |t4| kink
-# at t4 = 0, clamped regions of terms 2/19) the gradient is the one-sided limit
-# from the interior, 0 exactly on the boundary.
+# geometry the term is ``on`` (s, r, q, or the tuple (r, q)) and t its own slots,
+# t[0] first; shapes broadcast.  At kink points (support boundaries of terms
+# 17/18/21, the |t4| kink at t4 = 0, clamped regions of terms 2/19) the gradient
+# is the one-sided limit from the interior, 0 exactly on the boundary.
 # ---------------------------------------------------------------------------
 
 def _k_linear(s, t):
@@ -305,20 +306,21 @@ def _g_sigmoid(s, t, val):
     return sech2 * s, sech2
 
 
-def _k_bump(q, t):
+def _k_bump(rq, t):
     # compactly supported circular bump; zero outside q < t34^2 and
     # wherever u = r / t34^2 leaves the real domain of the bracket
+    r, q = rq
     w = t[0] ** 2
-    u = np.sqrt(q) / w
+    u = r / w
     valid = (q < w) & (u <= 1.0)
     u = np.where(valid, u, 0.0)
     bracket = np.arccos(-u) - u * np.sqrt(1.0 - u * u)
     return np.where(valid, bracket, 0.0)
 
 
-def _g_bump(q, t, val):
+def _g_bump(rq, t, val):
+    r, q = rq
     w = t[0] ** 2
-    r = np.sqrt(q)
     u = r / w
     interior = (q < w) & (u < 1.0)
     u = np.where(interior, u, 0.0)
@@ -331,13 +333,13 @@ def _g_bump(q, t, val):
 # ---------------------------------------------------------------------------
 
 # One record per term: its family's value and derivative functions; ``on``, the pair
-# geometry they act on (s, r or q; the bump forms r = sqrt(q) from q bitwise as both
-# geometry builders do); one geometry-scale rule, named as in training.geometry_scales, per
-# theta slot it owns, in slot order (term i owns the len(scales) slots after term
-# i-1's: the table is the one statement of the theta layout); whether its Gram is PSD
-# for generic parameters (the others are useful regressor features; term 2 needs an
-# integer exponent); and the positions among its slots of the bare divisors that
-# clamp_theta clamps.
+# geometry they act on (s, r, q, or the pair "rq": the bump meets both, and takes the
+# tuple (r, q) rather than recompute r = sqrt(q)); one geometry-scale rule, named as in
+# training.geometry_scales, per theta slot it owns, in slot order (term i owns the
+# len(scales) slots after term i-1's: the table is the one statement of the theta
+# layout); whether its Gram is PSD for generic parameters (the others are useful
+# regressor features; term 2 needs an integer exponent); and the positions among its
+# slots of the bare divisors that clamp_theta clamps.
 Elemental = namedtuple("Elemental", "value grad on scales psd clamped", defaults=(True, ()))
 
 DICTIONARY = (
@@ -369,7 +371,7 @@ DICTIONARY = (
     Elemental(_k_triangular, _g_triangular, "r", ("support_r",)),  # max(0, 1 - r/t30^2)
     Elemental(_k_log, _g_log, "r", ("unit",), psd=False),  # log(r^t31 + 1)
     Elemental(_k_sigmoid, _g_sigmoid, "s", ("inv_s", "unit"), psd=False),  # tanh(t32 s + t33)
-    Elemental(_k_bump, _g_bump, "q", ("support_r",)),  # circular bump with support q < t34^2
+    Elemental(_k_bump, _g_bump, "rq", ("support_r",)),  # circular bump with support q < t34^2
 )
 
 N_KERNELS = len(DICTIONARY)
@@ -377,10 +379,10 @@ N_KERNELS = len(DICTIONARY)
 SLOTS = tuple(range(end - len(e.scales), end)
               for e, end in zip(DICTIONARY, accumulate(len(e.scales) for e in DICTIONARY)))
 N_THETA = SLOTS[-1].stop
-# per term: its value and derivative functions, the position of its geometry in
+# per term: its value and derivative functions, the getter of its geometry from
 # (s, r, q) and its theta slice, so a block evaluation is one lookup and one view
-_OPERANDS = tuple((e.value, e.grad, "srq".index(e.on), slice(slots.start, slots.stop))
-                  for e, slots in zip(DICTIONARY, SLOTS))
+_OPERANDS = tuple((e.value, e.grad, itemgetter(*map("srq".index, e.on)),
+                   slice(slots.start, slots.stop)) for e, slots in zip(DICTIONARY, SLOTS))
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +399,15 @@ def _check_finite(arr, index: int):
 
 def _eval_block(index: int, stats, theta) -> np.ndarray:
     """Elemental Gram block; the caller silences IEEE noise and checks the sum."""
-    value, _, x, t = _OPERANDS[index]
-    return value(stats[x], theta[t])
+    value, _, geometry, t = _OPERANDS[index]
+    return value(geometry(stats), theta[t])
 
 
 def _grad_blocks(index: int, stats, theta, block):
     """Theta-derivative blocks of one elemental (own slots, in order), given its value block."""
-    _, grad, x, t = _OPERANDS[index]
+    _, grad, geometry, t = _OPERANDS[index]
     with np.errstate(all="ignore"):
-        grads = grad(stats[x], theta[t], block)
+        grads = grad(geometry(stats), theta[t], block)
     for block in grads:
         _check_finite(block, index)
     return grads

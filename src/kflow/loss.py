@@ -33,17 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .kernels import (
-    N_KERNELS,
-    N_THETA,
-    SLOTS,
-    KernelParams,
-    _eval_block,
-    _grad_blocks,
-    _packed_stats,
-    _triangle,
-    _weighted_sum,
-)
+from .kernels import (N_KERNELS, N_THETA, SLOTS, KernelParams, _eval_block, _grad_blocks,
+                      _packed_stats, _triangle, _weighted_sum)
 
 SOLVE_RESIDUAL_TOL = 1e-8
 
@@ -65,10 +56,11 @@ class DegenerateBatchError(ValueError):
 
 
 class RidgeSystem:
-    """Factorized solve handle for (gram + lambda1 * I).
+    """Factorized solve handle for (gram + lambda1 * I), gram symmetric bitwise.
 
     Cholesky first, else LU with partial pivoting (non-PSD dictionary
-    members make the system indefinite), in place on one private copy.
+    members make the system indefinite), in place on one private copy,
+    taken plainly as gram' (so a non-symmetric gram fails its checks).
     Every solve is residual-checked to SOLVE_RESIDUAL_TOL against the
     caller's gram, which must stay unwritten; a failed check raises
     :class:`FactorizationError` carrying a condition estimate.
@@ -100,8 +92,8 @@ class RidgeSystem:
         return self._gram.shape[0]
 
     def _shifted(self, A: np.ndarray) -> np.ndarray:
-        """A := gram + lambda1 I, A in LAPACK's (column-major) layout."""
-        np.copyto(A, self._gram)
+        """A := gram + lambda1 I, A in LAPACK's (column-major) layout: gram' is its plain copy."""
+        np.copyto(A, self._gram.T)
         A.flat[::self.n + 1] += self.lambda1
         return A
 

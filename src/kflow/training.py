@@ -60,7 +60,7 @@ FAILURE_BUDGET_FRACTION = 0.1  # of the epochs, rounded up
 # cancels except through the nugget), so the magnitude is set after the
 # epochs by a line search over these weight multipliers, scored by
 # one-step error on a held-back training tail; powers of two, so each
-# rescales one Gram by s*s bit-exactly
+# candidate solves against the one s = 1 Gram bit-exactly
 SCALE_CANDIDATES = (1.0, 2.0, 4.0, 8.0, 16.0)
 CALIBRATION_ROWS = 1024  # fit rows of that tail, at most
 PROBE_ROWS = 256  # rows in geometry_scales' strided probe
@@ -282,10 +282,13 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     its tail, keep the multiplier with the smallest error (ties keep the
     smallest multiplier).  Candidates whose fit fails are skipped.
 
-    Multiplier s scales the kernel by s*s (weights enter squared), so the
-    Gram and cross-Gram are evaluated once at s = 1 and rescaled: every s
-    is a power of two, so this is bit for bit what s*alpha gives (unless a
-    weighted entry is subnormal).  An evaluation error returns alpha.
+    Multiplier s scales the kernel by s*s (weights enter squared), and
+    s*s K + lambda1 I = s*s (K + lambda1/(s*s) I): for a power-of-two s,
+    RidgeSystem(K, lambda1/(s*s)) solves to s*s times the s*alpha fit's
+    coefficients, whose forecast is K_hold times them, bit for bit unless an
+    entry is subnormal.  So no candidate makes a scaled n x n copy; one is
+    skipped exactly where s*s max(|K|, |K_hold|) overflows, as the s*alpha
+    kernel sum would.  An evaluation error returns alpha.
     """
     if not np.any(alpha != 0.0):
         return alpha
@@ -306,15 +309,14 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
         K_hold = cross_gram(params, hold_part.X, fit_part.X)
     except KernelEvalError:
         return alpha
+    largest = float(max(K.max(), -K.min(), K_hold.max(), -K_hold.min()))
     best_scale, best_err = 1.0, np.inf
     for scale in SCALE_CANDIDATES:
-        with np.errstate(over="ignore"):
-            K_s, K_hold_s = scale * scale * K, scale * scale * K_hold
-        if not (np.all(np.isfinite(K_s)) and np.all(np.isfinite(K_hold_s))):
+        if scale * scale * largest == np.inf:
             continue  # the weighted sum overflows at this scale
         try:
-            W = RidgeSystem(K_s, config.lambda1).solve(fit_part.Y)
-            err = smape(K_hold_s @ W, hold_part.Y)
+            W = RidgeSystem(K, config.lambda1 / (scale * scale)).solve(fit_part.Y)
+            err = smape(K_hold @ W, hold_part.Y)
         except (FactorizationError, ValueError):
             continue
         if err < best_err:

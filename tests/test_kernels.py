@@ -45,9 +45,9 @@ def test_dictionary_table_invariants(rng):
         value = _eval_block(i, stats, theta)
         grads = _grad_blocks(i, stats, theta, value)
         assert len(grads) == len(slots) and all(g.shape == value.shape for g in grads)
-    # each term reads one geometry array; exactly the seven twin pairs (1-based) share a
-    # family's functions, once on q and once on r
-    assert all(term.on in ("s", "r", "q") for term in DICTIONARY)
+    # each term reads one geometry array (the bump the pair r, q); exactly the seven twin
+    # pairs (1-based) share a family's functions, once on q and once on r
+    assert all(term.on in ("s", "r", "q", "rq") for term in DICTIONARY)
     shared = {(i + 1, j + 1) for i, a in enumerate(DICTIONARY) for j, b in enumerate(DICTIONARY)
               if i < j and (a.value is b.value or a.grad is b.grad)}
     assert shared == {(3, 4), (5, 7), (6, 8), (10, 11), (12, 13), (14, 15), (17, 18)}

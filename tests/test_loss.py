@@ -120,6 +120,37 @@ def test_solve_leaves_the_gram_unwritten(rng):
             np.testing.assert_allclose(X, exact, rtol=1e-10, atol=0.0)
 
 
+class _TransposingCopy(RidgeSystem):
+    """The reference: gram copied entry by entry into LAPACK's column-major layout."""
+
+    def _shifted(self, A):
+        np.copyto(A, self._gram)
+        A.flat[::self.n + 1] += self.lambda1
+        return A
+
+
+def test_a_symmetric_gram_factors_and_solves_as_its_entrywise_copy(rng):
+    # the private copy is gram' taken plainly: for a bitwise-symmetric gram, the same bits
+    M = rng.normal(size=(200, 200))
+    B = rng.normal(size=(200, 3))
+    for K, lu in ((M @ M.T, False), (M + M.T, True)):
+        K = np.triu(K) + np.triu(K, 1).T
+        system, reference = RidgeSystem(K, 0.05), _TransposingCopy(K, 0.05)
+        assert (system._pivots is not None) == lu
+        assert system._factors.tobytes() == reference._factors.tobytes()
+        if lu:
+            assert system._pivots.tobytes() == reference._pivots.tobytes()
+        assert system.solve(B).tobytes() == reference.solve(B).tobytes()
+
+
+def test_a_non_symmetric_gram_fails_its_residual_check(rng):
+    # the factors are of gram', so the solve misses gram's residual and raises
+    M = rng.normal(size=(50, 50))
+    K = M @ M.T + np.triu(rng.normal(size=(50, 50)), 1)
+    with pytest.raises(FactorizationError, match="exceeds"):
+        RidgeSystem(K, 0.05).solve(rng.normal(size=50))
+
+
 def test_exactly_singular_raises():
     K = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(FactorizationError) as info:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -411,6 +412,38 @@ def test_calibration_evaluates_each_kernel_matrix_once(rng, monkeypatch):
     crosses = _counting(monkeypatch, kflow.forecast, "cross_gram")
     _calibrate_scale(ds, full.alpha, full.theta, TrainConfig())
     assert len(grams) == 1 and len(crosses) == 1
+
+
+def test_calibration_solves_every_candidate_against_one_gram(rng, monkeypatch):
+    # 1024 fit rows: the candidates hold K, K_hold and one factor copy at a time, where
+    # scaled copies of K and K_hold per candidate would add another 9.6 MB
+    ds = lorenz_like_dataset(rng, n=1200)
+    full = default_init(ds, 0)
+    grams, systems = [], []
+    gram_, ridge = kflow.forecast.gram, kflow.forecast.RidgeSystem
+
+    def recorded_gram(params, X):
+        grams.append(gram_(params, X))
+        return grams[-1]
+
+    def recorded_system(K, lambda1):
+        systems.append(K is grams[0])  # not K: holding it would raise the peak
+        return ridge(K, lambda1)
+
+    monkeypatch.setattr(kflow.forecast, "gram", recorded_gram)
+    monkeypatch.setattr(kflow.forecast, "RidgeSystem", recorded_system)
+    tracemalloc.start()
+    try:
+        _calibrate_scale(ds, full.alpha, full.theta, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_fit, n_hold = CALIBRATION_ROWS, ds.n_pairs // 8
+    K = factors = 8 * n_fit * n_fit
+    # half a matrix of slack: the kernel tiles' temporaries and the solves' n x 3 arrays
+    assert peak < K + 8 * n_hold * n_fit + factors + factors // 2
+    assert len(grams) == 1 and len(systems) == len(SCALE_CANDIDATES)
+    assert all(systems)
 
 
 def test_full_dictionary_epoch_evaluates_42_blocks(rng, monkeypatch):
