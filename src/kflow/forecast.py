@@ -15,7 +15,7 @@ import numpy as np
 
 from .embedding import DelayDataset
 from .kernels import KernelEvalError, KernelParams, _kernel_matrix, cross_gram, gram
-from .loss import RidgeSystem
+from .loss import RidgeSystem, _pack
 
 
 class RolloutDiverged(RuntimeError):
@@ -65,8 +65,13 @@ class TrainedModel:
 
 
 def fit(params: KernelParams, dataset: DelayDataset, lambda1: float) -> TrainedModel:
-    """Solve the residual-checked ridge system; keep what predicting needs."""
-    W = RidgeSystem(gram(params, dataset.X), lambda1).solve(dataset.Y)
+    """Solve the residual-checked ridge system; keep what predicting needs.
+
+    The Gram (n^2 floats) is packed (n^2 / 2) and dropped before the
+    system's factor buffer (n^2) exists, so a fit of n windows peaks at
+    1.5 n^2 floats.
+    """
+    W = RidgeSystem(_pack(gram(params, dataset.X)), lambda1).solve(dataset.Y)
     return TrainedModel(
         params=params,
         train_X=np.array(dataset.X, dtype=float),

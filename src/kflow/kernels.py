@@ -9,10 +9,11 @@ Every elemental is a function of the pair geometry only: the inner
 product ``s = x.y``, the Euclidean distance ``r = ||x - y||`` and its
 square ``q = r**2``.  Both evaluations, ``gram`` and ``cross_gram``,
 form ``S = A B'`` once, then per cache-sized row tile (s, r, q) and the
-sum of the active terms, checked once.  Outside process pools the tiles
-run on the usable cores, bit-identical to serial.  A Gram's tiles cover
-its upper triangle and are mirrored into the lower one: it is symmetric
-bitwise.
+sum of the active terms, checked once, which overwrites the tile's own
+entries of S: a kernel matrix costs one m x n array, not two.  Outside
+process pools the tiles run on the usable cores, bit-identical to
+serial.  A Gram's tiles cover its upper triangle and are mirrored into
+the lower one: it is symmetric bitwise.
 
 The terms come from 14 families: linear, polynomial, gauss, locally
 periodic, periodic, multiquadric, inverse multiquadric, power, cauchy,
@@ -138,15 +139,15 @@ def _pair_stats(S, sq_a, sq_b, sym: bool):
 
 def _triangle(n: int):
     """Read-only flat positions of an n x n array's upper triangle with its diagonal in row-major
-    order (the packed order), their mirror images, and the diagonal's packed positions.  They
-    take about 8 n^2 bytes: kept for a few sizes of at most _CACHED_ROWS rows only."""
+    order (the packed order), and the diagonal's packed positions.  They take about 4 n^2
+    bytes: kept for a few sizes of at most _CACHED_ROWS rows only."""
     return (_triangle_cached if n <= _CACHED_ROWS else _triangle_cached.__wrapped__)(n)
 
 
 @lru_cache(maxsize=4)
 def _triangle_cached(n: int):
     i, j = np.triu_indices(n)
-    out = (i * n + j, j * n + i, np.flatnonzero(i == j))
+    out = (i * n + j, np.flatnonzero(i == j))
     for a in out:
         a.flags.writeable = False
     return out
@@ -155,7 +156,7 @@ def _triangle_cached(n: int):
 def _packed_stats(X):
     """(s, r, q) of all pairs of rows of X, packed: entrywise a Gram tile's upper triangle."""
     X = np.asarray(X, dtype=float)
-    upper, _, diag = _triangle(len(X))
+    upper, diag = _triangle(len(X))
     with np.errstate(all="ignore"):
         S = X @ X.T
         sq = np.diagonal(S)
@@ -197,7 +198,7 @@ def _g_polynomial(s, t, val):
     powm1 = base ** (e - 1.0)
     d0 = np.where(interior, powm1 * e * 2.0 * t[0] * s, 0.0)
     d1 = np.where(interior, powm1 * e * 2.0 * t[1], 0.0)
-    d2 = base ** e * np.log(base) * np.sign(t[2])
+    d2 = val * np.log(base) * np.sign(t[2])  # val is base ** e
     return d0, d1, d2
 
 
@@ -258,7 +259,7 @@ def _k_power(x, t):
 def _g_power(x, t, val):
     base = t[0] ** 2 + x
     d0 = t[1] * base ** (t[1] - 1.0) * 2.0 * t[0]
-    d1 = base ** t[1] * np.log(base)
+    d1 = val * np.log(base)  # val is base ** t[1]
     return d0, d1
 
 
@@ -472,14 +473,18 @@ def _run_tiles(tile, count: int) -> None:
 
 def _kernel_matrix(params: KernelParams, A, B=None, sq_b=None) -> np.ndarray:
     """k(A_i, B_j) in row tiles of about _TILE entries; the Gram of A if B is None.
-    sq_b: B's squared row norms, if the caller has them."""
+    sq_b: B's squared row norms, if the caller has them.
+
+    Each tile overwrites its own entries of S = A B' with their kernel values, so the
+    result is S's buffer.  A tile reads only its own rows of S (a Gram's tile only their
+    columns from its diagonal on) before it writes them, and a Gram tile's mirror lands
+    left of every later tile's columns: no tile reads what another has written."""
     sym = B is None
     with np.errstate(all="ignore"):
         S = A @ (A if sym else B).T
         sq_a = np.diagonal(S).copy() if sym else (A * A).sum(axis=1)
         sq_b = sq_a if sym else (B * B).sum(axis=1) if sq_b is None else sq_b
         m, n = S.shape
-        K = np.empty((m, n))
         rows = [0]
         while rows[-1] < m:
             a = rows[-1]
@@ -488,12 +493,12 @@ def _kernel_matrix(params: KernelParams, A, B=None, sq_b=None) -> np.ndarray:
         def tile(t):
             a, b = rows[t], rows[t + 1]
             lo = a if sym else 0  # a Gram's tile covers S's upper triangle only
-            K[a:b, lo:] = _combine(params, _pair_stats(S[a:b, lo:], sq_a[a:b], sq_b[lo:], sym))
+            S[a:b, lo:] = _combine(params, _pair_stats(S[a:b, lo:], sq_a[a:b], sq_b[lo:], sym))
             if sym:
-                K[b:, a:b] = K[a:b, b:].T
+                S[b:, a:b] = S[a:b, b:].T
 
         _run_tiles(tile, len(rows) - 1)
-    return K
+    return S
 
 
 def gram(params: KernelParams, X) -> np.ndarray:

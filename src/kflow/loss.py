@@ -17,8 +17,10 @@ step, so the gradient here is of the smooth part rho only.
 gradient alike: it builds one :class:`_BatchTerms` for batch b; batch
 c's Gram is its submatrix K[sub, sub], and c's gradient folds into b's,
 so every block is evaluated on b's packed upper triangle (with its
-diagonal) only; K is unpacked once.  :class:`RidgeSystem` factorizes
-K + lambda1 I once per batch and verifies every solve by its residual.
+diagonal) only.  K stays packed: c's triangle is gathered from b's, and
+:class:`RidgeSystem` takes packed triangles, factorizes K + lambda1 I
+once per batch in one n x n buffer and verifies every solve by its
+residual against the triangle.
 
 An epoch's three calls share one batch and hand b's terms on: pair
 geometry is always reused, elemental blocks only while theta is bitwise
@@ -28,6 +30,7 @@ term order, so reuse is bit-identical to evaluating afresh.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +41,25 @@ from .kernels import (N_KERNELS, N_THETA, SLOTS, KernelParams, _eval_block, _gra
 
 SOLVE_RESIDUAL_TOL = 1e-8
 
-_lange, _potrf, _potrs, _pocon, _getrf, _getrs, _gecon = get_lapack_funcs(
-    ("lange", "potrf", "potrs", "pocon", "getrf", "getrs", "gecon"), dtype=np.float64)
-_nrm2, = get_blas_funcs(("nrm2",), dtype=np.float64)  # scaled: squares never under/overflow
+# RidgeSystem mirrors its lower triangle into the upper one in column blocks of this width
+# (no n x n temporary); the mask selects a diagonal block's strict upper triangle
+_MIRROR_COLS = 64
+_MIRROR_MASK = np.triu(np.ones((_MIRROR_COLS, _MIRROR_COLS), dtype=bool), 1)
+_MIRROR_MASK.flags.writeable = False
+
+_lange, _potrf, _potrs, _pocon, _getrf, _getrs, _gecon, _tpttr, _trttp = get_lapack_funcs(
+    ("lange", "potrf", "potrs", "pocon", "getrf", "getrs", "gecon", "tpttr", "trttp"),
+    dtype=np.float64)
+# nrm2 is scaled: squares never under/overflow
+_nrm2, _spmv = get_blas_funcs(("nrm2", "spmv"), dtype=np.float64)
+
+
+def _pack(K: np.ndarray) -> np.ndarray:
+    """K's upper triangle with its diagonal, row-major: what :class:`RidgeSystem` takes.
+    trttp packs the lower triangle of K's column-major transpose, which for a C-ordered K is
+    K's own buffer, so nothing is copied but the triangle."""
+    ap, _ = _trttp(K.T, uplo="L")
+    return ap
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -56,45 +75,56 @@ class DegenerateBatchError(ValueError):
 
 
 class RidgeSystem:
-    """Factorized solve handle for (gram + lambda1 * I), gram symmetric bitwise.
+    """Factorized solve handle for (K + lambda1 * I), K symmetric, given packed.
 
-    Cholesky first, else LU with partial pivoting (non-PSD dictionary
-    members make the system indefinite), in place on one private copy,
-    taken plainly as gram' (so a non-symmetric gram fails its checks).
-    Every solve is residual-checked to SOLVE_RESIDUAL_TOL against the
-    caller's gram, which must stay unwritten; a failed check raises
-    :class:`FactorizationError` carrying a condition estimate.
+    ``packed`` is K's upper triangle with its diagonal in row-major order
+    (``K[np.triu_indices(n)]``, :func:`kernels._triangle`'s order, or
+    :func:`_pack` of a large K), which is the column-major lower triangle
+    LAPACK's packed routines take.  The handle holds that triangle,
+    unwritten, for the residual checks (spmv), and one column-major n x n
+    buffer: the triangle unpacked into it (tpttr) and shifted, then
+    factorized in place by Cholesky; when Cholesky stops (non-PSD
+    dictionary members make the system indefinite), the buffer is unpacked
+    again, mirrored to full and factorized by LU with partial pivoting.
+    So a system costs 1.5 n^2 floats.  Every solve is residual-checked to
+    SOLVE_RESIDUAL_TOL; a failed check raises :class:`FactorizationError`
+    carrying a condition estimate.
     """
 
-    def __init__(self, gram: np.ndarray, lambda1: float):
-        gram = np.asarray(gram, dtype=float)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValueError(f"gram must be square, got {gram.shape}")
+    def __init__(self, packed: np.ndarray, lambda1: float):
+        packed = np.asarray(packed, dtype=float)
+        n = (math.isqrt(8 * packed.size + 1) - 1) // 2
+        if packed.ndim != 1 or n < 1 or n * (n + 1) // 2 != packed.size:
+            raise ValueError(f"gram must be a packed triangle of n(n+1)/2 entries, "
+                             f"got shape {packed.shape}")
         if not 0.0 <= lambda1 < np.inf:
             raise ValueError(f"lambda1 must be finite and nonnegative, got {lambda1}")
-        if not np.all(np.isfinite(gram)):
+        if not np.all(np.isfinite(packed)):
             raise FactorizationError("gram contains non-finite entries")
         self.lambda1 = float(lambda1)
-        self._gram = gram
-        A = self._shifted(np.empty(gram.shape, order="F"))  # the factors overwrite A
-        self._factors, info = _potrf(A, lower=1, clean=0, overwrite_a=1)
+        self.n = n
+        self._packed = packed
+        self._factors, info = _potrf(self._shifted(), lower=1, clean=0, overwrite_a=1)
         self._pivots = None  # None: Cholesky factors; else LU row pivots
         if info != 0:
-            # not positive definite, and potrf stopped part-way through A: rebuild it
-            self._factors, self._pivots, info = _getrf(self._shifted(A), overwrite_a=1)
+            # not positive definite, and potrf stopped part-way: rebuild in the buffer's place
+            self._factors = None
+            self._factors, self._pivots, info = _getrf(self._shifted(full=True), overwrite_a=1)
             if info != 0:
                 # info > 0 is an exactly zero pivot: the matrix is singular
                 raise FactorizationError(f"LU factorization failed (getrf info={info})",
                                          condition=np.inf)
 
-    @property
-    def n(self) -> int:
-        return self._gram.shape[0]
-
-    def _shifted(self, A: np.ndarray) -> np.ndarray:
-        """A := gram + lambda1 I, A in LAPACK's (column-major) layout: gram' is its plain copy."""
-        np.copyto(A, self._gram.T)
+    def _shifted(self, full: bool = False) -> np.ndarray:
+        """A := K + lambda1 I, column-major: its lower triangle, or all of it if full."""
+        A, _ = _tpttr(self.n, self._packed, uplo="L")
         A.flat[::self.n + 1] += self.lambda1
+        if full:
+            for a in range(0, self.n, _MIRROR_COLS):
+                b = min(self.n, a + _MIRROR_COLS)
+                A[a:b, b:] = A[b:, a:b].T
+                head = A[a:b, a:b]
+                np.copyto(head, head.T.copy(), where=_MIRROR_MASK[:b - a, :b - a])
         return A
 
     def _condition(self) -> float:
@@ -104,7 +134,7 @@ class RidgeSystem:
         tiny (subnormal) system cannot overflow and read as singular.
         Only a failed solve asks, so only it pays for ||A||_1.
         """
-        anorm = _lange("1", self._shifted(np.empty(self._gram.shape, order="F")))
+        anorm = _lange("1", self._shifted(full=True))
         if self._pivots is None:
             rcond, _ = _pocon(self._factors / np.sqrt(anorm), 1.0, uplo="L")
         else:  # A = PLU with unit L: only U scales
@@ -122,7 +152,7 @@ class RidgeSystem:
         return X
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        """Solve (gram + lambda1 I) X = B, residual-checked.
+        """Solve (K + lambda1 I) X = B, residual-checked.
 
         Up to two rounds of iterative refinement recover the residual
         tolerance on ill-conditioned (heavily scaled) systems before the
@@ -131,7 +161,7 @@ class RidgeSystem:
         B = np.asarray(B, dtype=float)
         if B.ndim not in (1, 2) or B.shape[0] != self.n:
             raise ValueError(f"right-hand side of shape {B.shape} does not fit "
-                             f"the system of shape {self._gram.shape}")
+                             f"the system of shape {(self.n, self.n)}")
         vec = B.ndim == 1
         rhs = B[:, None] if vec else B
         if not np.any(rhs):  # X = 0 exactly; LAPACK also rejects empty operands
@@ -140,7 +170,8 @@ class RidgeSystem:
         norm_b = _nrm2(rhs.ravel())
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X fails the check
             for refined in range(3):  # a refinement only where a check follows it
-                r = rhs - (self._gram @ X + self.lambda1 * X)
+                KX = np.column_stack([_spmv(self.n, 1.0, self._packed, x, lower=1) for x in X.T])
+                r = rhs - (KX + self.lambda1 * X)
                 residual = _nrm2(r.ravel()) / norm_b
                 if residual <= SOLVE_RESIDUAL_TOL or not np.isfinite(residual) or refined == 2:
                     break
@@ -178,8 +209,8 @@ class LossBreakdown:
 # ---------------------------------------------------------------------------
 
 class _BatchTerms:
-    """Batch b's quantities shared by the loss value and its gradient: pair geometry and
-    every value and theta-derivative block packed (kernels._packed_stats), K unpacked once."""
+    """Batch b's quantities shared by the loss value and its gradient: pair geometry, every
+    value and theta-derivative block and K itself, all packed (kernels._packed_stats)."""
 
     def __init__(self, params: KernelParams, X, Y, lambda1: float,
                  prev: _BatchTerms | None = None):
@@ -198,10 +229,7 @@ class _BatchTerms:
             self.blocks[i] = old[i] if i in old else _eval_block(i, self.stats, params.theta)
             return self.blocks[i]
 
-        upper, lower, _ = _triangle(n)
-        K = np.empty(n * n)
-        K[upper] = K[lower] = _weighted_sum(len(upper), params.alpha, block)
-        self.K = K.reshape(n, n)
+        self.K = _weighted_sum(n * (n + 1) // 2, params.alpha, block)  # packed, never unpacked
         self.W = RidgeSystem(self.K, lambda1).solve(self.Y)
         self.qf = float(np.sum(self.Y * self.W))
 
@@ -210,7 +238,7 @@ class _BatchTerms:
         ga = np.zeros(N_KERNELS) if wrt_alpha else None
         gt = np.zeros(N_THETA) if wrt_theta else None
         alpha = self.params.alpha
-        upper, _, diag = _triangle(len(M))
+        upper, diag = _triangle(len(M))
         w = 2.0 * np.take(M, upper)
         w[diag] = np.diagonal(M)
         for i, block in self.blocks.items():
@@ -220,6 +248,14 @@ class _BatchTerms:
                 for j, grad in zip(SLOTS[i], _grad_blocks(i, self.stats, self.params.theta, block)):
                     gt[j] = -(alpha[i] ** 2) * np.dot(grad, w)
         return ga, gt
+
+
+def _sub_triangle(packed, n: int, sub) -> np.ndarray:
+    """The packed triangle of K[np.ix_(sub, sub)], gathered from n x n K's: entry (i, j) of
+    the subset is K's (p, q) = (sub[i], sub[j]) in either order, since K is symmetric."""
+    i, j = np.divmod(_triangle(len(sub))[0], len(sub))
+    p, q = np.minimum(sub[i], sub[j]), np.maximum(sub[i], sub[j])
+    return np.take(packed, p * (2 * n + 1 - p) // 2 + q - p)  # row p starts at p(2n+1-p)/2
 
 
 def _nested_eval(params: KernelParams, X, Y, sub, lambda1: float,
@@ -249,7 +285,7 @@ def _nested_eval(params: KernelParams, X, Y, sub, lambda1: float,
     if terms is not None:
         terms[:] = [b]
     Yc = b.Y[sub]
-    Wc = RidgeSystem(b.K[np.ix_(sub, sub)], lambda1).solve(Yc)
+    Wc = RidgeSystem(_sub_triangle(b.K, len(X), sub), lambda1).solve(Yc)
     qf_c = float(np.sum(Yc * Wc))
     r = 1.0 - qf_c / b.qf
     if not (wrt_alpha or wrt_theta):

@@ -104,7 +104,7 @@ def geometry_scales(dataset: DelayDataset) -> np.ndarray:
     step = max(1, dataset.n_pairs // PROBE_ROWS)
     probe = dataset.X[::step][:PROBE_ROWS]
     s, _, q = _packed_stats(probe)
-    diag = _triangle(len(probe))[2]  # each row with itself: not a pair
+    diag = _triangle(len(probe))[1]  # each row with itself: not a pair
     q_med, q_hi = np.percentile(np.delete(q, diag), [50.0, 95.0])
     s_hi = np.percentile(np.abs(np.delete(s, diag)), 95.0)
     q_med, q_hi = max(q_med, 1e-12), max(q_hi, 1e-12)
@@ -286,13 +286,14 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     s*s K + lambda1 I = s*s (K + lambda1/(s*s) I): for a power-of-two s,
     RidgeSystem(K, lambda1/(s*s)) solves to s*s times the s*alpha fit's
     coefficients, whose forecast is K_hold times them, bit for bit unless an
-    entry is subnormal.  So no candidate makes a scaled n x n copy; one is
+    entry is subnormal.  So no candidate makes a scaled n x n copy, and K is
+    held packed: every candidate's system takes the same triangle.  One is
     skipped exactly where s*s max(|K|, |K_hold|) overflows, as the s*alpha
     kernel sum would.  An evaluation error returns alpha.
     """
     if not np.any(alpha != 0.0):
         return alpha
-    from .forecast import RidgeSystem, cross_gram, gram
+    from .forecast import RidgeSystem, _pack, cross_gram, gram
     from .metrics import smape
 
     n = dataset.n_pairs
@@ -305,7 +306,7 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     hold_part = window.subset(slice(n_fit, n_fit + n_hold))
     params = KernelParams(alpha, theta)
     try:
-        K = gram(params, fit_part.X)
+        K = _pack(gram(params, fit_part.X))  # the full Gram is dropped here
         K_hold = cross_gram(params, hold_part.X, fit_part.X)
     except KernelEvalError:
         return alpha

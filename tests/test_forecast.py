@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import kflow.forecast
-from conftest import make_theta, random_params, single_kernel
+from conftest import make_theta, pin_usable_cores, random_params, single_kernel
 from kflow.embedding import DelayDataset, TimeSeries, build_delay_dataset
 from kflow.forecast import (
     RolloutDiverged,
@@ -223,3 +225,21 @@ def test_model_json_round_trip(rng):
     np.testing.assert_allclose(
         predict_one(back, ds.X[0]), predict_one(model, ds.X[0]), rtol=1e-12
     )
+
+
+def test_fit_peak_memory_is_one_and_a_half_matrices(monkeypatch):
+    # the Gram is packed and dropped before the factor buffer exists: n^2 / 2 + n^2 floats
+    # (as an n^2 Gram and its n^2 / 2 triangle before), never the Gram beside the buffer
+    pin_usable_cores(monkeypatch, 2)
+    lorenz = next(s for s in builtin_systems() if s.name == "lorenz")
+    ds = prepare_series(integrate_rk4(lorenz, 1500), 5, 0.8).train
+    full = random_params(np.random.default_rng(3))
+    n = ds.n_pairs
+    for params in (full, gaussian_params()):  # an indefinite system (LU), a definite one
+        tracemalloc.start()
+        try:
+            fit(params, ds, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * n * n * 8

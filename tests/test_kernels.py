@@ -325,10 +325,9 @@ def test_lorenz_gram_and_cross_gram_equal_the_reference_loop_bitwise():
 
 
 def test_triangle_positions_are_read_only_and_cached_for_a_few_small_sizes():
-    upper, lower, diag = _triangle(3)
-    assert (upper.tolist(), lower.tolist(), diag.tolist()) == (
-        [0, 1, 2, 4, 5, 8], [0, 3, 6, 4, 7, 8], [0, 3, 5])
-    assert not any(a.flags.writeable for a in (upper, lower, diag))
+    upper, diag = _triangle(3)
+    assert (upper.tolist(), diag.tolist()) == ([0, 1, 2, 4, 5, 8], [0, 3, 5])
+    assert not any(a.flags.writeable for a in (upper, diag))
     assert _triangle(3)[0] is upper
     for n in range(4, 40):
         _triangle(n)
@@ -345,17 +344,30 @@ def test_gram_self_distance_is_zero_when_the_norm_overflows():
     assert _packed_stats(np.array([[1e200, 0.0], [0.0, 1.0]]))[2][[0, 2]].tolist() == [0.0, 0.0]
 
 
-def test_gram_peak_memory_below_three_matrices(rng):
-    n = 1500
-    X = rng.normal(size=(n, 15))
-    params = random_params(rng)
+def _peak_bytes(fn, *args):
+    """Peak traced allocation of fn(*args); callers pin the cores, since every tile thread
+    holds its own temporaries."""
     tracemalloc.start()
     try:
-        gram(params, X)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n * n * 8
+
+
+def test_gram_peak_memory_below_three_matrices(rng, monkeypatch):
+    # the tiles overwrite S = X X': one matrix, and a quarter of one for the tiles' temporaries
+    pin_usable_cores(monkeypatch, 2)
+    n = 1500
+    X = rng.normal(size=(n, 15))
+    assert _peak_bytes(gram, random_params(rng), X) < 1.25 * n * n * 8
+
+
+def test_cross_gram_peak_memory_is_one_matrix(rng, monkeypatch):
+    pin_usable_cores(monkeypatch, 2)
+    m, n = 1200, 1500
+    A, B = rng.normal(size=(m, 15)), rng.normal(size=(n, 15))
+    assert _peak_bytes(cross_gram, random_params(rng), A, B) < 1.25 * m * n * 8
 
 
 def _extreme_last_row(rng, rows, scale):
@@ -419,8 +431,10 @@ def tile_threads(monkeypatch):
 
 
 def test_threaded_tiles_equal_serial_bitwise(rng, monkeypatch, tile_threads):
-    # a lost or doubled tile would leave np.empty's garbage; a short switch interval
-    # interleaves the hand-out as much as the interpreter allows
+    # tiles overwrite S = A B' in place, so a lost tile would leave inner products and a
+    # doubled one kernel values of kernel values: the reference catches both, the same on
+    # every core count; a short switch interval interleaves the hand-out as much as the
+    # interpreter allows
     monkeypatch.setattr(kernels, "_TILE", 64)
     X, A, B = rng.normal(size=(40, 4)), rng.normal(size=(37, 4)), rng.normal(size=(23, 4))
     full = random_params(rng)
@@ -438,7 +452,9 @@ def test_threaded_tiles_equal_serial_bitwise(rng, monkeypatch, tile_threads):
                     assert (len(set(tile_threads)) > 1) == (cores > 1)
     finally:
         sys.setswitchinterval(interval)
-    assert runs[0] == runs[1] == runs[2]
+    reference = [_whole_array_sum(params, *operands).tobytes()
+                 for params in (full, _sparse(full)) for operands in ((X,), (A, B))]
+    assert runs[0] == runs[1] == runs[2] == reference
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -512,6 +528,39 @@ def test_theta_gradient_linear_constant():
     stats, theta = full_stats(np.array([[1.0], [2.0]])), make_theta(t1=3.0)
     (D,) = _grad_blocks(0, stats, theta, _eval_block(0, stats, theta))
     np.testing.assert_allclose(D, np.full((2, 2), 6.0), rtol=0, atol=0)
+
+
+def _polynomial_derivatives(s, t):
+    """Term 2's derivative blocks as first written, the power base ** |t4| evaluated again."""
+    raw = t[0] ** 2 * s + t[1] ** 2
+    base = np.maximum(raw, EPS)
+    e = abs(t[2])
+    powm1 = base ** (e - 1.0)
+    return (np.where(raw > EPS, powm1 * e * 2.0 * t[0] * s, 0.0),
+            np.where(raw > EPS, powm1 * e * 2.0 * t[1], 0.0),
+            base ** e * np.log(base) * np.sign(t[2]))
+
+
+def _power_derivatives(x, t):
+    """Terms 12 and 13's derivative blocks as first written, base ** t evaluated again."""
+    base = t[0] ** 2 + x
+    return t[1] * base ** (t[1] - 1.0) * 2.0 * t[0], base ** t[1] * np.log(base)
+
+
+@pytest.mark.parametrize("t4", [2.5, -1.7, 3.0])
+def test_power_derivatives_take_the_value_block_bitwise(rng, t4):
+    # d(base^e)/de = base^e log(base) reads base^e from the value block: the same power
+    stats = full_stats(rng.normal(size=(30, 4)))  # s of both signs: term 2's base is floored
+    theta = rng.uniform(0.5, 1.5, N_THETA)
+    theta[3] = t4
+    for kernel_id, old in ((2, _polynomial_derivatives), (12, _power_derivatives),
+                           (13, _power_derivatives)):
+        i = kernel_id - 1
+        with np.errstate(all="ignore"):
+            value = _eval_block(i, stats, theta)
+            want = old(stats["srq".index(DICTIONARY[i].on)], theta[SLOTS[i]])
+        got = _grad_blocks(i, stats, theta, value)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kernel_id
 
 
 def _fd_gram(params, X, idx, h):

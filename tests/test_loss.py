@@ -11,6 +11,7 @@ from kflow.kernels import (
     SLOTS,
     KernelEvalError,
     KernelParams,
+    _CACHED_ROWS,
     _eval_block,
     _grad_blocks,
     _packed_stats,
@@ -60,6 +61,11 @@ def gradient(params, X, Y, sub, lambda1):
 # RidgeSystem
 # ---------------------------------------------------------------------------
 
+def packed(K):
+    """K's upper triangle with its diagonal, row-major: what RidgeSystem takes."""
+    return K[np.triu_indices(len(K))]
+
+
 def test_solve_against_explicit_inverse(rng):
     # brute-force oracle on small systems
     for n in (1, 2, 3, 4, 5, 6):
@@ -67,7 +73,7 @@ def test_solve_against_explicit_inverse(rng):
         K = M @ M.T  # PSD
         lam = 0.3
         Y = rng.normal(size=(n, 2))
-        system = RidgeSystem(K, lam)
+        system = RidgeSystem(packed(K), lam)
         direct = np.linalg.inv(K + lam * np.eye(n)) @ Y
         np.testing.assert_allclose(system.solve(Y), direct, rtol=1e-10, atol=1e-12)
         qf = float(np.sum(Y * system.solve(Y)))
@@ -78,7 +84,7 @@ def test_solve_against_explicit_inverse(rng):
 def test_indefinite_system_falls_back_to_lu(rng):
     # indefinite but far from singular: Cholesky must fail, LU succeed
     K = np.diag([1.0, -2.0, 3.0])
-    system = RidgeSystem(K, 0.1)
+    system = RidgeSystem(packed(K), 0.1)
     assert system._pivots is not None  # LU factors, not Cholesky's
     Y = rng.normal(size=3)
     x = system.solve(Y)
@@ -89,7 +95,7 @@ def test_indefinite_system_falls_back_to_lu(rng):
 def test_ridge_shift_must_be_finite_and_nonnegative(lambda1):
     # an infinite shift would only fail later, in the solve, with a stray RuntimeWarning
     with pytest.raises(ValueError, match="lambda1 must be finite and nonnegative"):
-        RidgeSystem(np.eye(2), lambda1)
+        RidgeSystem(packed(np.eye(2)), lambda1)
 
 
 def test_a_successful_build_and_solve_never_take_the_norm(rng, monkeypatch):
@@ -98,75 +104,86 @@ def test_a_successful_build_and_solve_never_take_the_norm(rng, monkeypatch):
     monkeypatch.setattr("kflow.loss._lange", lambda *args, **kw: calls.append(args))
     M = rng.normal(size=(50, 50))
     for K, lu in ((M @ M.T, False), (M + M.T, True)):
-        system = RidgeSystem(K, 0.05)
+        system = RidgeSystem(packed(K), 0.05)
         assert (system._pivots is not None) == lu
         system.solve(rng.normal(size=(50, 2)))
     assert calls == []
 
 
 def test_solve_leaves_the_gram_unwritten(rng):
-    # both paths factor a private copy; the LU solve matches numpy's
+    # both paths factor their own buffer; the LU solve matches numpy's
     M = rng.normal(size=(300, 300))
     lam = 0.05
     B = rng.normal(size=(300, 3))
     for K, lu in ((M @ M.T, False), (M + M.T, True)):
-        before = K.copy()
-        system = RidgeSystem(K, lam)
+        triangle = packed(K)
+        before = triangle.copy()
+        system = RidgeSystem(triangle, lam)
         assert (system._pivots is not None) == lu
         X = system.solve(B)
-        assert K.tobytes() == before.tobytes()
+        assert triangle.tobytes() == before.tobytes()
         if lu:
             exact = np.linalg.solve(K + lam * np.eye(300), B)
             np.testing.assert_allclose(X, exact, rtol=1e-10, atol=0.0)
 
 
-class _TransposingCopy(RidgeSystem):
-    """The reference: gram copied entry by entry into LAPACK's column-major layout."""
+class _FullCopy(RidgeSystem):
+    """The reference: K + lambda1 I copied in full into the column-major buffer, as the
+    system did when it took a full gram, instead of unpacked from the triangle."""
 
-    def _shifted(self, A):
-        np.copyto(A, self._gram)
+    def __init__(self, K, lambda1):
+        self._full = K
+        super().__init__(packed(K), lambda1)
+
+    def _shifted(self, full=False):
+        A = np.empty(self._full.shape, order="F")
+        np.copyto(A, self._full.T)
         A.flat[::self.n + 1] += self.lambda1
         return A
 
 
 def test_a_symmetric_gram_factors_and_solves_as_its_entrywise_copy(rng):
-    # the private copy is gram' taken plainly: for a bitwise-symmetric gram, the same bits
-    M = rng.normal(size=(200, 200))
-    B = rng.normal(size=(200, 3))
-    for K, lu in ((M @ M.T, False), (M + M.T, True)):
-        K = np.triu(K) + np.triu(K, 1).T
-        system, reference = RidgeSystem(K, 0.05), _TransposingCopy(K, 0.05)
-        assert (system._pivots is not None) == lu
-        assert system._factors.tobytes() == reference._factors.tobytes()
-        if lu:
-            assert system._pivots.tobytes() == reference._pivots.tobytes()
-        assert system.solve(B).tobytes() == reference.solve(B).tobytes()
+    # the unpacked triangle holds a full copy's bits: Cholesky reads the lower triangle only,
+    # LU the mirrored whole; the mirror runs in column blocks, so one n spans several
+    for n in (200, _CACHED_ROWS + 1):
+        M = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, 3))
+        for K, lu in ((M @ M.T, False), (M + M.T, True)):
+            K = np.triu(K) + np.triu(K, 1).T
+            system, reference = RidgeSystem(packed(K), 0.05), _FullCopy(K, 0.05)
+            assert (system._pivots is not None) == lu
+            if lu:
+                assert system._factors.tobytes() == reference._factors.tobytes()
+                assert system._pivots.tobytes() == reference._pivots.tobytes()
+            else:
+                assert np.tril(system._factors).tobytes() == np.tril(reference._factors).tobytes()
+            assert system.solve(B).tobytes() == reference.solve(B).tobytes()
 
 
-def test_a_non_symmetric_gram_fails_its_residual_check(rng):
-    # the factors are of gram', so the solve misses gram's residual and raises
-    M = rng.normal(size=(50, 50))
-    K = M @ M.T + np.triu(rng.normal(size=(50, 50)), 1)
-    with pytest.raises(FactorizationError, match="exceeds"):
-        RidgeSystem(K, 0.05).solve(rng.normal(size=50))
+def test_a_full_matrix_or_a_non_triangular_length_is_rejected():
+    # a packed triangle cannot be non-symmetric; anything but one is refused before LAPACK
+    for gram in (np.eye(3), np.ones((1, 6)), np.ones(5), np.ones(0)):
+        with pytest.raises(ValueError, match="packed triangle"):
+            RidgeSystem(gram, 0.05)
 
 
 def test_exactly_singular_raises():
     K = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(FactorizationError) as info:
-        RidgeSystem(K, 1.0).solve(np.array([1.0, 1.0]))
+        RidgeSystem(packed(K), 1.0).solve(np.array([1.0, 1.0]))
     assert info.value.condition == np.inf
 
 
 def test_nonfinite_gram_rejected():
-    K = np.array([[np.inf, 0.0], [0.0, 1.0]])
-    with pytest.raises(FactorizationError):
-        RidgeSystem(K, 0.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        for triangle in ([bad, 0.0, 1.0], [1.0, bad, 1.0], [1.0, 0.0, bad]):
+            with pytest.raises(FactorizationError, match="non-finite"):
+                RidgeSystem(np.array(triangle), 0.0)
 
 
 def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
     # checked before the zero shortcut, which would return zeros(5)
-    system = RidgeSystem(np.eye(3), 0.1)
+    system = RidgeSystem(packed(np.eye(3)), 0.1)
     for B in (np.zeros(5), np.ones(5)):
         with pytest.raises(ValueError, match=r"\(5,\).*\(3, 3\)"):
             system.solve(B)
@@ -178,7 +195,7 @@ def test_overflowing_solve_names_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FactorizationError, match="overflow") as info:
-            RidgeSystem(np.array([[1.03e-321]]), 0.0).solve(np.array([1.0]))
+            RidgeSystem(np.array([1.03e-321]), 0.0).solve(np.array([1.0]))
     assert info.value.condition == pytest.approx(1.0, rel=1e-12)
 
 
@@ -189,7 +206,7 @@ def test_overflowing_solve_names_overflow():
 def test_overflowing_solve_estimates_the_condition_of_subnormal_factors(K, lu):
     # subnormal Grams solve to about 1e310, which overflows; both systems
     # have condition number 2 on the Cholesky and on the LU path
-    system = RidgeSystem(K, 0.0)
+    system = RidgeSystem(packed(K), 0.0)
     assert (system._pivots is not None) == lu
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -202,18 +219,24 @@ def test_residual_check_reports_condition(rng, monkeypatch):
     # nearly singular: duplicate rows, lambda1 = 0
     K = np.ones((4, 4)) + 1e-16 * np.eye(4)
     with pytest.raises((FactorizationError, np.linalg.LinAlgError)) as info:
-        RidgeSystem(K, 0.0).solve(rng.normal(size=4))
+        RidgeSystem(packed(K), 0.0).solve(rng.normal(size=4))
     # a LAPACK estimate from the factors: at least 1, or inf when singular
     cond = info.value.condition
     assert cond == np.inf or (np.isfinite(cond) and cond >= 1.0)
     # an unreachable tolerance fails every solve, so the estimate from the
-    # Cholesky (pocon) and the LU (gecon) factors is reported
+    # Cholesky (pocon) and the LU (gecon) factors is reported: the full copy's, bit for bit
     monkeypatch.setattr("kflow.loss.SOLVE_RESIDUAL_TOL", -1.0)
-    for K in (hilbert(6), np.diag([1.0, -2.0, 3.0])):
-        with pytest.raises(FactorizationError) as info:
-            RidgeSystem(K, 0.0).solve(np.ones(K.shape[0]))
-        exact = np.linalg.cond(K, 1)
-        assert exact / 3.0 <= info.value.condition <= 3.0 * exact
+    M = rng.normal(size=(300, 300))
+    for K in (hilbert(6), np.diag([1.0, -2.0, 3.0]), M @ M.T, M + M.T):
+        conditions = []
+        for system in (RidgeSystem(packed(K), 0.0), _FullCopy(K, 0.0)):
+            with pytest.raises(FactorizationError) as info:
+                system.solve(np.ones(K.shape[0]))
+            conditions.append(info.value.condition)
+        assert conditions[0] == conditions[1]
+        if len(K) < 300:
+            exact = np.linalg.cond(K, 1)
+            assert exact / 3.0 <= conditions[0] <= 3.0 * exact
 
 
 def test_failing_solve_refines_twice_then_stops(monkeypatch):
@@ -224,7 +247,7 @@ def test_failing_solve_refines_twice_then_stops(monkeypatch):
                         lambda self, rhs: calls.append(1) or solve_factored(self, rhs))
     monkeypatch.setattr("kflow.loss.SOLVE_RESIDUAL_TOL", 0.0)
     with pytest.raises(FactorizationError, match="exceeds"):
-        RidgeSystem(hilbert(6), 0.0).solve(np.ones(6))
+        RidgeSystem(packed(hilbert(6)), 0.0).solve(np.ones(6))
     assert len(calls) == 3
 
 
@@ -429,7 +452,7 @@ def test_grad_matches_finite_differences_fixture(rng):
 
 
 def test_derivative_blocks_take_the_held_value_block_bitwise(rng):
-    # the ten terms whose derivative contains their own value read it from
+    # the thirteen terms whose derivative contains their own value read it from
     # the block _BatchTerms holds, after a theta move (blocks evaluated
     # afresh) and at an unchanged theta (blocks handed on), and equal the
     # derivative computed from scratch, the value evaluated again, bit for bit
@@ -438,7 +461,7 @@ def test_derivative_blocks_take_the_held_value_block_bitwise(rng):
     first = _BatchTerms(params, X, Y, 0.05)
     for terms in (_BatchTerms(moved, X, Y, 0.05, first),
                   _BatchTerms(moved, X, Y, 0.05, _BatchTerms(moved, X, Y, 0.05, first))):
-        for kernel_id in (3, 4, 5, 6, 7, 8, 9, 14, 15, 20):
+        for kernel_id in (2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 20):
             i = kernel_id - 1
             with np.errstate(all="ignore"):
                 fresh = _eval_block(i, terms.stats, moved.theta)
@@ -484,8 +507,8 @@ def _full_batch(params, X, Y, sub, lam):
             if a != 0.0:
                 blocks[i] = _eval_block(i, stats, params.theta)
                 K += (a * a) * blocks[i]
-    W = RidgeSystem(K, lam).solve(Y)
-    Wc = RidgeSystem(K[np.ix_(sub, sub)], lam).solve(Y[sub])
+    W = RidgeSystem(packed(K), lam).solve(Y)
+    Wc = RidgeSystem(packed(K[np.ix_(sub, sub)]), lam).solve(Y[sub])
     qf_b, qf_c = float(np.sum(Y * W)), float(np.sum(Y[sub] * Wc))
     M = (qf_c / (qf_b * qf_b)) * (W @ W.T)
     M[np.ix_(sub, sub)] -= (Wc @ Wc.T) / qf_b
@@ -509,7 +532,7 @@ def test_packed_batch_equals_the_full_array_path(rng, n):
     iu = np.triu_indices(n)
     packed = _packed_stats(X)
     assert all((p == f[iu]).all() for p, f in zip(packed, stats))
-    assert (packed[2][_triangle(n)[2]] == 0.0).all()
+    assert (packed[2][_triangle(n)[1]] == 0.0).all()
     assert np.count_nonzero(packed[2] == 0.0) >= n + (30 if duplicates else 0)
     terms = _BatchTerms(params, X, Y, 0.05)
     for i, block in blocks.items():
@@ -517,7 +540,7 @@ def test_packed_batch_equals_the_full_array_path(rng, n):
         want = _grad_blocks(i, stats, params.theta, block)
         got = _grad_blocks(i, terms.stats, params.theta, terms.blocks[i])
         assert [g.tobytes() for g in got] == [w[iu].tobytes() for w in want], i + 1
-    assert terms.K.tobytes() == K.tobytes()
+    assert terms.K.tobytes() == K[iu].tobytes()
     assert terms.W.tobytes() == W.tobytes() and terms.qf == qf_b
     got = _nested_eval(params, X, Y, sub, 0.05, wrt_alpha=True, wrt_theta=True)
     assert got[0] == r and got[2] == qf_b

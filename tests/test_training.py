@@ -415,19 +415,19 @@ def test_calibration_evaluates_each_kernel_matrix_once(rng, monkeypatch):
 
 
 def test_calibration_solves_every_candidate_against_one_gram(rng, monkeypatch):
-    # 1024 fit rows: the candidates hold K, K_hold and one factor copy at a time, where
-    # scaled copies of K and K_hold per candidate would add another 9.6 MB
+    # 1024 fit rows: the candidates hold K packed, K_hold and one factor buffer at a time,
+    # where a full K beside them would add another half matrix
     ds = lorenz_like_dataset(rng, n=1200)
     full = default_init(ds, 0)
     grams, systems = [], []
     gram_, ridge = kflow.forecast.gram, kflow.forecast.RidgeSystem
 
     def recorded_gram(params, X):
-        grams.append(gram_(params, X))
-        return grams[-1]
+        grams.append(len(X))  # not the Gram: holding it would raise the peak
+        return gram_(params, X)
 
     def recorded_system(K, lambda1):
-        systems.append(K is grams[0])  # not K: holding it would raise the peak
+        systems.append(K)  # every candidate's triangle: one object, or the peak rises
         return ridge(K, lambda1)
 
     monkeypatch.setattr(kflow.forecast, "gram", recorded_gram)
@@ -439,11 +439,12 @@ def test_calibration_solves_every_candidate_against_one_gram(rng, monkeypatch):
     finally:
         tracemalloc.stop()
     n_fit, n_hold = CALIBRATION_ROWS, ds.n_pairs // 8
-    K = factors = 8 * n_fit * n_fit
-    # half a matrix of slack: the kernel tiles' temporaries and the solves' n x 3 arrays
-    assert peak < K + 8 * n_hold * n_fit + factors + factors // 2
-    assert len(grams) == 1 and len(systems) == len(SCALE_CANDIDATES)
-    assert all(systems)
+    packed, factors = 8 * n_fit * (n_fit + 1) // 2, 8 * n_fit * n_fit
+    # a quarter matrix of slack: the kernel tiles' temporaries and the solves' n x 2 arrays
+    assert peak < packed + 8 * n_hold * n_fit + factors + factors // 4
+    assert grams == [n_fit] and len(systems) == len(SCALE_CANDIDATES)
+    assert systems[0].shape == (n_fit * (n_fit + 1) // 2,)
+    assert all(K is systems[0] for K in systems)
 
 
 def test_full_dictionary_epoch_evaluates_42_blocks(rng, monkeypatch):
