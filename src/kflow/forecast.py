@@ -15,7 +15,7 @@ import numpy as np
 
 from .embedding import DelayDataset
 from .kernels import KernelEvalError, KernelParams, _kernel_matrix, cross_gram, gram
-from .loss import RidgeSystem, _pack
+from .loss import RidgeSystem
 
 
 class RolloutDiverged(RuntimeError):
@@ -67,11 +67,11 @@ class TrainedModel:
 def fit(params: KernelParams, dataset: DelayDataset, lambda1: float) -> TrainedModel:
     """Solve the residual-checked ridge system; keep what predicting needs.
 
-    The Gram (n^2 floats) is packed (n^2 / 2) and dropped before the
-    system's factor buffer (n^2) exists, so a fit of n windows peaks at
-    1.5 n^2 floats.
+    The Gram arrives packed (n^2 / 2 floats): its n x n buffer is gone
+    before the system's factor buffer (n^2) exists, so a fit of n windows
+    peaks at 1.5 n^2 floats.
     """
-    W = RidgeSystem(_pack(gram(params, dataset.X)), lambda1).solve(dataset.Y)
+    W = RidgeSystem(gram(params, dataset.X), lambda1).solve(dataset.Y)
     return TrainedModel(
         params=params,
         train_X=np.array(dataset.X, dtype=float),
@@ -91,9 +91,7 @@ def _window(model: TrainedModel, window) -> np.ndarray:
 
 def _predict(model: TrainedModel, window: np.ndarray, sq_train=None) -> np.ndarray:
     """Next state for a checked window; sq_train: the training windows' squared norms."""
-    A = window[None, :]
-    same = A.shape == model.train_X.shape and np.array_equal(A, model.train_X)  # as cross_gram
-    k_row = _kernel_matrix(model.params, A, None if same else model.train_X, sq_train)
+    k_row = _kernel_matrix(model.params, window[None, :], model.train_X, sq_train)
     # rollout turns a non-finite prediction into RolloutDiverged
     with np.errstate(over="ignore", invalid="ignore"):
         return (k_row @ model.coefficients)[0]

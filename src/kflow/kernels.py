@@ -12,8 +12,9 @@ form ``S = A B'`` once, then per cache-sized row tile (s, r, q) and the
 sum of the active terms, checked once, which overwrites the tile's own
 entries of S: a kernel matrix costs one m x n array, not two.  Outside
 process pools the tiles run on the usable cores, bit-identical to
-serial.  A Gram's tiles cover its upper triangle and are mirrored into
-the lower one: it is symmetric bitwise.
+serial.  A Gram's tiles cover its upper triangle only, and ``gram``
+returns that triangle packed, the layout :class:`kflow.RidgeSystem`
+takes.
 
 The terms come from 14 families: linear, polynomial, gauss, locally
 periodic, periodic, multiquadric, inverse multiquadric, power, cauchy,
@@ -61,6 +62,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 #: floor used for clamped power bases and for bare divisors re-projected
 #: by the optimizer
@@ -69,6 +71,8 @@ EPS = 1e-8
 # entries per row tile (128 KB a temporary): larger tiles page-fault in a fresh process
 _TILE = 1 << 14
 _CACHED_ROWS = 1024  # the largest batch whose triangle positions are cached: 8 MB
+
+_trttp = get_lapack_funcs("trttp", dtype=np.float64)
 
 
 class KernelEvalError(ValueError):
@@ -125,11 +129,7 @@ class KernelParams:
 
 def _pair_stats(S, sq_a, sq_b, sym: bool):
     """(s, r, q) of a row tile from its inner products S and both sides' squared norms.
-    sym: a Gram's tile from its diagonal on, whose square head S mirrors from its upper
-    triangle in place (so the Gram is symmetric bitwise) and whose q is 0 on the diagonal."""
-    if sym:
-        m = S.shape[0]
-        S[:, :m] = np.triu(S[:, :m]) + np.triu(S[:, :m], 1).T
+    sym: a Gram's tile from its diagonal on, whose q is 0 on the diagonal."""
     q = sq_a[:, None] + sq_b[None, :] - 2.0 * S
     np.maximum(q, 0.0, out=q)
     if sym:
@@ -338,9 +338,10 @@ def _g_bump(rq, t, val):
 # tuple (r, q) rather than recompute r = sqrt(q)); one geometry-scale rule, named as in
 # training.geometry_scales, per theta slot it owns, in slot order (term i owns the
 # len(scales) slots after term i-1's: the table is the one statement of the theta
-# layout); whether its Gram is PSD for generic parameters (the others are useful
-# regressor features; term 2 needs an integer exponent); and the positions among its
-# slots of the bare divisors that clamp_theta clamps.
+# layout); ``psd``, True for the members the initialization does not damp (not a fact
+# of the Grams: at default_init's theta on 15-dimensional windows, terms 2, 5, 6, 17 and
+# 21 are indefinite too, PSD only for some theta); and the positions among its slots of
+# the bare divisors that clamp_theta clamps.
 Elemental = namedtuple("Elemental", "value grad on scales psd clamped", defaults=(True, ()))
 
 DICTIONARY = (
@@ -472,13 +473,13 @@ def _run_tiles(tile, count: int) -> None:
 
 
 def _kernel_matrix(params: KernelParams, A, B=None, sq_b=None) -> np.ndarray:
-    """k(A_i, B_j) in row tiles of about _TILE entries; the Gram of A if B is None.
-    sq_b: B's squared row norms, if the caller has them.
+    """k(A_i, B_j) in row tiles of about _TILE entries; if B is None, the Gram of A on and
+    above the diagonal (below it, S is left as it is).  sq_b: B's squared row norms, if the
+    caller has them.
 
     Each tile overwrites its own entries of S = A B' with their kernel values, so the
-    result is S's buffer.  A tile reads only its own rows of S (a Gram's tile only their
-    columns from its diagonal on) before it writes them, and a Gram tile's mirror lands
-    left of every later tile's columns: no tile reads what another has written."""
+    result is S's buffer.  A tile reads and writes only its own rows of S (a Gram's tile
+    only their columns from its diagonal on): no tile reads what another has written."""
     sym = B is None
     with np.errstate(all="ignore"):
         S = A @ (A if sym else B).T
@@ -494,29 +495,29 @@ def _kernel_matrix(params: KernelParams, A, B=None, sq_b=None) -> np.ndarray:
             a, b = rows[t], rows[t + 1]
             lo = a if sym else 0  # a Gram's tile covers S's upper triangle only
             S[a:b, lo:] = _combine(params, _pair_stats(S[a:b, lo:], sq_a[a:b], sq_b[lo:], sym))
-            if sym:
-                S[b:, a:b] = S[a:b, b:].T
 
         _run_tiles(tile, len(rows) - 1)
     return S
 
 
 def gram(params: KernelParams, X) -> np.ndarray:
-    """Combined-kernel Gram matrix of the rows of X (exactly symmetric)."""
+    """Combined-kernel Gram K of the n rows of X, packed: its upper triangle with the
+    diagonal in row-major order, ``K[np.triu_indices(n)]``, what RidgeSystem takes, so
+    ``kflow.RidgeSystem(kflow.gram(p, X), lambda1)`` is the fit's system.  trttp packs K
+    from the one n x n buffer the tiles fill: a Gram peaks at 1.5 n^2 floats."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise KernelEvalError(f"X must be a nonempty 2-d array, got shape {X.shape}")
-    return _kernel_matrix(params, X)
+    packed, _ = _trttp(_kernel_matrix(params, X).T, uplo="L")
+    return packed
 
 
 def cross_gram(params: KernelParams, A, B) -> np.ndarray:
-    """Rectangular kernel matrix k(A_i, B_j); cross_gram(X, X) == gram(X)."""
+    """Rectangular kernel matrix k(A_i, B_j)."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise KernelEvalError(f"column mismatch: {A.shape} vs {B.shape}")
-    if A.shape == B.shape and np.array_equal(A, B):
-        return gram(params, A)
     return _kernel_matrix(params, A, B)
 
 

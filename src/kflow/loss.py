@@ -47,19 +47,10 @@ _MIRROR_COLS = 64
 _MIRROR_MASK = np.triu(np.ones((_MIRROR_COLS, _MIRROR_COLS), dtype=bool), 1)
 _MIRROR_MASK.flags.writeable = False
 
-_lange, _potrf, _potrs, _pocon, _getrf, _getrs, _gecon, _tpttr, _trttp = get_lapack_funcs(
-    ("lange", "potrf", "potrs", "pocon", "getrf", "getrs", "gecon", "tpttr", "trttp"),
-    dtype=np.float64)
+_lange, _potrf, _potrs, _pocon, _getrf, _getrs, _gecon, _tpttr = get_lapack_funcs(
+    ("lange", "potrf", "potrs", "pocon", "getrf", "getrs", "gecon", "tpttr"), dtype=np.float64)
 # nrm2 is scaled: squares never under/overflow
 _nrm2, _spmv = get_blas_funcs(("nrm2", "spmv"), dtype=np.float64)
-
-
-def _pack(K: np.ndarray) -> np.ndarray:
-    """K's upper triangle with its diagonal, row-major: what :class:`RidgeSystem` takes.
-    trttp packs the lower triangle of K's column-major transpose, which for a C-ordered K is
-    K's own buffer, so nothing is copied but the triangle."""
-    ap, _ = _trttp(K.T, uplo="L")
-    return ap
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -78,8 +69,8 @@ class RidgeSystem:
     """Factorized solve handle for (K + lambda1 * I), K symmetric, given packed.
 
     ``packed`` is K's upper triangle with its diagonal in row-major order
-    (``K[np.triu_indices(n)]``, :func:`kernels._triangle`'s order, or
-    :func:`_pack` of a large K), which is the column-major lower triangle
+    (``K[np.triu_indices(n)]``, :func:`kernels._triangle`'s order, what
+    :func:`kernels.gram` returns), which is the column-major lower triangle
     LAPACK's packed routines take.  The handle holds that triangle,
     unwritten, for the residual checks (spmv), and one column-major n x n
     buffer: the triangle unpacked into it (tpttr) and shifted, then
@@ -137,9 +128,10 @@ class RidgeSystem:
         anorm = _lange("1", self._shifted(full=True))
         if self._pivots is None:
             rcond, _ = _pocon(self._factors / np.sqrt(anorm), 1.0, uplo="L")
-        else:  # A = PLU with unit L: only U scales
-            U = np.triu(self._factors) / anorm
-            rcond, _ = _gecon(U + np.tril(self._factors, -1), 1.0, norm="1")
+        else:  # A = PLU with unit L: only U scales, and the strict lower triangle is L's
+            scaled = self._factors / anorm
+            np.copyto(scaled, self._factors, where=np.tri(self.n, k=-1, dtype=bool))
+            rcond, _ = _gecon(scaled, 1.0, norm="1")
         return 1.0 / rcond if rcond > 0.0 else np.inf
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:

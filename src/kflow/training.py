@@ -44,11 +44,12 @@ class TrainingAborted(RuntimeError):
     """Too many failed epochs (factorization/evaluation errors)."""
 
 
-# the dictionary's non-PSD members are of conditionally-negative type (their
-# kernel grows with distance: multiquadric, both power terms, the log term,
-# and the sigmoid).  At O(1) weights they make the shifted Gram indefinite
-# and the loss ratio loses its norm meaning, so the default initialization
-# starts them small; their gradients regrow them whenever they help.
+# the weight factor of the members flagged psd=False, which the initialization damps
+# (five others are indefinite at init too, see DICTIONARY): four grow with distance
+# (multiquadric, both power terms, the log term); the sigmoid neither grows with distance
+# nor is conditionally negative definite.  At O(1) weights they make the shifted Gram
+# indefinite and the loss ratio loses its norm meaning, so they start small; their
+# gradients regrow them whenever they help.
 CND_INIT_SCALE = 0.1
 
 # the loss ratio has a pole where the denominator quadratic form crosses
@@ -130,8 +131,9 @@ def geometry_scales(dataset: DelayDataset) -> np.ndarray:
 def default_init(dataset: DelayDataset, seed: int) -> KernelParams:
     """Seeded random initialization adapted to the dataset geometry.
 
-    Weights draw from U(0.5, 1.0) with the non-PSD members damped by
-    CND_INIT_SCALE; theta draws from U(0.5, 1.5) times the geometry scales.
+    Weights draw from U(0.5, 1.0), times CND_INIT_SCALE for the members it
+    damps (psd=False; the rest are not all PSD); theta draws from
+    U(0.5, 1.5) times the geometry scales.
     """
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.5, 1.0, N_KERNELS)
@@ -293,7 +295,7 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     """
     if not np.any(alpha != 0.0):
         return alpha
-    from .forecast import RidgeSystem, _pack, cross_gram, gram
+    from .forecast import RidgeSystem, cross_gram, gram
     from .metrics import smape
 
     n = dataset.n_pairs
@@ -306,7 +308,7 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     hold_part = window.subset(slice(n_fit, n_fit + n_hold))
     params = KernelParams(alpha, theta)
     try:
-        K = _pack(gram(params, fit_part.X))  # the full Gram is dropped here
+        K = gram(params, fit_part.X)
         K_hold = cross_gram(params, hold_part.X, fit_part.X)
     except KernelEvalError:
         return alpha

@@ -1,3 +1,4 @@
+import math
 import os
 
 # acceptance wall-time is quoted single-threaded; pin BLAS before numpy loads
@@ -48,6 +49,16 @@ def full_stats(X):
         Q = np.maximum(sq[:, None] + sq[None, :] - 2.0 * S, 0.0)
         np.fill_diagonal(Q, 0.0)
         return S, np.sqrt(Q), Q
+
+
+def unpack(packed):
+    """The symmetric n x n matrix whose upper triangle with its diagonal, in row-major
+    order, is ``packed``: kflow.gram's and RidgeSystem's layout, read as a matrix."""
+    n = (math.isqrt(8 * packed.size + 1) - 1) // 2
+    K = np.empty((n, n))
+    K[np.triu_indices(n)] = packed
+    K.T[np.triu_indices(n)] = packed
+    return K
 
 
 def pin_usable_cores(monkeypatch, n):

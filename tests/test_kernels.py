@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import full_stats, make_theta, pin_usable_cores, random_params, single_kernel
+from conftest import full_stats, make_theta, pin_usable_cores, random_params, single_kernel, unpack
 from kflow import kernels
 from kflow.embedding import TimeSeries, build_delay_dataset
 from kflow.kernels import (
@@ -208,24 +208,26 @@ def test_zeroed_kernel_is_never_evaluated():
 
 
 def test_gram_single_gaussian_row():
-    np.testing.assert_allclose(gram(single_kernel(3), np.array([[0.4, 0.5]])), [[1.0]])
+    np.testing.assert_allclose(gram(single_kernel(3), np.array([[0.4, 0.5]])), [1.0])
 
 
 def test_gram_linear_hand_values():
     params = single_kernel(1, make_theta(t1=0.0))
     G = gram(params, np.array([[1.0], [2.0]]))
-    np.testing.assert_allclose(G, [[1.0, 2.0], [2.0, 4.0]], rtol=0, atol=0)
+    np.testing.assert_allclose(G, [1.0, 2.0, 4.0], rtol=0, atol=0)  # packed: K11, K12, K22
 
 
 def test_gram_exact_symmetry(rng, point_cloud):
+    # gram packs the upper triangle only, so K is symmetric by its layout; read as a matrix
+    # it is cross_gram's, both triangles, to rounding (cross_gram's X X' is a general
+    # product, and off the diagonal every pair is well apart)
     params = random_params(rng)
+    n = len(point_cloud)
     G = gram(params, point_cloud)
-    assert (G == G.T).all()
-
-
-def test_cross_gram_same_input_equals_gram(rng, point_cloud):
-    params = random_params(rng)
-    assert (cross_gram(params, point_cloud, point_cloud) == gram(params, point_cloud)).all()
+    assert G.shape == (n * (n + 1) // 2,)
+    off = ~np.eye(n, dtype=bool)
+    np.testing.assert_allclose(unpack(G)[off], cross_gram(params, point_cloud, point_cloud)[off],
+                               rtol=1e-12)
 
 
 def test_cross_gram_gaussian_single_pair():
@@ -254,7 +256,8 @@ CROSS_TILE = kernels._TILE // CROSS_COLS
 
 
 def _whole_array_sum(params, A, B=None):
-    """Reference: every pair's geometry at once, terms summed from zeros in ascending order."""
+    """Reference: every pair's geometry at once, terms summed from zeros in ascending order;
+    a Gram (B is None) as gram returns it, K[np.triu_indices(n)]."""
     with np.errstate(all="ignore"):
         if B is None:
             stats = full_stats(A)
@@ -267,7 +270,7 @@ def _whole_array_sum(params, A, B=None):
             a = params.alpha[i]
             if a != 0.0:
                 total += (a * a) * _eval_block(i, stats, params.theta)
-    return total
+    return total if B is not None else total[np.triu_indices(len(A))]
 
 
 @pytest.fixture
@@ -299,8 +302,8 @@ def test_gram_tiles_equal_whole_array_sum(rng, tile_rows, n, tiles):
         tile_rows.clear()
         K = gram(params, X)
         assert len(tile_rows) == tiles and sum(tile_rows) == n
+        assert K.shape == (n * (n + 1) // 2,)
         assert K.tobytes() == _whole_array_sum(params, X).tobytes()
-        assert np.array_equal(K, K.T)
 
 
 @pytest.mark.parametrize("m, tiles", [(1, 1), (CROSS_TILE - 1, 1), (CROSS_TILE, 1),
@@ -340,7 +343,7 @@ def test_triangle_positions_are_read_only_and_cached_for_a_few_small_sizes():
 
 def test_gram_self_distance_is_zero_when_the_norm_overflows():
     # |x|^2 overflows, but a point's distance to itself is still exactly 0
-    assert gram(single_kernel(3), np.array([[1e200, 0.0]])).tolist() == [[1.0]]
+    assert gram(single_kernel(3), np.array([[1e200, 0.0]])).tolist() == [1.0]
     assert _packed_stats(np.array([[1e200, 0.0], [0.0, 1.0]]))[2][[0, 2]].tolist() == [0.0, 0.0]
 
 
@@ -356,11 +359,11 @@ def _peak_bytes(fn, *args):
 
 
 def test_gram_peak_memory_below_three_matrices(rng, monkeypatch):
-    # the tiles overwrite S = X X': one matrix, and a quarter of one for the tiles' temporaries
+    # the tiles overwrite S = X X', which is then packed: one matrix and its triangle
     pin_usable_cores(monkeypatch, 2)
     n = 1500
     X = rng.normal(size=(n, 15))
-    assert _peak_bytes(gram, random_params(rng), X) < 1.25 * n * n * 8
+    assert _peak_bytes(gram, random_params(rng), X) < 1.6 * n * n * 8
 
 
 def test_cross_gram_peak_memory_is_one_matrix(rng, monkeypatch):
@@ -586,7 +589,7 @@ def test_gradients_match_finite_differences(rng):
         for j, grad in zip(slots, grads):
             name = f"theta_{j + 1}"
             got = alpha[i] ** 2 * grad
-            want = _fd_gram(params, X, j, 1e-5 * max(1.0, abs(theta[j])))
+            want = unpack(_fd_gram(params, X, j, 1e-5 * max(1.0, abs(theta[j]))))
             # the absolute floor covers FD cancellation noise on tiny entries
             scale = np.maximum(np.abs(want), 1e-6)
             mism = np.abs(got - want) / scale
@@ -651,7 +654,7 @@ def test_psd_subset_gram_eigenvalues(point_cloud):
     theta = psd_fixture_theta()
     for kid in (i + 1 for i, term in enumerate(DICTIONARY) if term.psd):
         params = single_kernel(kid, theta)
-        G = gram(params, point_cloud)
+        G = unpack(gram(params, point_cloud))
         min_eig = np.linalg.eigvalsh(G).min()
         assert min_eig >= -1e-8, f"kernel {kid}: min eigenvalue {min_eig}"
 

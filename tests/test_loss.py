@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
-from conftest import full_stats, make_theta, random_params, single_kernel
+from conftest import full_stats, make_theta, random_params, single_kernel, unpack
 from kflow.kernels import (
     N_KERNELS,
     N_THETA,
@@ -237,6 +238,26 @@ def test_residual_check_reports_condition(rng, monkeypatch):
         if len(K) < 300:
             exact = np.linalg.cond(K, 1)
             assert exact / 3.0 <= conditions[0] <= 3.0 * exact
+
+
+@pytest.mark.parametrize("indefinite", [False, True], ids=["cholesky", "lu"])
+def test_condition_estimate_peak_memory_is_one_matrix(rng, monkeypatch, indefinite):
+    # a failed solve's estimate scales one copy of the factors (LU: restores L's strict
+    # lower triangle through a boolean mask, n^2 / 8 floats) above the system
+    monkeypatch.setattr("kflow.loss.SOLVE_RESIDUAL_TOL", -1.0)
+    n = 800
+    M = rng.normal(size=(n, n))
+    system = RidgeSystem(packed(M + M.T if indefinite else M @ M.T + n * np.eye(n)), 0.05)
+    assert (system._pivots is not None) == indefinite
+    del M
+    tracemalloc.start()
+    try:
+        with pytest.raises(FactorizationError):
+            system.solve(np.ones(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * n * 8
 
 
 def test_failing_solve_refines_twice_then_stops(monkeypatch):
@@ -474,7 +495,7 @@ def test_derivative_blocks_take_the_held_value_block_bitwise(rng):
 def _two_batch_gradient(params, X, Y, lam):
     """(qf, d qf/d alpha, d qf/d theta) of one batch, from its own geometry."""
     stats = full_stats(X)
-    W = np.linalg.solve(gram(params, X) + lam * np.eye(len(X)), Y)
+    W = np.linalg.solve(unpack(gram(params, X)) + lam * np.eye(len(X)), Y)
     ga, gt = np.zeros(N_KERNELS), np.zeros(N_THETA)
     for i, a in enumerate(params.alpha):
         block = _eval_block(i, stats, params.theta)
