@@ -14,7 +14,9 @@ entries of S: a kernel matrix costs one m x n array, not two.  Outside
 process pools the tiles run on the usable cores, bit-identical to
 serial.  A Gram's tiles cover its upper triangle only, and ``gram``
 returns that triangle packed, the layout :class:`kflow.RidgeSystem`
-takes.
+takes.  A training batch's geometry is its Gram's one tile, packed the
+same way: one geometry builder and one packing routine serve the Gram,
+the loss and its gradient.
 
 The terms come from 14 families: linear, polynomial, gauss, locally
 periodic, periodic, multiquadric, inverse multiquadric, power, cauchy,
@@ -57,7 +59,6 @@ import os
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 
@@ -70,7 +71,6 @@ EPS = 1e-8
 
 # entries per row tile (128 KB a temporary): larger tiles page-fault in a fresh process
 _TILE = 1 << 14
-_CACHED_ROWS = 1024  # the largest batch whose triangle positions are cached: 8 MB
 
 _trttp = get_lapack_funcs("trttp", dtype=np.float64)
 
@@ -129,7 +129,8 @@ class KernelParams:
 
 def _pair_stats(S, sq_a, sq_b, sym: bool):
     """(s, r, q) of a row tile from its inner products S and both sides' squared norms.
-    sym: a Gram's tile from its diagonal on, whose q is 0 on the diagonal."""
+    sym: a Gram's tile from its diagonal on, whose q is 0 on the diagonal.  The one geometry
+    builder: the kernel-matrix tiles call it, and so does a training batch (_packed_stats)."""
     q = sq_a[:, None] + sq_b[None, :] - 2.0 * S
     np.maximum(q, 0.0, out=q)
     if sym:
@@ -137,33 +138,24 @@ def _pair_stats(S, sq_a, sq_b, sym: bool):
     return S, np.sqrt(q), q
 
 
-def _triangle(n: int):
-    """Read-only flat positions of an n x n array's upper triangle with its diagonal in row-major
-    order (the packed order), and the diagonal's packed positions.  They take about 4 n^2
-    bytes: kept for a few sizes of at most _CACHED_ROWS rows only."""
-    return (_triangle_cached if n <= _CACHED_ROWS else _triangle_cached.__wrapped__)(n)
+def _pack(A) -> np.ndarray:
+    """Square A's upper triangle with its diagonal in row-major order, ``A[np.triu_indices(n)]``:
+    the packed layout, which trttp reads as the lower triangle of A', column by column."""
+    return _trttp(A.T, uplo="L")[0]
 
 
-@lru_cache(maxsize=4)
-def _triangle_cached(n: int):
-    i, j = np.triu_indices(n)
-    out = (i * n + j, np.flatnonzero(i == j))
-    for a in out:
-        a.flags.writeable = False
-    return out
+def _packed_index(i, j, n: int):
+    """Position of entry (i, j), i <= j, in an n x n array's packed triangle."""
+    return i * (2 * n + 1 - i) // 2 + j - i  # row i starts at i(2n+1-i)/2
 
 
 def _packed_stats(X):
-    """(s, r, q) of all pairs of rows of X, packed: entrywise a Gram tile's upper triangle."""
+    """(s, r, q) of all pairs of rows of X: _pair_stats of X's Gram as one tile, each packed."""
     X = np.asarray(X, dtype=float)
-    upper, diag = _triangle(len(X))
     with np.errstate(all="ignore"):
         S = X @ X.T
         sq = np.diagonal(S)
-        s = np.take(S, upper)
-        q = np.maximum(np.take(sq[:, None] + sq[None, :], upper) - 2.0 * s, 0.0)
-        q[diag] = 0.0
-        return s, np.sqrt(q), q
+        return tuple(_pack(a) for a in _pair_stats(S, sq, sq, True))
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +495,12 @@ def _kernel_matrix(params: KernelParams, A, B=None, sq_b=None) -> np.ndarray:
 def gram(params: KernelParams, X) -> np.ndarray:
     """Combined-kernel Gram K of the n rows of X, packed: its upper triangle with the
     diagonal in row-major order, ``K[np.triu_indices(n)]``, what RidgeSystem takes, so
-    ``kflow.RidgeSystem(kflow.gram(p, X), lambda1)`` is the fit's system.  trttp packs K
+    ``kflow.RidgeSystem(kflow.gram(p, X), lambda1)`` is the fit's system.  _pack packs K
     from the one n x n buffer the tiles fill: a Gram peaks at 1.5 n^2 floats."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
         raise KernelEvalError(f"X must be a nonempty 2-d array, got shape {X.shape}")
-    packed, _ = _trttp(_kernel_matrix(params, X).T, uplo="L")
-    return packed
+    return _pack(_kernel_matrix(params, X))
 
 
 def cross_gram(params: KernelParams, A, B) -> np.ndarray:

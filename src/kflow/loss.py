@@ -17,10 +17,11 @@ step, so the gradient here is of the smooth part rho only.
 gradient alike: it builds one :class:`_BatchTerms` for batch b; batch
 c's Gram is its submatrix K[sub, sub], and c's gradient folds into b's,
 so every block is evaluated on b's packed upper triangle (with its
-diagonal) only.  K stays packed: c's triangle is gathered from b's, and
-:class:`RidgeSystem` takes packed triangles, factorizes K + lambda1 I
-once per batch in one n x n buffer and verifies every solve by its
-residual against the triangle.
+diagonal) only, with the Gram's geometry and packing routine: K is
+bitwise :func:`kernels.gram` of b.  K stays packed: c's triangle is
+gathered from b's, and :class:`RidgeSystem` takes packed triangles,
+factorizes K + lambda1 I once per batch in one n x n buffer and
+verifies every solve by its residual against the triangle.
 
 An epoch's three calls share one batch and hand b's terms on: pair
 geometry is always reused, elemental blocks only while theta is bitwise
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .kernels import (N_KERNELS, N_THETA, SLOTS, KernelParams, _eval_block, _grad_blocks,
-                      _packed_stats, _triangle, _weighted_sum)
+from .kernels import (N_KERNELS, N_THETA, SLOTS, KernelParams, _eval_block, _grad_blocks, _pack,
+                      _packed_index, _packed_stats, _weighted_sum)
 
 SOLVE_RESIDUAL_TOL = 1e-8
 
@@ -69,7 +70,7 @@ class RidgeSystem:
     """Factorized solve handle for (K + lambda1 * I), K symmetric, given packed.
 
     ``packed`` is K's upper triangle with its diagonal in row-major order
-    (``K[np.triu_indices(n)]``, :func:`kernels._triangle`'s order, what
+    (``K[np.triu_indices(n)]``, :func:`kernels._pack`'s order, what
     :func:`kernels.gram` returns), which is the column-major lower triangle
     LAPACK's packed routines take.  The handle holds that triangle,
     unwritten, for the residual checks (spmv), and one column-major n x n
@@ -202,7 +203,7 @@ class LossBreakdown:
 
 class _BatchTerms:
     """Batch b's quantities shared by the loss value and its gradient: pair geometry, every
-    value and theta-derivative block and K itself, all packed (kernels._packed_stats)."""
+    value and theta-derivative block and K itself, all packed (kernels._pack's order)."""
 
     def __init__(self, params: KernelParams, X, Y, lambda1: float,
                  prev: _BatchTerms | None = None):
@@ -221,7 +222,7 @@ class _BatchTerms:
             self.blocks[i] = old[i] if i in old else _eval_block(i, self.stats, params.theta)
             return self.blocks[i]
 
-        self.K = _weighted_sum(n * (n + 1) // 2, params.alpha, block)  # packed, never unpacked
+        self.K = _weighted_sum(self.stats[0].shape, params.alpha, block)  # packed, never unpacked
         self.W = RidgeSystem(self.K, lambda1).solve(self.Y)
         self.qf = float(np.sum(self.Y * self.W))
 
@@ -230,9 +231,9 @@ class _BatchTerms:
         ga = np.zeros(N_KERNELS) if wrt_alpha else None
         gt = np.zeros(N_THETA) if wrt_theta else None
         alpha = self.params.alpha
-        upper, diag = _triangle(len(M))
-        w = 2.0 * np.take(M, upper)
-        w[diag] = np.diagonal(M)
+        w = 2.0 * M
+        np.fill_diagonal(w, np.diagonal(M))
+        w = _pack(w)
         for i, block in self.blocks.items():
             if wrt_alpha:
                 ga[i] = -2.0 * alpha[i] * np.dot(block, w)
@@ -245,9 +246,8 @@ class _BatchTerms:
 def _sub_triangle(packed, n: int, sub) -> np.ndarray:
     """The packed triangle of K[np.ix_(sub, sub)], gathered from n x n K's: entry (i, j) of
     the subset is K's (p, q) = (sub[i], sub[j]) in either order, since K is symmetric."""
-    i, j = np.divmod(_triangle(len(sub))[0], len(sub))
-    p, q = np.minimum(sub[i], sub[j]), np.maximum(sub[i], sub[j])
-    return np.take(packed, p * (2 * n + 1 - p) // 2 + q - p)  # row p starts at p(2n+1-p)/2
+    p, q = np.minimum.outer(sub, sub), np.maximum.outer(sub, sub)
+    return _pack(np.take(packed, _packed_index(p, q, n)))
 
 
 def _nested_eval(params: KernelParams, X, Y, sub, lambda1: float,

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .embedding import DelayDataset
-from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelEvalError, KernelParams, _packed_stats,
-                      _triangle, clamp_theta)
+from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelEvalError, KernelParams,
+                      _packed_index, _packed_stats, clamp_theta)
 from .loss import DegenerateBatchError, FactorizationError, LossBreakdown, _nested_eval
 
 
@@ -105,7 +105,8 @@ def geometry_scales(dataset: DelayDataset) -> np.ndarray:
     step = max(1, dataset.n_pairs // PROBE_ROWS)
     probe = dataset.X[::step][:PROBE_ROWS]
     s, _, q = _packed_stats(probe)
-    diag = _triangle(len(probe))[1]  # each row with itself: not a pair
+    rows = np.arange(len(probe))
+    diag = _packed_index(rows, rows, len(probe))  # each row with itself: not a pair
     q_med, q_hi = np.percentile(np.delete(q, diag), [50.0, 95.0])
     s_hi = np.percentile(np.abs(np.delete(s, diag)), 95.0)
     q_med, q_hi = max(q_med, 1e-12), max(q_hi, 1e-12)

@@ -23,8 +23,9 @@ from kflow.kernels import (
     KernelParams,
     _eval_block,
     _grad_blocks,
+    _pack,
+    _packed_index,
     _packed_stats,
-    _triangle,
     clamp_theta,
     cross_gram,
     gram,
@@ -327,18 +328,12 @@ def test_lorenz_gram_and_cross_gram_equal_the_reference_loop_bitwise():
     assert cross_gram(params, T, X).tobytes() == _whole_array_sum(params, T, X).tobytes()
 
 
-def test_triangle_positions_are_read_only_and_cached_for_a_few_small_sizes():
-    upper, diag = _triangle(3)
-    assert (upper.tolist(), diag.tolist()) == ([0, 1, 2, 4, 5, 8], [0, 3, 5])
-    assert not any(a.flags.writeable for a in (upper, diag))
-    assert _triangle(3)[0] is upper
-    for n in range(4, 40):
-        _triangle(n)
-    assert kernels._triangle_cached.cache_info().currsize <= 4
-    # a large size is rebuilt per call, never pinned
-    large = kernels._CACHED_ROWS + 1
-    assert _triangle(large)[0] is not _triangle(large)[0]
-    assert kernels._triangle_cached.cache_info().currsize <= 4
+def test_pack_and_packed_index_share_the_row_major_upper_triangle_order():
+    for n in (1, 3, 40):
+        A = np.arange(n * n, dtype=float).reshape(n, n)
+        assert _pack(A).tobytes() == A[np.triu_indices(n)].tobytes()
+        i, j = np.triu_indices(n)
+        assert _packed_index(i, j, n).tolist() == list(range(n * (n + 1) // 2))
 
 
 def test_gram_self_distance_is_zero_when_the_norm_overflows():

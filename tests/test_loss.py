@@ -12,11 +12,10 @@ from kflow.kernels import (
     SLOTS,
     KernelEvalError,
     KernelParams,
-    _CACHED_ROWS,
     _eval_block,
     _grad_blocks,
+    _packed_index,
     _packed_stats,
-    _triangle,
     gram,
 )
 from kflow.embedding import TimeSeries, build_delay_dataset
@@ -146,7 +145,7 @@ class _FullCopy(RidgeSystem):
 def test_a_symmetric_gram_factors_and_solves_as_its_entrywise_copy(rng):
     # the unpacked triangle holds a full copy's bits: Cholesky reads the lower triangle only,
     # LU the mirrored whole; the mirror runs in column blocks, so one n spans several
-    for n in (200, _CACHED_ROWS + 1):
+    for n in (200, 1025):
         M = rng.normal(size=(n, n))
         B = rng.normal(size=(n, 3))
         for K, lu in ((M @ M.T, False), (M + M.T, True)):
@@ -553,7 +552,7 @@ def test_packed_batch_equals_the_full_array_path(rng, n):
     iu = np.triu_indices(n)
     packed = _packed_stats(X)
     assert all((p == f[iu]).all() for p, f in zip(packed, stats))
-    assert (packed[2][_triangle(n)[1]] == 0.0).all()
+    assert (packed[2][_packed_index(np.arange(n), np.arange(n), n)] == 0.0).all()
     assert np.count_nonzero(packed[2] == 0.0) >= n + (30 if duplicates else 0)
     terms = _BatchTerms(params, X, Y, 0.05)
     for i, block in blocks.items():
@@ -562,6 +561,7 @@ def test_packed_batch_equals_the_full_array_path(rng, n):
         got = _grad_blocks(i, terms.stats, params.theta, terms.blocks[i])
         assert [g.tobytes() for g in got] == [w[iu].tobytes() for w in want], i + 1
     assert terms.K.tobytes() == K[iu].tobytes()
+    assert terms.K.tobytes() == gram(params, X).tobytes()  # the loss's K is the Gram
     assert terms.W.tobytes() == W.tobytes() and terms.qf == qf_b
     got = _nested_eval(params, X, Y, sub, 0.05, wrt_alpha=True, wrt_theta=True)
     assert got[0] == r and got[2] == qf_b
