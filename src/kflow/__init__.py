@@ -18,7 +18,7 @@ from .evaluation import (
     select_lambda2,
 )
 from .forecast import TrainedModel, fit, one_step_forecast, predict_one, rollout
-from .kernels import KernelParams, cross_gram, gram
+from .kernels import KernelParams, NumericalError, cross_gram, gram
 from .loss import LossBreakdown, RidgeSystem
 from .metrics import hausdorff, smape
 from .systems import SystemSpec, builtin_systems, integrate_rk4, load_csv, save_csv
@@ -27,7 +27,7 @@ from .training import TrainConfig, TrainReport, sample_nested_batches, soft_thre
 __all__ = [
     "__version__",
     "TimeSeries", "DelayDataset", "build_delay_dataset", "split_train_test",
-    "KernelParams", "gram", "cross_gram", "RidgeSystem", "LossBreakdown",
+    "KernelParams", "gram", "cross_gram", "RidgeSystem", "LossBreakdown", "NumericalError",
     "TrainConfig", "TrainReport", "soft_threshold", "sample_nested_batches", "train",
     "TrainedModel", "fit", "predict_one", "one_step_forecast", "rollout",
     "smape", "hausdorff",

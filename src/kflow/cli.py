@@ -10,8 +10,10 @@ version and a digest of its input, and contains nothing run-dependent
 (no timestamps, no timings), so rerunning a command with the same
 config and seed reproduces the artifact byte for byte.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
-failure.
+Exit codes: 0 success; 2 usage error (argparse, or a --config file that
+is not a JSON object); 3 data error (CliDataError, OSError, KeyError or
+another ValueError, such as a malformed CSV or model file); 4 numerical
+failure (any kflow.NumericalError, the base of every numerical error).
 """
 
 from __future__ import annotations
@@ -37,12 +39,9 @@ from .evaluation import (
     win_counts,
 )
 from .forecast import RolloutDiverged, TrainedModel, fit, one_step_forecast, rollout
-from .kernels import KernelEvalError
-from .loss import DegenerateBatchError, FactorizationError
+from .kernels import NumericalError
 from .metrics import hausdorff, smape
 from .systems import (
-    DataFormatError,
-    IntegrationError,
     Standardizer,
     _write_csv,
     builtin_systems,
@@ -51,19 +50,17 @@ from .systems import (
     load_csv,
     save_csv,
 )
-from .training import TrainConfig, TrainingAborted, check_range, default_init, train
+from .training import TrainConfig, check_range, default_init, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-_DATA_ERRORS = (DataFormatError, FileNotFoundError, KeyError, ValueError)
-_NUMERIC_ERRORS = (FactorizationError, DegenerateBatchError, KernelEvalError,
-                   TrainingAborted, RolloutDiverged, IntegrationError)
+_DATA_ERRORS = (OSError, KeyError, ValueError)
 
 
-class CliDataError(Exception):
+class CliDataError(ValueError):
     pass
 
 
@@ -268,7 +265,7 @@ def cmd_forecast(args) -> int:
     steps = check_range("rollout_steps", args.steps, "steps", CliDataError)
     with open(args.model, "r", encoding="utf-8") as fh:
         model_doc = json.load(fh)
-    if model_doc.get("artifact") != "model":
+    if not isinstance(model_doc, dict) or model_doc.get("artifact") != "model":
         raise CliDataError(f"{args.model} is not a model artifact")
     model = TrainedModel.from_dict(model_doc["model"])
     standardizer = Standardizer.from_dict(model_doc["standardization"])
@@ -436,7 +433,7 @@ def main(argv=None) -> int:
     if getattr(args, "config", None):
         try:
             args._config_doc = _load_config_file(args.config)
-        except (OSError, json.JSONDecodeError, CliDataError) as err:
+        except (OSError, ValueError) as err:  # unreadable, not UTF-8 JSON, or not an object
             print(f"config error: {err}", file=sys.stderr)
             return EXIT_USAGE
     handlers = {
@@ -447,7 +444,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _NUMERIC_ERRORS as err:
+    except NumericalError as err:
         print(f"numerical failure [{type(err).__name__}]: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except CliDataError as err:

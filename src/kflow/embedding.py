@@ -63,10 +63,6 @@ class DelayDataset:
     def n_pairs(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.Y.shape[1]
-
     def subset(self, idx) -> "DelayDataset":
         """Row subset (used for batching and CV folds); order preserved."""
         return DelayDataset(self.X[idx], self.Y[idx], self.tau)

@@ -46,18 +46,16 @@ import numpy as np
 
 from .embedding import DelayDataset, TimeSeries, build_delay_dataset, split_train_test
 from .forecast import RolloutDiverged, fit, one_step_forecast, rollout
-from .kernels import KernelEvalError, KernelParams, N_KERNELS, N_THETA, _usable_cores
-from .loss import DegenerateBatchError, FactorizationError
+from .kernels import KernelParams, N_KERNELS, N_THETA, NumericalError, _usable_cores
 from .metrics import hausdorff, smape
 from .systems import Standardizer
-from .training import TrainConfig, TrainingAborted, check_range, default_init, train
+from .training import TrainConfig, check_range, default_init, train
 
 DEFAULT_LAMBDA2_GRID = (0.0, 0.0001, 0.001, 0.01, 0.1, 1.0, 10.0)
 METHOD_NAMES = ("RBF", "TrainedRBF", "RegularKF", "SparseKF")
 RBF_SIGMA = 0.5
 
-_RECOVERABLE = (FactorizationError, DegenerateBatchError, KernelEvalError,
-                TrainingAborted, RolloutDiverged, ValueError)
+_RECOVERABLE = (NumericalError, ValueError)
 
 
 def _start_worker(tasks) -> None:
@@ -313,13 +311,12 @@ def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow
              for init in (gaussian_only_init(full_init), full_init)]
     with _task_pool(cells + dense) as result:
         rbf = _scored(fixed_rbf_params, prepared, protocol)
-
-        def sparse_params():
-            nonlocal selected  # recorded even when the final training fails
+        sparse = None
+        if cells:  # selected is recorded even when the final training fails
             selected = _select(grid, [result(i) for i in range(len(cells))]).selected_lambda2
-            return train(train_ds, full_init, replace(config, lambda2=selected)).final_params
-
-        sparse = _scored(sparse_params, prepared, protocol) if cells else None
+            sparse_config = replace(config, lambda2=selected)
+            sparse = _scored(lambda: train(train_ds, full_init, sparse_config).final_params,
+                             prepared, protocol)
         scores = (rbf, result(len(cells)), result(len(cells) + 1), sparse)
     for name, scored in zip(METHOD_NAMES, scores):
         if scored is not None:

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import DelayDataset
-from .kernels import KernelEvalError, KernelParams, _kernel_matrix, cross_gram, gram
+from .kernels import (KernelEvalError, KernelParams, NumericalError, _kernel_matrix, cross_gram,
+                      gram)
 from .loss import RidgeSystem
 
 
-class RolloutDiverged(RuntimeError):
+class RolloutDiverged(NumericalError, RuntimeError):
     """Autonomous rollout produced a non-finite state.
 
     Carries the truncated trajectory and the step at which it blew up
@@ -54,6 +55,9 @@ class TrainedModel:
     def from_dict(cls, doc: dict) -> "TrainedModel":
         train_X = np.asarray(doc["train_X"], dtype=float)
         coeff = np.asarray(doc["coefficients"], dtype=float)
+        if coeff.ndim != 2 or train_X.ndim != 2 or coeff.shape[0] != train_X.shape[0]:
+            raise ValueError(f"coefficients of shape {coeff.shape} do not fit train_X of "
+                             f"shape {train_X.shape}: need one row per training window")
         return cls(
             params=KernelParams.from_dict(doc["kernel"]),
             train_X=train_X,

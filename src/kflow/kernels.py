@@ -48,8 +48,11 @@ keeps them at ``|t| >= EPS`` after every theta step.
 
 Everything else that produces a non-finite entry (for example t7 = 0
 inside the sin of term 5) raises :class:`KernelEvalError` naming the
-owning theta slots, and a weighted sum that overflows raises it too.
-IEEE warnings are silenced: these checks report instead.
+owning theta slots; a weighted sum that overflows and a non-finite
+alpha or theta raise it too, and input of the wrong shape is a plain
+``ValueError``.  Every numerical failure in kflow is a
+:class:`NumericalError`.  IEEE warnings are silenced: these checks
+report instead.
 """
 
 from __future__ import annotations
@@ -75,8 +78,12 @@ _TILE = 1 << 14
 _trttp = get_lapack_funcs("trttp", dtype=np.float64)
 
 
-class KernelEvalError(ValueError):
-    """A kernel evaluation produced a non-finite value or got bad input."""
+class NumericalError(Exception):
+    """Base of every numerical failure in kflow: callers score it, bad input is a ValueError."""
+
+
+class KernelEvalError(NumericalError, ValueError):
+    """A kernel evaluation, or an alpha or theta, is non-finite; bad shapes are ValueErrors."""
 
 
 @dataclass(frozen=True)
@@ -95,9 +102,9 @@ class KernelParams:
         alpha = np.array(self.alpha, dtype=float)
         theta = np.array(self.theta, dtype=float)
         if alpha.shape != (N_KERNELS,):
-            raise KernelEvalError(f"alpha must have shape ({N_KERNELS},), got {alpha.shape}")
+            raise ValueError(f"alpha must have shape ({N_KERNELS},), got {alpha.shape}")
         if theta.shape != (N_THETA,):
-            raise KernelEvalError(f"theta must have shape ({N_THETA},), got {theta.shape}")
+            raise ValueError(f"theta must have shape ({N_THETA},), got {theta.shape}")
         if not np.all(np.isfinite(alpha)):
             raise KernelEvalError("alpha contains non-finite entries")
         if not np.all(np.isfinite(theta)):
@@ -202,19 +209,6 @@ def _g_gauss(x, t, val):
     return (val * x / t[0] ** 3,)
 
 
-def _k_locally_periodic(x, t):
-    phase = np.sin(np.pi * x / t[0]) ** 2
-    return np.exp(-phase / t[1] ** 2) * np.exp(-x / t[2] ** 2)
-
-
-def _g_locally_periodic(x, t, val):
-    arg = np.pi * x / t[0]
-    d0 = val * np.sin(2.0 * arg) * np.pi * x / (t[0] ** 2 * t[1] ** 2)
-    d1 = val * 2.0 * np.sin(arg) ** 2 / t[1] ** 3
-    d2 = val * 2.0 * x / t[2] ** 3
-    return d0, d1, d2
-
-
 def _k_periodic(x, t):
     phase = np.sin(np.pi * x / t[0]) ** 2
     return np.exp(-phase / t[1] ** 2)
@@ -225,6 +219,14 @@ def _g_periodic(x, t, val):
     d0 = val * np.sin(2.0 * arg) * np.pi * x / (t[0] ** 2 * t[1] ** 2)
     d1 = val * 2.0 * np.sin(arg) ** 2 / t[1] ** 3
     return d0, d1
+
+
+def _k_locally_periodic(x, t):
+    return _k_periodic(x, t) * np.exp(-x / t[2] ** 2)
+
+
+def _g_locally_periodic(x, t, val):
+    return (*_g_periodic(x, t, val), val * 2.0 * x / t[2] ** 3)
 
 
 def _k_multiquadric(q, t):
@@ -499,7 +501,7 @@ def gram(params: KernelParams, X) -> np.ndarray:
     from the one n x n buffer the tiles fill: a Gram peaks at 1.5 n^2 floats."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
-        raise KernelEvalError(f"X must be a nonempty 2-d array, got shape {X.shape}")
+        raise ValueError(f"X must be a nonempty 2-d array, got shape {X.shape}")
     return _pack(_kernel_matrix(params, X))
 
 
@@ -508,7 +510,7 @@ def cross_gram(params: KernelParams, A, B) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
-        raise KernelEvalError(f"column mismatch: {A.shape} vs {B.shape}")
+        raise ValueError(f"column mismatch: {A.shape} vs {B.shape}")
     return _kernel_matrix(params, A, B)
 
 

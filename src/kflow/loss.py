@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .kernels import (N_KERNELS, N_THETA, SLOTS, KernelParams, _eval_block, _grad_blocks, _pack,
-                      _packed_index, _packed_stats, _weighted_sum)
+from .kernels import (N_KERNELS, N_THETA, SLOTS, KernelParams, NumericalError, _eval_block,
+                      _grad_blocks, _pack, _packed_index, _packed_stats, _weighted_sum)
 
 SOLVE_RESIDUAL_TOL = 1e-8
 
@@ -54,7 +54,7 @@ _lange, _potrf, _potrs, _pocon, _getrf, _getrs, _gecon, _tpttr = get_lapack_func
 _nrm2, _spmv = get_blas_funcs(("nrm2", "spmv"), dtype=np.float64)
 
 
-class FactorizationError(np.linalg.LinAlgError):
+class FactorizationError(NumericalError, np.linalg.LinAlgError):
     """The shifted Gram could not be factorized or solved reliably."""
 
     def __init__(self, message, condition=None):
@@ -62,7 +62,7 @@ class FactorizationError(np.linalg.LinAlgError):
         self.condition = condition
 
 
-class DegenerateBatchError(ValueError):
+class DegenerateBatchError(NumericalError, ValueError):
     """The denominator quadratic form vanishes, so the loss ratio is undefined."""
 
 

@@ -14,9 +14,10 @@ from typing import Callable
 import numpy as np
 
 from .embedding import TimeSeries
+from .kernels import NumericalError
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericalError, RuntimeError):
     """Trajectory left the finite domain (blow-up)."""
 
 

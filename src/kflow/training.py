@@ -36,11 +36,11 @@ import numpy as np
 
 from .embedding import DelayDataset
 from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelEvalError, KernelParams,
-                      _packed_index, _packed_stats, clamp_theta)
-from .loss import DegenerateBatchError, FactorizationError, LossBreakdown, _nested_eval
+                      NumericalError, _packed_index, _packed_stats, clamp_theta)
+from .loss import FactorizationError, LossBreakdown, _nested_eval
 
 
-class TrainingAborted(RuntimeError):
+class TrainingAborted(NumericalError, RuntimeError):
     """Too many failed epochs (factorization/evaluation errors)."""
 
 
@@ -256,7 +256,7 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
                                                      terms=terms)
             l1 = config.lambda2 * float(np.sum(np.abs(alpha)))
             history.append(LossBreakdown(rho_val, l1, rho_val + l1, qf_c, qf_b))
-        except (FactorizationError, DegenerateBatchError, KernelEvalError) as err:
+        except NumericalError as err:
             alpha, theta = alpha_in, theta_in
             failures.append({"epoch": epoch, "error": str(err)})
             history.append(None)

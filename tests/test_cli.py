@@ -447,6 +447,90 @@ def test_missing_input_is_data_error(tmp_path, capsys):
     assert code == 3
 
 
+def test_directory_input_is_data_error(tmp_path, capsys):
+    assert run_cli("train", str(tmp_path), "--out", str(tmp_path / "m.json"), *FAST) == 3
+    assert capsys.readouterr().err.startswith("data error [IsADirectoryError]")
+
+
+def test_empty_manifest_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("# nothing listed\n\n")
+    assert run_cli("benchmark", str(manifest), "--out-dir", str(tmp_path / "b"), *FAST) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"[1, 2]", b"\xff\xfe{}"],
+                         ids=["not-json", "json-array", "not-utf8"])
+def test_config_that_is_not_a_json_object_is_a_usage_error(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert run_cli("train", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "m.json"),
+                   "--config", str(config)) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _alpha_overflows(doc):
+    # only term 1 active, at a weight whose square overflows the kernel sum
+    doc["model"]["kernel"]["alpha"] = [1e200] + [0.0] * 20
+
+
+def _theta_nan(doc):
+    doc["model"]["kernel"]["theta"][0] = float("nan")
+
+
+BAD_MODELS = {  # edit of a saved model doc -> (exit code, start of the message)
+    "not-a-model": (lambda doc: doc.update(artifact="train_report"), 3, "data error: "),
+    "alpha-length-5": (lambda doc: doc["model"]["kernel"].update(alpha=[1.0] * 5), 3,
+                       "data error [ValueError]: alpha must have shape"),
+    "coefficients-1d": (lambda doc: doc["model"].update(
+        coefficients=[row[0] for row in doc["model"]["coefficients"]]), 3,
+        "data error [ValueError]: coefficients of shape"),
+    "alpha-overflows": (_alpha_overflows, 4, "numerical failure [KernelEvalError]"),
+    "theta-nan": (_theta_nan, 4, "numerical failure [KernelEvalError]"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MODELS)
+def test_bad_model_file_exits_with_its_documented_code(tmp_path, rng, capsys, case):
+    edit, code, message = BAD_MODELS[case]
+    data = toy_csv(tmp_path, rng)
+    model_path = tmp_path / "model.json"
+    assert run_cli("train", str(data), "--mode", "regular", "--out", str(model_path),
+                   *FAST, "--epochs", "0") == 0
+    doc = json.loads(model_path.read_text())
+    edit(doc)
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("forecast", "--model", str(model_path), "--input", str(data),
+                   "--out", str(tmp_path / "p.csv")) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("content", ["# dt=0.1\n0.0,1.0\n", "[1, 2]"], ids=["csv", "json-array"])
+def test_file_that_is_not_a_model_is_data_error(tmp_path, rng, capsys, content):
+    data = toy_csv(tmp_path, rng)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(content)
+    assert run_cli("forecast", "--model", str(model_path), "--input", str(data),
+                   "--out", str(tmp_path / "p.csv")) == 3
+    assert capsys.readouterr().err.startswith("data error")
+
+
+def test_benchmark_runs_builtin_manifest_entries(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("builtin:lorenz\n")
+    out_dir = tmp_path / "bench"
+    assert run_cli("benchmark", str(manifest), "--out-dir", str(out_dir), "--n", "60",
+                   "--epochs", "1", "--cv-epochs", "1", "--batch-size", "10",
+                   "--lambda2-grid", "0") == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["config"]["n"] == 60
+    (row,) = report["rows"]
+    assert row["system"] == "lorenz" and row["selected_lambda2"] == 0.0
+    assert np.isfinite(row["RBF_smape"]) and row["best"] != "none"
+    assert (out_dir / "report.csv").read_text().splitlines()[2].startswith("lorenz,")
+
+
 def test_console_entry_point_runs():
     # run from the directory that holds the imported kflow, installed or not
     proc = subprocess.run([sys.executable, "-m", "kflow.cli", "--version"],

@@ -56,3 +56,22 @@ def test_every_traced_name_is_the_global_its_caller_looks_up():
         assert found.__module__ == home, f"{caller}.{name}"
     for name in ("solve", "_solve_factored"):
         assert vars(RidgeSystem)[name].__qualname__ == f"RidgeSystem.{name}"
+
+
+def test_every_kflow_error_is_numerical_or_bad_input():
+    # the CLI maps NumericalError to exit 4 and ValueError to exit 3, and the benchmark
+    # scores both as +inf: an error type that is neither would escape both as a traceback
+    import importlib
+    import pkgutil
+
+    defined = [
+        obj
+        for info in pkgutil.iter_modules(kflow.__path__, "kflow.")
+        for obj in vars(importlib.import_module(info.name)).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == info.name
+    ]
+    assert kflow.NumericalError in defined and len(defined) > 5
+    stray = [cls.__qualname__ for cls in defined
+             if not issubclass(cls, (kflow.NumericalError, ValueError))]
+    assert stray == []

@@ -21,6 +21,7 @@ from kflow.kernels import (
     SLOTS,
     KernelEvalError,
     KernelParams,
+    NumericalError,
     _eval_block,
     _grad_blocks,
     _pack,
@@ -167,8 +168,10 @@ def test_symmetry_all_elementals(rng):
 
 
 def test_dimension_mismatch_raises():
-    with pytest.raises(KernelEvalError):
+    # bad input is a ValueError, not a numerical failure
+    with pytest.raises(ValueError) as info:
         at_pair(single_kernel(3), [1.0], [1.0, 2.0])
+    assert not isinstance(info.value, NumericalError)
 
 
 def test_nonfinite_intermediate_names_theta():
@@ -243,8 +246,9 @@ def test_cross_gram_linear_hand_values():
 
 
 def test_cross_gram_column_mismatch():
-    with pytest.raises(KernelEvalError):
+    with pytest.raises(ValueError, match="column mismatch") as info:
         cross_gram(single_kernel(3), np.ones((2, 3)), np.ones((2, 2)))
+    assert not isinstance(info.value, NumericalError)
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +693,11 @@ def test_params_json_round_trip(rng):
 
 
 def test_params_validation():
-    with pytest.raises(KernelEvalError):
-        KernelParams(np.zeros(5), np.ones(N_THETA))
+    # a wrong shape is bad input; a non-finite entry stays numerical, so train skips the epoch
+    for alpha, theta in ((np.zeros(5), np.ones(N_THETA)), (np.zeros(N_KERNELS), np.ones(3))):
+        with pytest.raises(ValueError, match="must have shape") as info:
+            KernelParams(alpha, theta)
+        assert not isinstance(info.value, NumericalError)
     bad = np.ones(N_KERNELS)
     bad[3] = np.inf
     with pytest.raises(KernelEvalError):
