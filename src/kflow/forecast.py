@@ -53,19 +53,22 @@ class TrainedModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainedModel":
-        train_X = np.asarray(doc["train_X"], dtype=float)
-        coeff = np.asarray(doc["coefficients"], dtype=float)
-        if coeff.ndim != 2 or train_X.ndim != 2 or coeff.shape[0] != train_X.shape[0]:
-            raise ValueError(f"coefficients of shape {coeff.shape} do not fit train_X of "
-                             f"shape {train_X.shape}: need one row per training window")
-        return cls(
-            params=KernelParams.from_dict(doc["kernel"]),
-            train_X=train_X,
-            coefficients=coeff,
-            lambda1=float(doc["lambda1"]),
-            tau=int(doc["tau"]),
-            dim=coeff.shape[1],
-        )
+        try:
+            train_X = np.asarray(doc["train_X"], dtype=float)
+            coeff = np.asarray(doc["coefficients"], dtype=float)
+            if coeff.ndim != 2 or train_X.ndim != 2 or coeff.shape[0] != train_X.shape[0]:
+                raise ValueError(f"coefficients of shape {coeff.shape} do not fit train_X of "
+                                 f"shape {train_X.shape}: need one row per training window")
+            return cls(
+                params=KernelParams.from_dict(doc["kernel"]),
+                train_X=train_X,
+                coefficients=coeff,
+                lambda1=float(doc["lambda1"]),
+                tau=int(doc["tau"]),
+                dim=coeff.shape[1],
+            )
+        except TypeError as err:  # JSON of the wrong type: null, a string, an object, ...
+            raise ValueError(f"model has JSON of the wrong type: {err}") from err
 
 
 def fit(params: KernelParams, dataset: DelayDataset, lambda1: float) -> TrainedModel:

@@ -53,6 +53,10 @@ alpha or theta raise it too, and input of the wrong shape is a plain
 ``ValueError``.  Every numerical failure in kflow is a
 :class:`NumericalError`.  IEEE warnings are silenced: these checks
 report instead.
+
+kflow's 11 LAPACK and BLAS routines are bound from scipy's compiled wrappers, the
+extension modules ``scipy/linalg/_flapack`` and ``_fblas``: importing the scipy.linalg
+package to reach them would cost every process and worker 0.3 s and 20 MB.
 """
 
 from __future__ import annotations
@@ -62,11 +66,12 @@ import os
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 #: floor used for clamped power bases and for bare divisors re-projected
 #: by the optimizer
@@ -75,7 +80,21 @@ EPS = 1e-8
 # entries per row tile (128 KB a temporary): larger tiles page-fault in a fresh process
 _TILE = 1 << 14
 
-_trttp = get_lapack_funcs("trttp", dtype=np.float64)
+
+def _linalg_routines(module: str, *names: str) -> tuple:
+    """The float64 ``names`` of scipy's compiled wrapper ``module`` (``_flapack`` or ``_fblas``),
+    loaded from its file under its own name, so scipy/linalg/__init__.py never runs."""
+    where = os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        f"scipy.linalg.{module}")
+    if spec is None:
+        raise ImportError(f"no extension module {module} in {where}")
+    lib = module_from_spec(spec)  # scipy.linalg's own module if that package is imported
+    spec.loader.exec_module(lib)
+    return tuple(getattr(lib, "d" + name) for name in names)
+
+
+(_trttp,) = _linalg_routines("_flapack", "trttp")
 
 
 class NumericalError(Exception):

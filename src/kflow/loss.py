@@ -21,7 +21,8 @@ diagonal) only, with the Gram's geometry and packing routine: K is
 bitwise :func:`kernels.gram` of b.  K stays packed: c's triangle is
 gathered from b's, and :class:`RidgeSystem` takes packed triangles,
 factorizes K + lambda1 I once per batch in one n x n buffer and
-verifies every solve by its residual against the triangle.
+verifies every solve by its residual against the triangle.  Its LAPACK and
+BLAS are scipy's compiled routines, bound without the costly scipy.linalg import.
 
 An epoch's three calls share one batch and hand b's terms on: pair
 geometry is always reused, elemental blocks only while theta is bitwise
@@ -35,10 +36,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .kernels import (N_KERNELS, N_THETA, SLOTS, KernelParams, NumericalError, _eval_block,
-                      _grad_blocks, _pack, _packed_index, _packed_stats, _weighted_sum)
+                      _grad_blocks, _linalg_routines, _pack, _packed_index, _packed_stats,
+                      _weighted_sum)
 
 SOLVE_RESIDUAL_TOL = 1e-8
 
@@ -48,10 +49,9 @@ _MIRROR_COLS = 64
 _MIRROR_MASK = np.triu(np.ones((_MIRROR_COLS, _MIRROR_COLS), dtype=bool), 1)
 _MIRROR_MASK.flags.writeable = False
 
-_lange, _potrf, _potrs, _pocon, _getrf, _getrs, _gecon, _tpttr = get_lapack_funcs(
-    ("lange", "potrf", "potrs", "pocon", "getrf", "getrs", "gecon", "tpttr"), dtype=np.float64)
-# nrm2 is scaled: squares never under/overflow
-_nrm2, _spmv = get_blas_funcs(("nrm2", "spmv"), dtype=np.float64)
+_lange, _potrf, _potrs, _pocon, _getrf, _getrs, _gecon, _tpttr = _linalg_routines(
+    "_flapack", "lange", "potrf", "potrs", "pocon", "getrf", "getrs", "gecon", "tpttr")
+_nrm2, _spmv = _linalg_routines("_fblas", "nrm2", "spmv")  # nrm2 is scaled: no under/overflow
 
 
 class FactorizationError(NumericalError, np.linalg.LinAlgError):

@@ -229,4 +229,7 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Standardizer":
-        return cls(np.asarray(doc["mean"], dtype=float), np.asarray(doc["scale"], dtype=float))
+        try:
+            return cls(np.asarray(doc["mean"], dtype=float), np.asarray(doc["scale"], dtype=float))
+        except TypeError as err:  # JSON of the wrong type: null, a string, an object, ...
+            raise ValueError(f"standardization has JSON of the wrong type: {err}") from err

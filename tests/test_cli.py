@@ -92,6 +92,12 @@ def test_import_pins_one_blas_thread_unless_the_environment_sets_one():
         "2", "1", "1"]
 
 
+def test_import_leaves_the_scipy_linalg_package_unimported():
+    # kflow binds scipy's compiled LAPACK and BLAS modules without scipy/linalg/__init__.py
+    probe = "import sys, kflow, kflow.cli; print('scipy.linalg' in sys.modules)"
+    assert _kflow_process(["-c", probe]).stdout.split() == ["False"]
+
+
 def test_benchmark_report_is_the_same_with_blas_variables_unset_or_one(tmp_path, rng):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(f"{toy_csv(tmp_path, rng)}\n")
@@ -485,6 +491,12 @@ BAD_MODELS = {  # edit of a saved model doc -> (exit code, start of the message)
     "coefficients-1d": (lambda doc: doc["model"].update(
         coefficients=[row[0] for row in doc["model"]["coefficients"]]), 3,
         "data error [ValueError]: coefficients of shape"),
+    "lambda1-null": (lambda doc: doc["model"].update(lambda1=None), 3,
+                     "data error [ValueError]: model has JSON of the wrong type"),
+    "model-a-string": (lambda doc: doc.update(model="model"), 3,
+                       "data error [ValueError]: model has JSON of the wrong type"),
+    "mean-an-object": (lambda doc: doc["standardization"].update(mean={"x": 0.0}), 3,
+                       "data error [ValueError]: standardization has JSON of the wrong type"),
     "alpha-overflows": (_alpha_overflows, 4, "numerical failure [KernelEvalError]"),
     "theta-nan": (_theta_nan, 4, "numerical failure [KernelEvalError]"),
 }

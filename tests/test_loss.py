@@ -1,10 +1,14 @@
+import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import hilbert
+from scipy.linalg import get_blas_funcs, get_lapack_funcs, hilbert
 
+import kflow.kernels
+import kflow.loss
 from conftest import full_stats, make_theta, random_params, single_kernel, unpack
 from kflow.kernels import (
     N_KERNELS,
@@ -158,6 +162,48 @@ def test_a_symmetric_gram_factors_and_solves_as_its_entrywise_copy(rng):
             else:
                 assert np.tril(system._factors).tobytes() == np.tril(reference._factors).tobytes()
             assert system.solve(B).tobytes() == reference.solve(B).tobytes()
+
+
+def _routine_calls():
+    """kflow's 11 LAPACK/BLAS routines, each called on fixed 40 x 40 inputs: a positive-definite
+    and an indefinite symmetric matrix, their packed triangles and 3 right-hand sides."""
+    rng = np.random.default_rng(20230124)
+    G = rng.normal(size=(40, 40))
+    B = rng.normal(size=(40, 3))
+    calls = []
+    for kind, A in (("definite", G @ G.T + 40.0 * np.eye(40)), ("indefinite", G + G.T)):
+        ap = packed(A)
+        chol = np.linalg.cholesky(A + 100.0 * np.eye(40))
+        lu, piv, _ = get_lapack_funcs("getrf", dtype=np.float64)(A)
+        calls += [pytest.param(name, args, kwargs, id=f"{name}-{kind}") for name, args, kwargs in [
+            ("trttp", (A.T,), {"uplo": "L"}), ("tpttr", (40, ap), {"uplo": "L"}),
+            ("lange", ("1", A), {}), ("potrf", (A,), {"lower": 1, "clean": 0}),
+            ("potrs", (chol, B), {"lower": 1}), ("pocon", (chol, 1.5), {"uplo": "L"}),
+            ("getrf", (A,), {}), ("getrs", (lu, piv, B), {}), ("gecon", (lu, 1.5), {"norm": "1"}),
+            ("nrm2", (B.ravel(),), {}), ("spmv", (40, 1.0, ap, B[:, 0]), {"lower": 1}),
+        ]]
+    return calls
+
+
+@pytest.mark.parametrize("name, args, kwargs", _routine_calls())
+def test_bound_routines_return_bitwise_what_scipy_linalg_returns(name, args, kwargs):
+    ours = getattr(kflow.kernels if name == "trttp" else kflow.loss, "_" + name)
+    theirs = (get_blas_funcs if name in ("nrm2", "spmv") else get_lapack_funcs)(
+        name, dtype=np.float64)
+    got, want = ours(*args, **kwargs), theirs(*args, **kwargs)
+    got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_missing_extension_module_names_the_directory_searched(tmp_path, monkeypatch):
+    (tmp_path / "linalg").mkdir()
+    scipy = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(kflow.kernels, "find_spec", lambda name: scipy)
+    with pytest.raises(ImportError, match=re.escape(f"_flapack in {tmp_path / 'linalg'}") + "$"):
+        kflow.kernels._linalg_routines("_flapack", "potrf")
 
 
 def test_a_full_matrix_or_a_non_triangular_length_is_rejected():
