@@ -54,7 +54,7 @@ alpha or theta raise it too, and input of the wrong shape is a plain
 :class:`NumericalError`.  IEEE warnings are silenced: these checks
 report instead.
 
-kflow's 11 LAPACK and BLAS routines are bound from scipy's compiled wrappers, the
+kflow's 8 LAPACK and BLAS routines are bound from scipy's compiled wrappers, the
 extension modules ``scipy/linalg/_flapack`` and ``_fblas``: importing the scipy.linalg
 package to reach them would cost every process and worker 0.3 s and 20 MB.
 """
@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
@@ -91,6 +92,8 @@ def _linalg_routines(module: str, *names: str) -> tuple:
         raise ImportError(f"no extension module {module} in {where}")
     lib = module_from_spec(spec)  # scipy.linalg's own module if that package is imported
     spec.loader.exec_module(lib)
+    if "scipy.linalg" not in sys.modules:  # left registered, it would keep that package,
+        sys.modules.pop(spec.name, None)  # imported later, from binding it as an attribute
     return tuple(getattr(lib, "d" + name) for name in names)
 
 

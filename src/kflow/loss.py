@@ -14,20 +14,17 @@ dictionary weights; that term is handled by the optimizer's proximal
 step, so the gradient here is of the smooth part rho only.
 
 :func:`_nested_eval` is the one entry point, for the value and the
-gradient alike: it builds one :class:`_BatchTerms` for batch b; batch
-c's Gram is its submatrix K[sub, sub], and c's gradient folds into b's,
-so every block is evaluated on b's packed upper triangle (with its
-diagonal) only, with the Gram's geometry and packing routine: K is
-bitwise :func:`kernels.gram` of b.  K stays packed: c's triangle is
-gathered from b's, and :class:`RidgeSystem` takes packed triangles,
-factorizes K + lambda1 I once per batch in one n x n buffer and
-verifies every solve by its residual against the triangle.  Its LAPACK and
-BLAS are scipy's compiled routines, bound without the costly scipy.linalg import.
-
-An epoch's three calls share one batch and hand b's terms on: pair
-geometry is always reused, elemental blocks only while theta is bitwise
-unchanged (alpha-step to logged loss).  K is still summed in ascending
-term order, so reuse is bit-identical to evaluating afresh.
+gradient alike, on the :class:`_Batch` that ``train`` builds once per
+epoch.  Batch c's Gram is K[sub, sub], gathered from b's packed triangle,
+and c's gradient folds into b's, so every block is evaluated on b's packed
+upper triangle (with its diagonal) only, with the Gram's geometry and
+packing routine: K is bitwise :func:`kernels.gram` of b.
+:class:`RidgeSystem` takes packed triangles, factorizes K + lambda1 I once
+per batch in one n x n buffer and verifies every solve by its residual
+against the triangle, with scipy's compiled LAPACK and BLAS, bound without
+the costly scipy.linalg import.  An epoch's three evaluations reuse the
+batch's geometry, and its blocks while theta is bitwise unchanged; K is
+summed in ascending term order either way, so reuse is bitwise.
 """
 
 from __future__ import annotations
@@ -49,17 +46,13 @@ _MIRROR_COLS = 64
 _MIRROR_MASK = np.triu(np.ones((_MIRROR_COLS, _MIRROR_COLS), dtype=bool), 1)
 _MIRROR_MASK.flags.writeable = False
 
-_lange, _potrf, _potrs, _pocon, _getrf, _getrs, _gecon, _tpttr = _linalg_routines(
-    "_flapack", "lange", "potrf", "potrs", "pocon", "getrf", "getrs", "gecon", "tpttr")
+_potrf, _potrs, _getrf, _getrs, _tpttr = _linalg_routines(
+    "_flapack", "potrf", "potrs", "getrf", "getrs", "tpttr")
 _nrm2, _spmv = _linalg_routines("_fblas", "nrm2", "spmv")  # nrm2 is scaled: no under/overflow
 
 
 class FactorizationError(NumericalError, np.linalg.LinAlgError):
     """The shifted Gram could not be factorized or solved reliably."""
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
 
 
 class DegenerateBatchError(NumericalError, ValueError):
@@ -79,8 +72,9 @@ class RidgeSystem:
     dictionary members make the system indefinite), the buffer is unpacked
     again, mirrored to full and factorized by LU with partial pivoting.
     So a system costs 1.5 n^2 floats.  Every solve is residual-checked to
-    SOLVE_RESIDUAL_TOL; a failed check raises :class:`FactorizationError`
-    carrying a condition estimate.
+    SOLVE_RESIDUAL_TOL, the check's own rounding included; a failed check
+    raises :class:`FactorizationError` and allocates nothing of the
+    system's size.
     """
 
     def __init__(self, packed: np.ndarray, lambda1: float):
@@ -104,8 +98,7 @@ class RidgeSystem:
             self._factors, self._pivots, info = _getrf(self._shifted(full=True), overwrite_a=1)
             if info != 0:
                 # info > 0 is an exactly zero pivot: the matrix is singular
-                raise FactorizationError(f"LU factorization failed (getrf info={info})",
-                                         condition=np.inf)
+                raise FactorizationError(f"LU factorization failed (getrf info={info})")
 
     def _shifted(self, full: bool = False) -> np.ndarray:
         """A := K + lambda1 I, column-major: its lower triangle, or all of it if full."""
@@ -118,22 +111,6 @@ class RidgeSystem:
                 head = A[a:b, a:b]
                 np.copyto(head, head.T.copy(), where=_MIRROR_MASK[:b - a, :b - a])
         return A
-
-    def _condition(self) -> float:
-        """1-norm condition estimate (pocon/gecon) from the factors in hand.
-
-        They are scaled to ||A||_1 = 1 first, so the inverse's norm of a
-        tiny (subnormal) system cannot overflow and read as singular.
-        Only a failed solve asks, so only it pays for ||A||_1.
-        """
-        anorm = _lange("1", self._shifted(full=True))
-        if self._pivots is None:
-            rcond, _ = _pocon(self._factors / np.sqrt(anorm), 1.0, uplo="L")
-        else:  # A = PLU with unit L: only U scales, and the strict lower triangle is L's
-            scaled = self._factors / anorm
-            np.copyto(scaled, self._factors, where=np.tri(self.n, k=-1, dtype=bool))
-            rcond, _ = _gecon(scaled, 1.0, norm="1")
-        return 1.0 / rcond if rcond > 0.0 else np.inf
 
     def _solve_factored(self, rhs: np.ndarray) -> np.ndarray:
         if self._pivots is None:
@@ -173,7 +150,13 @@ class RidgeSystem:
             message = (f"solve residual {residual:.3e} exceeds {SOLVE_RESIDUAL_TOL:.0e} "
                        "(system near-singular)" if np.isfinite(residual) else
                        "solve overflowed: the solution or its residual is not finite")
-            raise FactorizationError(message, condition=self._condition())
+            raise FactorizationError(message)
+        # the check is only as exact as its products, whose rounding is about eps ||K|| ||X||
+        # (eps = 2^-52): above the tolerance, a passed check proves nothing
+        rounding = 2.0 ** -52 * (_nrm2(self._packed) + self.lambda1) * _nrm2(X.ravel()) / norm_b
+        if not rounding <= SOLVE_RESIDUAL_TOL:
+            raise FactorizationError(f"solve residual cannot be told from its rounding error "
+                                     f"{rounding:.3e} (system near-singular)")
         return X[:, 0] if vec else X
 
 
@@ -201,88 +184,72 @@ class LossBreakdown:
 # dot of B_i's packed upper triangle with M's, off-diagonal entries doubled.
 # ---------------------------------------------------------------------------
 
-class _BatchTerms:
-    """Batch b's quantities shared by the loss value and its gradient: pair geometry, every
-    value and theta-derivative block and K itself, all packed (kernels._pack's order)."""
+class _Batch:
+    """One epoch's batch b = (X, Y) and its half c, the rows ``sub``, checked once: b's
+    packed pair geometry, c's positions in b's packed triangle, and the value blocks of the
+    theta (its bytes) it was last evaluated at, reused while theta is bitwise unchanged."""
 
-    def __init__(self, params: KernelParams, X, Y, lambda1: float,
-                 prev: _BatchTerms | None = None):
-        self.params = params
+    def __init__(self, X, Y, sub):
         Y = np.asarray(Y, dtype=float)
         self.Y = Y[:, None] if Y.ndim == 1 else Y
         n = len(X)
         if n != self.Y.shape[0]:
             raise ValueError(f"X has {n} rows but Y has {self.Y.shape[0]}")
-        self.stats = _packed_stats(X) if prev is None else prev.stats
-        same_theta = prev is not None and prev.params.theta.tobytes() == params.theta.tobytes()
-        old = prev.blocks if same_theta else {}
-        self.blocks = {}
-
-        def block(i):  # kept for the gradient and for the next call on this batch
-            self.blocks[i] = old[i] if i in old else _eval_block(i, self.stats, params.theta)
-            return self.blocks[i]
-
-        self.K = _weighted_sum(self.stats[0].shape, params.alpha, block)  # packed, never unpacked
-        self.W = RidgeSystem(self.K, lambda1).solve(self.Y)
-        self.qf = float(np.sum(self.Y * self.W))
-
-    def gradient(self, M, wrt_alpha=True, wrt_theta=True):
-        """(d rho/d alpha, d rho/d theta) from M; inactive slots get exact zeros."""
-        ga = np.zeros(N_KERNELS) if wrt_alpha else None
-        gt = np.zeros(N_THETA) if wrt_theta else None
-        alpha = self.params.alpha
-        w = 2.0 * M
-        np.fill_diagonal(w, np.diagonal(M))
-        w = _pack(w)
-        for i, block in self.blocks.items():
-            if wrt_alpha:
-                ga[i] = -2.0 * alpha[i] * np.dot(block, w)
-            if wrt_theta:
-                for j, grad in zip(SLOTS[i], _grad_blocks(i, self.stats, self.params.theta, block)):
-                    gt[j] = -(alpha[i] ** 2) * np.dot(grad, w)
-        return ga, gt
+        sub = np.asarray(sub)
+        if (sub.ndim != 1 or sub.size == 0 or not np.issubdtype(sub.dtype, np.integer)
+                or sub.min() < 0 or sub.max() >= n or np.unique(sub).size != sub.size):
+            raise ValueError(f"sub must be a non-empty 1-d array of distinct row positions "
+                             f"in [0, {n}), got {sub}")
+        self.sub = sub
+        self.stats = _packed_stats(X)
+        # c's (i, j), i <= j, in _pack's order is K's (sub[i], sub[j]) in either order
+        i, j = np.triu_indices(sub.size)
+        self.sub_packed = _packed_index(np.minimum(sub[i], sub[j]), np.maximum(sub[i], sub[j]), n)
+        self.theta, self.blocks = None, {}
 
 
-def _sub_triangle(packed, n: int, sub) -> np.ndarray:
-    """The packed triangle of K[np.ix_(sub, sub)], gathered from n x n K's: entry (i, j) of
-    the subset is K's (p, q) = (sub[i], sub[j]) in either order, since K is symmetric."""
-    p, q = np.minimum.outer(sub, sub), np.maximum.outer(sub, sub)
-    return _pack(np.take(packed, _packed_index(p, q, n)))
+def _nested_eval(params: KernelParams, batch: _Batch, lambda1: float,
+                 wrt_alpha: bool = False, wrt_theta: bool = False):
+    """rho, the two quadratic forms and (optionally) gradient parts on one batch.
 
-
-def _nested_eval(params: KernelParams, X, Y, sub, lambda1: float,
-                 wrt_alpha: bool = False, wrt_theta: bool = False,
-                 terms: list | None = None):
-    """rho, the two quadratic forms and (optionally) gradient parts.
-
-    Batch b is (X, Y), batch c its rows ``sub``.  Returns (rho, qf_c,
-    qf_b, grad_alpha | None, grad_theta | None).  An indefinite parameter
-    draw makes the quadratic forms sign-free while the ratio and its
-    gradient stay well defined, so only a vanishing denominator is
-    degenerate.
-
-    ``terms``, when given, holds b's terms from the previous call on the
-    same batch (empty on the first) and receives this call's.
+    Returns (rho, qf_c, qf_b, grad_alpha | None, grad_theta | None);
+    inactive slots get exact zeros.  An indefinite parameter draw makes
+    the quadratic forms sign-free while the ratio and its gradient stay
+    well defined, so only a vanishing denominator is degenerate.
     """
-    sub = np.asarray(sub)
-    if (sub.ndim != 1 or sub.size == 0 or not np.issubdtype(sub.dtype, np.integer)
-            or sub.min() < 0 or sub.max() >= len(X) or np.unique(sub).size != sub.size):
-        raise ValueError(f"sub must be a non-empty 1-d array of distinct row positions "
-                         f"in [0, {len(X)}), got {sub}")
-    b = _BatchTerms(params, X, Y, lambda1, terms[0] if terms else None)
-    if abs(b.qf) < 1e-12:
-        raise DegenerateBatchError(
-            f"denominator quadratic form is {b.qf:.3e}; ratio is undefined"
-        )
-    if terms is not None:
-        terms[:] = [b]
-    Yc = b.Y[sub]
-    Wc = RidgeSystem(_sub_triangle(b.K, len(X), sub), lambda1).solve(Yc)
+    stats, alpha, theta = batch.stats, params.alpha, params.theta
+    # the batch holds the last theta's blocks until K solves: freed earlier, they move peak RSS
+    old = batch.blocks if batch.theta == theta.tobytes() else {}
+    blocks = {}
+
+    def block(i):  # kept for the gradient and for the next call on this batch
+        blocks[i] = old[i] if i in old else _eval_block(i, stats, theta)
+        return blocks[i]
+
+    K = _weighted_sum(stats[0].shape, alpha, block)  # packed, never unpacked
+    W = RidgeSystem(K, lambda1).solve(batch.Y)
+    qf_b = float(np.sum(batch.Y * W))
+    if abs(qf_b) < 1e-12:
+        raise DegenerateBatchError(f"denominator quadratic form is {qf_b:.3e}; ratio is undefined")
+    batch.theta, batch.blocks = theta.tobytes(), blocks
+    sub = batch.sub
+    Yc = batch.Y[sub]
+    Wc = RidgeSystem(np.take(K, batch.sub_packed), lambda1).solve(Yc)
     qf_c = float(np.sum(Yc * Wc))
-    r = 1.0 - qf_c / b.qf
+    r = 1.0 - qf_c / qf_b
     if not (wrt_alpha or wrt_theta):
-        return r, qf_c, b.qf, None, None
-    M = (qf_c / (b.qf * b.qf)) * (b.W @ b.W.T)
-    M[np.ix_(sub, sub)] -= (Wc @ Wc.T) / b.qf
-    grad_alpha, grad_theta = b.gradient(M, wrt_alpha, wrt_theta)
-    return r, qf_c, b.qf, grad_alpha, grad_theta
+        return r, qf_c, qf_b, None, None
+    M = (qf_c / (qf_b * qf_b)) * (W @ W.T)
+    M[np.ix_(sub, sub)] -= (Wc @ Wc.T) / qf_b
+    w = 2.0 * M
+    np.fill_diagonal(w, np.diagonal(M))
+    w = _pack(w)
+    ga = np.zeros(N_KERNELS) if wrt_alpha else None
+    gt = np.zeros(N_THETA) if wrt_theta else None
+    for i, value in blocks.items():
+        if wrt_alpha:
+            ga[i] = -2.0 * alpha[i] * np.dot(value, w)
+        if wrt_theta:
+            for j, grad in zip(SLOTS[i], _grad_blocks(i, stats, theta, value)):
+                gt[j] = -(alpha[i] ** 2) * np.dot(grad, w)
+    return r, qf_c, qf_b, ga, gt

@@ -37,7 +37,7 @@ import numpy as np
 from .embedding import DelayDataset
 from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelEvalError, KernelParams,
                       NumericalError, _packed_index, _packed_stats, clamp_theta)
-from .loss import FactorizationError, LossBreakdown, _nested_eval
+from .loss import FactorizationError, LossBreakdown, _Batch, _nested_eval
 
 
 class TrainingAborted(NumericalError, RuntimeError):
@@ -234,26 +234,23 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
 
     for epoch in range(1, config.epochs + 1):
         idx_b, sub = sample_nested_batches(dataset, config.batch_size, rng)
-        X, Y = dataset.X[idx_b], dataset.Y[idx_b]
+        batch = None  # freed before the next is built: the order of large frees moves peak RSS
+        batch = _Batch(dataset.X[idx_b], dataset.Y[idx_b], sub)
         decay = 1.0 / np.sqrt(epoch)
         lr = config.lr * decay
         alpha_in, theta_in = alpha.copy(), theta.copy()
-        terms = []  # the three evaluations share this batch's geometry and blocks
         try:
             params = KernelParams(alpha, theta)
-            _, _, _, _, g_theta = _nested_eval(params, X, Y, sub, config.lambda1,
-                                               wrt_theta=True, terms=terms)
+            _, _, _, _, g_theta = _nested_eval(params, batch, config.lambda1, wrt_theta=True)
             theta = clamp_theta(theta - lr * _clip_norm(g_theta, MAX_GRAD_NORM))
 
             params = KernelParams(alpha, theta)
-            _, _, _, g_alpha, _ = _nested_eval(params, X, Y, sub, config.lambda1,
-                                               wrt_alpha=True, terms=terms)
+            _, _, _, g_alpha, _ = _nested_eval(params, batch, config.lambda1, wrt_alpha=True)
             alpha = soft_threshold(alpha - lr * _clip_norm(g_alpha, MAX_GRAD_NORM),
                                    lr * config.lambda2)
 
             params = KernelParams(alpha, theta)
-            rho_val, qf_c, qf_b, _, _ = _nested_eval(params, X, Y, sub, config.lambda1,
-                                                     terms=terms)
+            rho_val, qf_c, qf_b, _, _ = _nested_eval(params, batch, config.lambda1)
             l1 = config.lambda2 * float(np.sum(np.abs(alpha)))
             history.append(LossBreakdown(rho_val, l1, rho_val + l1, qf_c, qf_b))
         except NumericalError as err:

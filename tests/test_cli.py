@@ -98,6 +98,15 @@ def test_import_leaves_the_scipy_linalg_package_unimported():
     assert _kflow_process(["-c", probe]).stdout.split() == ["False"]
 
 
+def test_scipy_linalg_imported_after_kflow_has_its_extension_modules():
+    # the package binds _flapack and _fblas as attributes, and hands out kflow's routines
+    probe = ("import numpy, kflow.loss, scipy.linalg as sl; print(hasattr(sl, '_flapack'), "
+             "hasattr(sl, '_fblas'), sl.get_lapack_funcs('potrf', dtype=numpy.float64) is "
+             "kflow.loss._potrf, sl.get_blas_funcs('spmv', dtype=numpy.float64) is "
+             "kflow.loss._spmv)")
+    assert _kflow_process(["-c", probe]).stdout.split() == ["True"] * 4
+
+
 def test_benchmark_report_is_the_same_with_blas_variables_unset_or_one(tmp_path, rng):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(f"{toy_csv(tmp_path, rng)}\n")
