@@ -67,17 +67,21 @@ class RidgeSystem:
     :func:`kernels.gram` returns), which is the column-major lower triangle
     LAPACK's packed routines take.  The handle holds that triangle,
     unwritten, for the residual checks (spmv), and one column-major n x n
-    buffer: the triangle unpacked into it (tpttr) and shifted, then
-    factorized in place by Cholesky; when Cholesky stops (non-PSD
-    dictionary members make the system indefinite), the buffer is unpacked
-    again, mirrored to full and factorized by LU with partial pivoting.
-    So a system costs 1.5 n^2 floats.  Every solve is residual-checked to
-    SOLVE_RESIDUAL_TOL, the check's own rounding included; a failed check
-    raises :class:`FactorizationError` and allocates nothing of the
-    system's size.
+    buffer: the triangle unpacked into it and shifted, then factorized in
+    place by Cholesky; when Cholesky stops (non-PSD dictionary members make
+    the system indefinite), the buffer is unpacked again, mirrored to full
+    and factorized by LU with partial pivoting.  So a system costs 1.5 n^2
+    floats.  A caller that holds a spare n x n float array in column-major
+    order (writeable) passes it as ``buffer``: the system then factorizes
+    there and costs 0.5 n^2 beyond it, and it owns the buffer until it is
+    dropped.  Only the buffer's lower triangle is refilled (the LU path
+    writes all of it), so what it held before is never read.  Every solve is
+    residual-checked to SOLVE_RESIDUAL_TOL, the check's own rounding
+    included; a failed check raises :class:`FactorizationError` and
+    allocates nothing of the system's size.
     """
 
-    def __init__(self, packed: np.ndarray, lambda1: float):
+    def __init__(self, packed: np.ndarray, lambda1: float, *, buffer: np.ndarray | None = None):
         packed = np.asarray(packed, dtype=float)
         n = (math.isqrt(8 * packed.size + 1) - 1) // 2
         if packed.ndim != 1 or n < 1 or n * (n + 1) // 2 != packed.size:
@@ -85,11 +89,19 @@ class RidgeSystem:
                              f"got shape {packed.shape}")
         if not 0.0 <= lambda1 < np.inf:
             raise ValueError(f"lambda1 must be finite and nonnegative, got {lambda1}")
+        if buffer is not None and not (
+                isinstance(buffer, np.ndarray) and buffer.shape == (n, n)
+                and buffer.dtype == np.float64 and buffer.flags.f_contiguous
+                and buffer.flags.writeable):
+            # anything else f2py would copy, and the system would cost 1.5 n^2 after all
+            raise ValueError(f"buffer must be a writeable column-major float64 array of shape "
+                             f"{(n, n)}")
         if not np.all(np.isfinite(packed)):
             raise FactorizationError("gram contains non-finite entries")
         self.lambda1 = float(lambda1)
         self.n = n
         self._packed = packed
+        self._buffer = buffer
         self._factors, info = _potrf(self._shifted(), lower=1, clean=0, overwrite_a=1)
         self._pivots = None  # None: Cholesky factors; else LU row pivots
         if info != 0:
@@ -101,8 +113,17 @@ class RidgeSystem:
                 raise FactorizationError(f"LU factorization failed (getrf info={info})")
 
     def _shifted(self, full: bool = False) -> np.ndarray:
-        """A := K + lambda1 I, column-major: its lower triangle, or all of it if full."""
-        A, _ = _tpttr(self.n, self._packed, uplo="L")
+        """A := K + lambda1 I, column-major: its lower triangle, or all of it if full.  In
+        the caller's buffer column by column, else unpacked by tpttr into a new array (at
+        n <= 200, as in training's batches, several times faster than the column loop)."""
+        A = self._buffer
+        if A is None:
+            A, _ = _tpttr(self.n, self._packed, uplo="L")
+        else:  # column j's lower part is packed row j of K's upper triangle
+            start = 0
+            for j in range(self.n):
+                A[j:, j] = self._packed[start:start + self.n - j]
+                start += self.n - j
         A.flat[::self.n + 1] += self.lambda1
         if full:
             for a in range(0, self.n, _MIRROR_COLS):

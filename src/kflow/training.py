@@ -36,7 +36,8 @@ import numpy as np
 
 from .embedding import DelayDataset
 from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelEvalError, KernelParams,
-                      NumericalError, _packed_index, _packed_stats, clamp_theta)
+                      NumericalError, _kernel_matrix, _pack, _packed_index, _packed_stats,
+                      clamp_theta)
 from .loss import FactorizationError, LossBreakdown, _Batch, _nested_eval
 
 
@@ -262,6 +263,9 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
                     f"{len(failures)} failed epochs exceed budget {budget}: {err}"
                 ) from err
 
+    # the last batch's blocks are freed before calibration allocates, which reuses their
+    # heap instead of growing it above them (the allocator rule is in _calibrate_scale)
+    batch = None
     if config.lambda2 > 0.0:
         alpha = np.where(np.abs(alpha) < config.zero_clamp, 0.0, alpha)
     alpha = _calibrate_scale(dataset, alpha, theta, config)
@@ -290,10 +294,15 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     held packed: every candidate's system takes the same triangle.  One is
     skipped exactly where s*s max(|K|, |K_hold|) overflows, as the s*alpha
     kernel sum would.  An evaluation error returns alpha.
+
+    Every candidate factorizes in the n x n buffer the Gram was evaluated
+    in, which K is packed from and which lives until the search ends: the
+    search holds 1.5 n_fit^2 floats from the Gram on and allocates no
+    n_fit x n_fit array after it.
     """
     if not np.any(alpha != 0.0):
         return alpha
-    from .forecast import RidgeSystem, cross_gram, gram
+    from .forecast import RidgeSystem, cross_gram
     from .metrics import smape
 
     n = dataset.n_pairs
@@ -306,17 +315,23 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     hold_part = window.subset(slice(n_fit, n_fit + n_hold))
     params = KernelParams(alpha, theta)
     try:
-        K = gram(params, fit_part.X)
+        S = _kernel_matrix(params, fit_part.X)  # K on and above the diagonal
         K_hold = cross_gram(params, hold_part.X, fit_part.X)
     except KernelEvalError:
         return alpha
+    K = _pack(S)  # after the cross-Gram, whose tiles' temporaries it would add to
+    # glibc raises its mmap threshold to the size of any mmapped block it frees (up to
+    # 32 MB) and trims the heap only when its free top exceeds twice that: had S been freed
+    # before the candidates, their n x n buffers would come from the heap and leave it that
+    # much larger, freed but resident.  So they factorize in S.T, which is column-major.
+    buffer = S.T
     largest = float(max(K.max(), -K.min(), K_hold.max(), -K_hold.min()))
     best_scale, best_err = 1.0, np.inf
     for scale in SCALE_CANDIDATES:
         if scale * scale * largest == np.inf:
             continue  # the weighted sum overflows at this scale
         try:
-            W = RidgeSystem(K, config.lambda1 / (scale * scale)).solve(fit_part.Y)
+            W = RidgeSystem(K, config.lambda1 / (scale * scale), buffer=buffer).solve(fit_part.Y)
             err = smape(K_hold @ W, hold_part.Y)
         except (FactorizationError, ValueError):
             continue

@@ -157,6 +157,59 @@ def test_a_symmetric_gram_factors_and_solves_as_its_entrywise_copy(rng):
             assert system.solve(B).tobytes() == reference.solve(B).tobytes()
 
 
+def _decoupled_negatives(rng, n=150):
+    """PD K with rows 70 and 110 replaced by -1 and -3 on the diagonal, coupled to nothing:
+    K + lam I is PD above lam = 3, and below it Cholesky stops part-way, at row 110 or 70;
+    at lam = 1 LU meets row 70's exactly zero pivot."""
+    M = rng.normal(size=(n, n))
+    K = M @ M.T / n + np.eye(n)
+    K[[70, 110], :] = K[:, [70, 110]] = 0.0
+    K[70, 70], K[110, 110] = -1.0, -3.0
+    return K
+
+
+def test_systems_in_one_buffer_solve_as_fresh_systems_bitwise(rng):
+    # a nugget search in one buffer: every system refills it from its triangle, whatever the
+    # last one left there (Cholesky stopped part-way, LU factors, a failed LU, NaN at first)
+    n = 150
+    M = rng.normal(size=(n, n))
+    B = rng.normal(size=(n, 3))
+    buffer = np.full((n, n), np.nan, order="F")
+    searches = ((M @ M.T / n, [0.05 / (s * s) for s in (1, 2, 4, 8, 16)]),
+                (_decoupled_negatives(rng), [4.0, 2.0, 1.0, 0.5, 5.0]))
+    paths = []
+    for K, nuggets in searches:
+        triangle = packed(K)
+        for lam in nuggets:
+            try:
+                fresh = RidgeSystem(triangle, lam)
+            except FactorizationError as err:
+                with pytest.raises(FactorizationError, match=re.escape(str(err))):
+                    RidgeSystem(triangle, lam, buffer=buffer)
+                paths.append("failed")
+                continue
+            system = RidgeSystem(triangle, lam, buffer=buffer)
+            assert np.shares_memory(system._factors, buffer)  # no copy by the LAPACK wrapper
+            assert (system._pivots is None) == (fresh._pivots is None)
+            assert system.solve(B).tobytes() == fresh.solve(B).tobytes()
+            paths.append("Cholesky" if system._pivots is None else "LU")
+    assert paths == ["Cholesky"] * 5 + ["Cholesky", "LU", "failed", "LU", "Cholesky"]
+
+
+@pytest.mark.parametrize("buffer", [
+    np.empty((4, 5), order="F"), np.empty((3, 3), order="F"),
+    np.empty((4, 4), dtype=np.float32, order="F"), np.empty((4, 4), dtype=complex, order="F"),
+    np.empty((4, 4)), np.empty((4, 8), order="F")[:, ::2], np.empty((4, 4), order="F").tolist(),
+    "read-only",
+], ids=["shape", "size", "float32", "complex", "row-major", "strided", "list", "read-only"])
+def test_a_buffer_the_system_cannot_factorize_in_is_rejected(buffer):
+    if isinstance(buffer, str):
+        buffer = np.empty((4, 4), order="F")
+        buffer.flags.writeable = False
+    with pytest.raises(ValueError, match="buffer must be"):
+        RidgeSystem(packed(np.eye(4)), 0.1, buffer=buffer)
+
+
 def _routine_calls():
     """kflow's 8 LAPACK/BLAS routines, each called on fixed 40 x 40 inputs: a positive-definite
     and an indefinite symmetric matrix, their packed triangles and 3 right-hand sides."""

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -374,11 +375,15 @@ def _reference_calibration(ds, alpha, theta, config):
     return best_scale * alpha
 
 
-def test_calibration_matches_per_candidate_fits(rng):
+def test_calibration_matches_per_candidate_fits(rng, monkeypatch):
     ds = lorenz_like_dataset(rng)
     full = default_init(ds, 0)
     gaussian = np.zeros(N_KERNELS)
     gaussian[2] = full.alpha[2]
+    # a small power term on the Gaussian: Cholesky up to s = 4, LU from the nugget at s = 8 on,
+    # all in one buffer; the full dictionary takes LU at every candidate
+    mixed = gaussian.copy()
+    mixed[11] = 0.03
     # weight 2**1016 on a Gaussian: the sum overflows at s = 16 only
     huge = np.zeros(N_KERNELS)
     huge[2] = 2.0 ** 508
@@ -386,11 +391,25 @@ def test_calibration_matches_per_candidate_fits(rng):
     broken = np.zeros(N_KERNELS)
     broken[4] = 1.0
     config = TrainConfig()
-    for alpha, theta in ((full.alpha, full.theta), (gaussian, full.theta),
+    log, paths, chosen, ridge = [], [], [], kflow.forecast.RidgeSystem
+
+    def recorded_system(K, lambda1, **buffer):
+        system = ridge(K, lambda1, **buffer)
+        log.append("LU" if system._pivots is not None else "Cholesky")
+        return system
+
+    monkeypatch.setattr(kflow.forecast, "RidgeSystem", recorded_system)
+    for alpha, theta in ((full.alpha, full.theta), (gaussian, full.theta), (mixed, full.theta),
                          (huge, full.theta), (broken, make_theta(t7=0.0))):
+        log.clear()
         got = _calibrate_scale(ds, alpha, theta, config)
+        paths.append(log[:])  # the search's systems, not the reference fits'
         want = _reference_calibration(ds, alpha, theta, config)
         assert got.tobytes() == want.tobytes()
+        chosen.append(got)
+    assert paths[0] == ["LU"] * 5 and paths[1] == ["Cholesky"] * 5
+    assert paths[2] == ["Cholesky"] * 3 + ["LU"] * 2
+    assert chosen[2].tobytes() == (8.0 * mixed).tobytes()  # an LU candidate wins
 
 
 def _counting(monkeypatch, module, name):
@@ -406,31 +425,34 @@ def _counting(monkeypatch, module, name):
 
 
 def test_calibration_evaluates_each_kernel_matrix_once(rng, monkeypatch):
+    # the Gram is evaluated in the buffer the candidates factorize in, not through gram
     ds = lorenz_like_dataset(rng)
     full = default_init(ds, 0)
-    grams = _counting(monkeypatch, kflow.forecast, "gram")
+    grams = _counting(monkeypatch, kflow.training, "_kernel_matrix")
     crosses = _counting(monkeypatch, kflow.forecast, "cross_gram")
+    packed_grams = _counting(monkeypatch, kflow.forecast, "gram")
     _calibrate_scale(ds, full.alpha, full.theta, TrainConfig())
-    assert len(grams) == 1 and len(crosses) == 1
+    assert len(grams) == 1 and len(crosses) == 1 and packed_grams == []
 
 
 def test_calibration_solves_every_candidate_against_one_gram(rng, monkeypatch):
-    # 1024 fit rows: the candidates hold K packed, K_hold and one factor buffer at a time,
+    # 1024 fit rows: the candidates hold K packed, K_hold and one factor buffer, the Gram's,
     # where a full K beside them would add another half matrix
     ds = lorenz_like_dataset(rng, n=1200)
     full = default_init(ds, 0)
     grams, systems = [], []
-    gram_, ridge = kflow.forecast.gram, kflow.forecast.RidgeSystem
+    kernel_matrix, ridge = kflow.training._kernel_matrix, kflow.forecast.RidgeSystem
 
     def recorded_gram(params, X):
-        grams.append(len(X))  # not the Gram: holding it would raise the peak
-        return gram_(params, X)
+        grams.append(len(X))
+        return kernel_matrix(params, X)
 
-    def recorded_system(K, lambda1):
-        systems.append(K)  # every candidate's triangle: one object, or the peak rises
-        return ridge(K, lambda1)
+    def recorded_system(K, lambda1, *, buffer):
+        # every candidate's triangle and buffer: one object each, or the peak rises
+        systems.append((K, buffer))
+        return ridge(K, lambda1, buffer=buffer)
 
-    monkeypatch.setattr(kflow.forecast, "gram", recorded_gram)
+    monkeypatch.setattr(kflow.training, "_kernel_matrix", recorded_gram)
     monkeypatch.setattr(kflow.forecast, "RidgeSystem", recorded_system)
     tracemalloc.start()
     try:
@@ -443,8 +465,59 @@ def test_calibration_solves_every_candidate_against_one_gram(rng, monkeypatch):
     # a quarter matrix of slack: the kernel tiles' temporaries and the solves' n x 2 arrays
     assert peak < packed + 8 * n_hold * n_fit + factors + factors // 4
     assert grams == [n_fit] and len(systems) == len(SCALE_CANDIDATES)
-    assert systems[0].shape == (n_fit * (n_fit + 1) // 2,)
-    assert all(K is systems[0] for K in systems)
+    K0, buffer0 = systems[0]
+    assert K0.shape == (n_fit * (n_fit + 1) // 2,) and buffer0.shape == (n_fit, n_fit)
+    assert all(K is K0 and buffer is buffer0 for K, buffer in systems)
+
+
+@pytest.mark.parametrize("gaussian_only", [False, True], ids=["lu", "cholesky"])
+def test_calibration_candidates_allocate_no_gram_sized_array(rng, monkeypatch, gaussian_only):
+    # measured from the first candidate on, when the Gram is evaluated and packed: each
+    # candidate factorizes in the Gram's buffer, so only the solves' n x 2 arrays are new
+    ds = lorenz_like_dataset(rng, n=1200)
+    full = default_init(ds, 0)
+    alpha = np.where(np.arange(N_KERNELS) == 2, full.alpha, 0.0) if gaussian_only else full.alpha
+    ridge, before, paths = kflow.forecast.RidgeSystem, [], []
+
+    def measured_system(*args, **kwargs):
+        if not before:
+            tracemalloc.reset_peak()
+            before.append(tracemalloc.get_traced_memory()[0])
+        system = ridge(*args, **kwargs)
+        paths.append(system._pivots is None)
+        return system
+
+    monkeypatch.setattr(kflow.forecast, "RidgeSystem", measured_system)
+    tracemalloc.start()
+    try:
+        _calibrate_scale(ds, alpha, full.theta, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert paths == [gaussian_only] * len(SCALE_CANDIDATES)  # True: Cholesky
+    assert peak - before[0] < 8 * CALIBRATION_ROWS ** 2 // 4
+
+
+def test_the_last_batch_is_freed_before_calibration(rng, monkeypatch):
+    # its blocks would otherwise sit below calibration's arrays on the heap
+    ds = lorenz_like_dataset(rng)
+    made, seen = [], []
+    calibrate = kflow.training._calibrate_scale
+
+    class RecordedBatch(kflow.loss._Batch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    def checked(*args):
+        seen.append([ref() is None for ref in made])
+        return calibrate(*args)
+
+    monkeypatch.setattr(kflow.training, "_Batch", RecordedBatch)
+    monkeypatch.setattr(kflow.training, "_calibrate_scale", checked)
+    report = train(ds, default_init(ds, 0), TrainConfig(epochs=3, batch_size=16, seed=1))
+    assert report.failures == [] and len(made) == 3
+    assert seen == [[True, True, True]]
 
 
 def test_full_dictionary_epoch_evaluates_42_blocks(rng, monkeypatch):
