@@ -8,8 +8,10 @@ through :func:`load_csv`.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,42 +29,69 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """An autonomous vector field with integration defaults."""
+    """An autonomous vector field with integration defaults.
+
+    ``rhs`` takes the state as a tuple of d floats and returns its derivative as
+    a length-d sequence (a tuple or an ndarray).  An OverflowError it raises, or
+    a ValueError on a non-finite state (``math.sin(inf)``), is reported as a blow-up.
+    """
 
     name: str
-    rhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[tuple[float, ...]], Sequence[float]]
     default_ic: tuple = ()
     default_dt: float = 0.01
     transient_skip: int = 1000
 
 
-def _rk4_step(rhs, state, dt):
-    k1 = rhs(state)
-    k2 = rhs(state + 0.5 * dt * k1)
-    k3 = rhs(state + 0.5 * dt * k2)
-    k4 = rhs(state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# The recurrence runs on tuples of Python floats, which on 3- and 4-element
+# states is several times faster than numpy, and is bit-identical to the
+# array form: every stage keeps the array form's operation order, CPython
+# fuses no multiply and add, and the built-ins' math.sin and float ** round
+# as numpy's float64 scalar sin and ** (both libm) do.  Where numpy returned
+# inf or nan, Python raises OverflowError (**) or ValueError (math.sin(inf),
+# so only on a non-finite stage); both are reported as a blow-up of that
+# step, and no RuntimeWarning escapes.
+def _rk4_step(spec, state, dt, where, step):
+    rhs = spec.rhs
+    h = 0.5 * dt
+    try:
+        k1 = rhs(u := state)
+        k2 = rhs(u := tuple([s + h * k for s, k in zip(state, k1)]))
+        k3 = rhs(u := tuple([s + h * k for s, k in zip(state, k2)]))
+        k4 = rhs(u := tuple([s + dt * k for s, k in zip(state, k3)]))
+    except (OverflowError, ValueError) as err:
+        if isinstance(err, ValueError) and all(map(math.isfinite, u)):
+            raise  # the rhs's own error, such as a state of the wrong length
+        raise IntegrationError(f"{spec.name}: blow-up {where} {step}") from err
+    c = dt / 6.0
+    state = tuple([s + c * (((a + 2.0 * b) + 2.0 * e) + f)
+                   for s, a, b, e, f in zip(state, k1, k2, k3, k4)])
+    if not all(map(math.isfinite, state)):
+        raise IntegrationError(f"{spec.name}: blow-up {where} {step}")
+    return state
 
 
 def integrate_rk4(spec: SystemSpec, n_samples: int, dt: float | None = None) -> TimeSeries:
-    """Integrate a system spec and record n_samples states after the transient."""
+    """Integrate a system spec and record n_samples states after the transient.
+
+    Bad n_samples or dt is a ValueError; a blow-up is an IntegrationError naming its step.
+    """
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     dt = spec.default_dt if dt is None else float(dt)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    state = np.asarray(spec.default_ic, dtype=float)
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    state = tuple(map(float, spec.default_ic))
     for step in range(spec.transient_skip):
-        state = _rk4_step(spec.rhs, state, dt)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationError(f"{spec.name}: blow-up during transient at step {step}")
-    out = np.empty((n_samples, state.size))
+        state = _rk4_step(spec, state, dt, "during transient at step", step)
+    out = np.empty((n_samples, len(state)))
     out[0] = state
     for k in range(1, n_samples):
-        state = _rk4_step(spec.rhs, state, dt)
-        if not np.all(np.isfinite(state)):
-            raise IntegrationError(f"{spec.name}: blow-up at recorded step {k}")
-        out[k] = state
+        out[k] = state = _rk4_step(spec, state, dt, "at recorded step", k)
     return TimeSeries(out, dt, spec.name)
 
 
@@ -73,35 +102,36 @@ def integrate_rk4(spec: SystemSpec, n_samples: int, dt: float | None = None) -> 
 def _lorenz(sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     def rhs(u):
         x, y, z = u
-        return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
+        return (sigma * (y - x), x * (rho - z) - y, x * y - beta * z)
     return rhs
 
 
 def _rossler(a=0.2, b=0.2, c=5.7):
     def rhs(u):
         x, y, z = u
-        return np.array([-y - z, x + a * y, b + z * (x - c)])
+        return (-y - z, x + a * y, b + z * (x - c))
     return rhs
 
 
 def _thomas(b=0.208186):
     def rhs(u):
         x, y, z = u
-        return np.array([np.sin(y) - b * x, np.sin(z) - b * y, np.sin(x) - b * z])
+        return (math.sin(y) - b * x, math.sin(z) - b * y, math.sin(x) - b * z)
     return rhs
 
 
 def _duffing(delta=0.3, alpha=-1.0, beta=1.0, gamma=0.5, omega=1.2):
     # periodic forcing carried as a phase pair (cos, sin) so the recorded
-    # state stays bounded and the system is autonomous in R^4
+    # state stays bounded and the system is autonomous in R^4; x ** 3 stays
+    # a libm pow, as the array form's scalar ** was (x * x * x rounds twice)
     def rhs(u):
         x, v, c, s = u
-        return np.array([
+        return (
             v,
             -delta * v - alpha * x - beta * x ** 3 + gamma * c,
             -omega * s,
             omega * c,
-        ])
+        )
     return rhs
 
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from pathlib import Path
@@ -52,6 +53,15 @@ def test_generate_minimal_two_rows(tmp_path):
     out = tmp_path / "tiny.csv"
     assert run_cli("generate", "thomas", "--n", "2", "--out", str(out)) == 0
     assert load_csv(out).n == 2
+
+
+@pytest.mark.parametrize("dt", ["inf", "-inf", "nan", "0"])
+def test_generate_with_a_dt_that_is_not_positive_and_finite_is_a_data_error(tmp_path, capsys, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("generate", "lorenz", "--n", "10", f"--dt={dt}", "--out", str(tmp_path / "x.csv"))
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error [ValueError]: dt must be positive")
 
 
 def test_generate_unknown_system_lists_names(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,13 +62,146 @@ def test_integration_determinism():
 
 def test_blowup_reports_step():
     def square(u):
-        with np.errstate(over="ignore"):  # the blow-up integrate_rk4 must report
-            return u * u
+        return tuple(x * x for x in u)  # overflows to inf, the blow-up integrate_rk4 must report
 
     spec = SystemSpec("explode", square, default_ic=(2.0,),
                       default_dt=1.0, transient_skip=0)
     with pytest.raises(IntegrationError, match="step"):
         integrate_rk4(spec, 500, 1.0)
+
+
+@pytest.mark.parametrize("n_samples", [2.5, 10.0, "10", None])
+def test_non_integer_sample_count_is_a_value_error(n_samples):
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        integrate_rk4(get_system("lorenz"), n_samples)
+
+
+def test_numpy_integer_sample_count_is_accepted():
+    assert integrate_rk4(get_system("lorenz"), np.int64(5)).n == 5
+
+
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan, 0.0, -0.01])
+def test_dt_that_is_not_positive_and_finite_is_a_value_error(dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            integrate_rk4(get_system("lorenz"), 10, dt)
+
+
+# ---------------------------------------------------------------------------
+# oracle: RK4 over ndarrays, with the built-ins' right-hand sides as arrays.
+# integrate_rk4 runs the same recurrence on tuples of floats and must match
+# it bit for bit, blow-ups included.
+# ---------------------------------------------------------------------------
+
+def _array_rhs(name):
+    def lorenz(u, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
+        x, y, z = u
+        return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
+
+    def rossler(u, a=0.2, b=0.2, c=5.7):
+        x, y, z = u
+        return np.array([-y - z, x + a * y, b + z * (x - c)])
+
+    def thomas(u, b=0.208186):
+        x, y, z = u
+        return np.array([np.sin(y) - b * x, np.sin(z) - b * y, np.sin(x) - b * z])
+
+    def duffing(u, delta=0.3, alpha=-1.0, beta=1.0, gamma=0.5, omega=1.2):
+        x, v, c, s = u
+        return np.array([
+            v,
+            -delta * v - alpha * x - beta * x ** 3 + gamma * c,
+            -omega * s,
+            omega * c,
+        ])
+
+    return {"lorenz": lorenz, "rossler": rossler, "thomas": thomas, "duffing": duffing}[name]
+
+
+def _array_rk4_step(rhs, state, dt):
+    k1 = rhs(state)
+    k2 = rhs(state + 0.5 * dt * k1)
+    k3 = rhs(state + 0.5 * dt * k2)
+    k4 = rhs(state + dt * k3)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _array_integrate(spec, n_samples, dt):
+    """The trajectory as bytes, or the IntegrationError message of its blow-up."""
+    rhs = _array_rhs(spec.name)
+    state = np.asarray(spec.default_ic, dtype=float)
+    with np.errstate(all="ignore"):
+        for step in range(spec.transient_skip):
+            state = _array_rk4_step(rhs, state, dt)
+            if not np.all(np.isfinite(state)):
+                return f"{spec.name}: blow-up during transient at step {step}"
+        out = np.empty((n_samples, state.size))
+        out[0] = state
+        for k in range(1, n_samples):
+            state = _array_rk4_step(rhs, state, dt)
+            if not np.all(np.isfinite(state)):
+                return f"{spec.name}: blow-up at recorded step {k}"
+            out[k] = state
+    return out.tobytes()
+
+
+def _float_integrate(spec, n_samples, dt):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return integrate_rk4(spec, n_samples, dt).values.tobytes()
+        except IntegrationError as err:
+            return str(err)
+
+
+@pytest.mark.parametrize("name", ["lorenz", "rossler", "thomas", "duffing"])
+@pytest.mark.parametrize("dt_factor", [1.0, 0.5])
+def test_builtin_trajectories_are_bitwise_the_array_recurrence(name, dt_factor):
+    spec = get_system(name)
+    dt = spec.default_dt * dt_factor
+    want = _array_integrate(spec, 2000, dt)
+    assert isinstance(want, bytes)
+    assert _float_integrate(spec, 2000, dt) == want
+
+
+@pytest.mark.parametrize("name", ["lorenz", "rossler", "thomas", "duffing"])
+@pytest.mark.parametrize("dt", [1.0, 1e3, 1e300])
+@pytest.mark.parametrize("transient", [True, False])
+def test_builtin_blowups_match_the_array_recurrence_without_warnings(name, dt, transient):
+    # without the transient a blow-up falls on a recorded step
+    spec = get_system(name)
+    if not transient:
+        spec = replace(spec, transient_skip=0)
+    want = _array_integrate(spec, 2000, dt)
+    assert _float_integrate(spec, 2000, dt) == want
+    if dt > 1.0:
+        assert want.startswith(f"{name}: blow-up ")
+
+
+def test_float_pow_and_sin_match_numpy_float64_scalars(rng):
+    # the reasons the float recurrence is bitwise the array one: Python's float **
+    # and math.sin round as numpy's float64 scalar ** and sin do
+    values = rng.uniform(-1.0, 1.0, 20000) * 10.0 ** rng.uniform(-3.0, 15.0, 20000)
+    for v in values:
+        x = float(v)
+        assert x ** 3 == float(v ** 3)
+        assert math.sin(x) == float(np.sin(v))
+
+
+def test_math_domain_error_on_the_last_stage_is_a_blowup():
+    # the first three stages stay finite; s + dt * k3 overflows, and math.sin(inf) raises
+    spec = SystemSpec("sine", lambda u: tuple(math.sin(x) + 2.0 for x in u),
+                      default_ic=(0.0,), default_dt=1e308, transient_skip=0)
+    with pytest.raises(IntegrationError, match="at recorded step 1"):
+        integrate_rk4(spec, 5)
+
+
+def test_rhs_error_on_a_finite_state_is_not_a_blowup():
+    # lorenz unpacks three coordinates: a two-element state is the caller's error
+    spec = replace(get_system("lorenz"), default_ic=(1.0, 2.0))
+    with pytest.raises(ValueError, match="unpack"):
+        integrate_rk4(spec, 10)
 
 
 def test_builtin_names_and_smoke_runs():
