@@ -17,6 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _checked_dt(dt) -> float:
+    """dt as a float, or a ValueError naming it unless it is a number with 0 < dt < inf."""
+    try:
+        if 0.0 < float(dt) < np.inf:
+            return float(dt)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"dt must be positive and finite, got {dt!r}")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Multivariate observations on a uniform time grid (rows = samples)."""
@@ -33,10 +43,9 @@ class TimeSeries:
             raise ValueError(f"series needs at least 2 samples, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("series contains non-finite entries")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "dt", _checked_dt(self.dt))
 
     @property
     def n(self) -> int:

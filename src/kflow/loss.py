@@ -15,16 +15,15 @@ step, so the gradient here is of the smooth part rho only.
 
 :func:`_nested_eval` is the one entry point, for the value and the
 gradient alike, on the :class:`_Batch` that ``train`` builds once per
-epoch.  Batch c's Gram is K[sub, sub], gathered from b's packed triangle,
-and c's gradient folds into b's, so every block is evaluated on b's packed
-upper triangle (with its diagonal) only, with the Gram's geometry and
-packing routine: K is bitwise :func:`kernels.gram` of b.
+epoch and evaluates twice; each call evaluates its own value blocks.
+Batch c's Gram is K[sub, sub], gathered from b's packed triangle, and c's
+gradient folds into b's, so every block is evaluated on b's packed upper
+triangle (with its diagonal) only, with the Gram's geometry and packing
+routine: K is bitwise :func:`kernels.gram` of b.
 :class:`RidgeSystem` takes packed triangles, factorizes K + lambda1 I once
 per batch in one n x n buffer and verifies every solve by its residual
 against the triangle, with scipy's compiled LAPACK and BLAS, bound without
-the costly scipy.linalg import.  An epoch's three evaluations reuse the
-batch's geometry, and its blocks while theta is bitwise unchanged; K is
-summed in ascending term order either way, so reuse is bitwise.
+the costly scipy.linalg import.
 """
 
 from __future__ import annotations
@@ -207,8 +206,7 @@ class LossBreakdown:
 
 class _Batch:
     """One epoch's batch b = (X, Y) and its half c, the rows ``sub``, checked once: b's
-    packed pair geometry, c's positions in b's packed triangle, and the value blocks of the
-    theta (its bytes) it was last evaluated at, reused while theta is bitwise unchanged."""
+    packed pair geometry and c's positions in b's packed triangle, for any parameters."""
 
     def __init__(self, X, Y, sub):
         Y = np.asarray(Y, dtype=float)
@@ -226,7 +224,6 @@ class _Batch:
         # c's (i, j), i <= j, in _pack's order is K's (sub[i], sub[j]) in either order
         i, j = np.triu_indices(sub.size)
         self.sub_packed = _packed_index(np.minimum(sub[i], sub[j]), np.maximum(sub[i], sub[j]), n)
-        self.theta, self.blocks = None, {}
 
 
 def _nested_eval(params: KernelParams, batch: _Batch, lambda1: float,
@@ -239,12 +236,10 @@ def _nested_eval(params: KernelParams, batch: _Batch, lambda1: float,
     well defined, so only a vanishing denominator is degenerate.
     """
     stats, alpha, theta = batch.stats, params.alpha, params.theta
-    # the batch holds the last theta's blocks until K solves: freed earlier, they move peak RSS
-    old = batch.blocks if batch.theta == theta.tobytes() else {}
     blocks = {}
 
-    def block(i):  # kept for the gradient and for the next call on this batch
-        blocks[i] = old[i] if i in old else _eval_block(i, stats, theta)
+    def block(i):  # kept for the gradient
+        blocks[i] = _eval_block(i, stats, theta)
         return blocks[i]
 
     K = _weighted_sum(stats[0].shape, alpha, block)  # packed, never unpacked
@@ -252,7 +247,6 @@ def _nested_eval(params: KernelParams, batch: _Batch, lambda1: float,
     qf_b = float(np.sum(batch.Y * W))
     if abs(qf_b) < 1e-12:
         raise DegenerateBatchError(f"denominator quadratic form is {qf_b:.3e}; ratio is undefined")
-    batch.theta, batch.blocks = theta.tobytes(), blocks
     sub = batch.sub
     Yc = batch.Y[sub]
     Wc = RidgeSystem(np.take(K, batch.sub_packed), lambda1).solve(Yc)

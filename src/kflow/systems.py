@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embedding import TimeSeries
+from .embedding import TimeSeries, _checked_dt
 from .kernels import NumericalError
 
 
@@ -82,9 +82,7 @@ def integrate_rk4(spec: SystemSpec, n_samples: int, dt: float | None = None) -> 
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
-    dt = spec.default_dt if dt is None else float(dt)
-    if not (dt > 0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    dt = _checked_dt(spec.default_dt if dt is None else dt)
     state = tuple(map(float, spec.default_ic))
     for step in range(spec.transient_skip):
         state = _rk4_step(spec, state, dt, "during transient at step", step)

@@ -24,8 +24,10 @@ effective weight w_i = alpha_i**2 the penalty lambda2 |alpha_i| reads
 lambda2 sqrt(w_i), which is not convex.
 
 Both updates within an epoch reuse the same batch draw and one step
-size, lr / sqrt(epoch).  A batch whose factorization fails is skipped
-and counted against a budget of FAILURE_BUDGET_FRACTION of the epochs.
+size, lr / sqrt(epoch).  The epoch logs the alpha-step's own loss: rho
+and lambda2 ||alpha||_1 at the point that step starts from.  A batch
+whose factorization fails is skipped and counted against a budget of
+FAILURE_BUDGET_FRACTION of the epochs.
 """
 
 from __future__ import annotations
@@ -235,7 +237,6 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
 
     for epoch in range(1, config.epochs + 1):
         idx_b, sub = sample_nested_batches(dataset, config.batch_size, rng)
-        batch = None  # freed before the next is built: the order of large frees moves peak RSS
         batch = _Batch(dataset.X[idx_b], dataset.Y[idx_b], sub)
         decay = 1.0 / np.sqrt(epoch)
         lr = config.lr * decay
@@ -246,14 +247,11 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
             theta = clamp_theta(theta - lr * _clip_norm(g_theta, MAX_GRAD_NORM))
 
             params = KernelParams(alpha, theta)
-            _, _, _, g_alpha, _ = _nested_eval(params, batch, config.lambda1, wrt_alpha=True)
+            r, qf_c, qf_b, g_alpha, _ = _nested_eval(params, batch, config.lambda1, wrt_alpha=True)
+            l1 = config.lambda2 * float(np.sum(np.abs(alpha)))
             alpha = soft_threshold(alpha - lr * _clip_norm(g_alpha, MAX_GRAD_NORM),
                                    lr * config.lambda2)
-
-            params = KernelParams(alpha, theta)
-            rho_val, qf_c, qf_b, _, _ = _nested_eval(params, batch, config.lambda1)
-            l1 = config.lambda2 * float(np.sum(np.abs(alpha)))
-            history.append(LossBreakdown(rho_val, l1, rho_val + l1, qf_c, qf_b))
+            history.append(LossBreakdown(r, l1, r + l1, qf_c, qf_b))
         except NumericalError as err:
             alpha, theta = alpha_in, theta_in
             failures.append({"epoch": epoch, "error": str(err)})
@@ -263,9 +261,6 @@ def train(dataset: DelayDataset, init: KernelParams, config: TrainConfig) -> Tra
                     f"{len(failures)} failed epochs exceed budget {budget}: {err}"
                 ) from err
 
-    # the last batch's blocks are freed before calibration allocates, which reuses their
-    # heap instead of growing it above them (the allocator rule is in _calibrate_scale)
-    batch = None
     if config.lambda2 > 0.0:
         alpha = np.where(np.abs(alpha) < config.zero_clamp, 0.0, alpha)
     alpha = _calibrate_scale(dataset, alpha, theta, config)

@@ -466,6 +466,16 @@ def test_one_training_window_is_data_error(tmp_path, capsys):
     assert "1 training and 1 test windows" in capsys.readouterr().err
 
 
+def test_a_csv_with_an_infinite_dt_is_a_data_error(tmp_path, rng, capsys):
+    data = toy_csv(tmp_path, rng)
+    text = data.read_text()
+    assert text.startswith("# dt=0.1\n")
+    data.write_text(text.replace("# dt=0.1\n", "# dt=inf\n", 1))
+    assert run_cli("train", str(data), "--out", str(tmp_path / "m.json"), *FAST) == 3
+    assert capsys.readouterr().err.startswith(
+        "data error [ValueError]: dt must be positive and finite, got inf")
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     code = run_cli("train", str(tmp_path / "absent.csv"), "--out",
                    str(tmp_path / "m.json"), *FAST)

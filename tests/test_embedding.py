@@ -85,5 +85,6 @@ def test_series_validation():
         TimeSeries(np.ones((1, 2)), 0.1)
     with pytest.raises(ValueError):
         TimeSeries(np.array([[1.0], [np.nan]]), 0.1)
-    with pytest.raises(ValueError):
-        TimeSeries(np.ones((3, 2)), 0.0)
+    for dt in (0.0, -0.1, np.inf, np.nan, 10**400, [0.1], "fast"):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            TimeSeries(np.ones((3, 2)), dt)

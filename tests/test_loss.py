@@ -31,7 +31,7 @@ from kflow.loss import (
     _Batch,
     _nested_eval,
 )
-from kflow.training import TrainConfig, sample_nested_batches, train
+from kflow.training import TrainConfig, train
 
 
 def linear_two_point_fixture():
@@ -473,18 +473,23 @@ def test_logged_loss_at_lambda2_zero_is_rho(rng):
 
 
 def test_logged_loss_is_rho_plus_the_l1_penalty(rng, monkeypatch):
-    # one epoch, no final clamp or rescale: the logged loss is rho at the epoch's final
-    # weights on its batch, plus lambda2 ||alpha||_1 of those weights
-    monkeypatch.setattr("kflow.training._calibrate_scale", lambda ds, alpha, theta, cfg: alpha)
-    ds, report = trained(rng, TrainConfig(epochs=1, batch_size=16, lambda2=0.1,
-                                          zero_clamp=0.0, seed=6))
-    (entry,) = report.loss_history
-    idx_b, sub = sample_nested_batches(ds, 16, np.random.default_rng(6))
-    final = report.final_params
-    r, qf_c, qf_b, _, _ = _nested_eval(final, _Batch(ds.X[idx_b], ds.Y[idx_b], sub), 0.05)
-    assert (entry.rho, entry.numerator_qf, entry.denominator_qf) == (r, qf_c, qf_b)
-    assert entry.l1_penalty == 0.1 * float(np.sum(np.abs(final.alpha))) > 0.0
-    assert entry.total == entry.rho + entry.l1_penalty
+    # each epoch logs its alpha-step's own evaluation: that call's rho and quadratic forms,
+    # plus lambda2 ||alpha||_1 of the weights the call started from
+    alpha_steps = []
+
+    def recorded(params, batch, lambda1, **flags):
+        values = _nested_eval(params, batch, lambda1, **flags)
+        if flags == {"wrt_alpha": True}:
+            alpha_steps.append((params, values))
+        return values
+
+    monkeypatch.setattr("kflow.training._nested_eval", recorded)
+    _, report = trained(rng, TrainConfig(epochs=3, batch_size=16, lambda2=0.1, seed=6))
+    assert len(alpha_steps) == len(report.loss_history) == 3
+    for entry, (params, (r, qf_c, qf_b, _, _)) in zip(report.loss_history, alpha_steps):
+        assert (entry.rho, entry.numerator_qf, entry.denominator_qf) == (r, qf_c, qf_b)
+        assert entry.l1_penalty == 0.1 * float(np.sum(np.abs(params.alpha))) > 0.0
+        assert entry.total == entry.rho + entry.l1_penalty
 
 
 def test_logged_loss_is_the_l1_penalty_when_rho_is_zero(rng, monkeypatch):
@@ -551,25 +556,31 @@ def test_grad_matches_finite_differences_fixture(rng):
     assert mismatched == 0, f"{mismatched}/{checked} coordinates off"
 
 
-def test_derivative_blocks_take_the_held_value_block_bitwise(rng):
-    # the thirteen terms whose derivative contains their own value read it from
-    # the block the batch holds, after a theta move (blocks evaluated
-    # afresh) and at an unchanged theta (blocks handed on), and equal the
-    # derivative computed from scratch, the value evaluated again, bit for bit
+def test_derivative_blocks_take_the_held_value_block_bitwise(rng, monkeypatch):
+    # the thirteen terms whose derivative contains their own value read it from the
+    # block the loss holds, evaluated at the call's theta on a batch last evaluated at
+    # another, and equal the derivative computed from scratch, the value evaluated
+    # again, bit for bit
     params, X, Y, sub = smooth_fixture(rng, n=40)
     moved = KernelParams(params.alpha, params.theta * 1.01)
     batch = _Batch(X, Y, sub)
     _nested_eval(params, batch, 0.05)
-    for _ in range(2):
-        _nested_eval(moved, batch, 0.05)
-        for kernel_id in (2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 20):
-            i = kernel_id - 1
-            with np.errstate(all="ignore"):
-                fresh = _eval_block(i, batch.stats, moved.theta)
-            want = _grad_blocks(i, batch.stats, moved.theta, fresh)
-            got = _grad_blocks(i, batch.stats, moved.theta, batch.blocks[i])
-            assert batch.blocks[i].tobytes() == fresh.tobytes(), kernel_id
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kernel_id
+    held = {}
+
+    def recorded(i, stats, theta, block):
+        held[i] = block
+        return _grad_blocks(i, stats, theta, block)
+
+    monkeypatch.setattr(kflow.loss, "_grad_blocks", recorded)
+    _nested_eval(moved, batch, 0.05, wrt_theta=True)
+    for kernel_id in (2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 15, 20):
+        i = kernel_id - 1
+        with np.errstate(all="ignore"):
+            fresh = _eval_block(i, batch.stats, moved.theta)
+        want = _grad_blocks(i, batch.stats, moved.theta, fresh)
+        got = _grad_blocks(i, batch.stats, moved.theta, held[i])
+        assert held[i].tobytes() == fresh.tobytes(), kernel_id
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kernel_id
 
 
 def _two_batch_gradient(params, X, Y, lam):
@@ -647,9 +658,11 @@ def test_packed_batch_equals_the_full_array_path(rng, monkeypatch, n):
     got = _nested_eval(params, batch, 0.05, wrt_alpha=True, wrt_theta=True)
     assert len(systems) == 2
     for i, block in blocks.items():
-        assert batch.blocks[i].tobytes() == block[iu].tobytes(), i + 1
+        with np.errstate(all="ignore"):
+            value = _eval_block(i, batch.stats, params.theta)
+        assert value.tobytes() == block[iu].tobytes(), i + 1
         want = _grad_blocks(i, stats, params.theta, block)
-        got_grads = _grad_blocks(i, batch.stats, params.theta, batch.blocks[i])
+        got_grads = _grad_blocks(i, batch.stats, params.theta, value)
         assert [g.tobytes() for g in got_grads] == [w[iu].tobytes() for w in want], i + 1
     (K_b, W_b), (K_c, _) = systems
     assert K_b.tobytes() == K[iu].tobytes()
@@ -694,9 +707,9 @@ def test_loss_breakdown_dataclass():
 
 
 def test_nested_eval_reused_terms_are_bitwise_identical(rng):
-    # an epoch's theta-step, alpha-step (which zeroes a weight) and logged loss on one
-    # batch, then a term back in at that theta: each call, with and without the gradient,
-    # equals the same call on a fresh batch bit for bit
+    # an epoch's theta-step and alpha-step on one batch, then the weights after the
+    # proximal step (which zeroes one) and a term back in at that theta: each call, with
+    # and without the gradient, equals the same call on a fresh batch bit for bit
     alpha = rng.uniform(0.5, 1.0, N_KERNELS)
     theta = rng.uniform(0.8, 1.5, N_THETA)
     X = rng.normal(size=(16, 3))
@@ -719,9 +732,9 @@ def test_nested_eval_reused_terms_are_bitwise_identical(rng):
 
 
 def test_nonfinite_elemental_on_the_loss_path_is_named_and_keeps_the_terms(rng):
-    # t7 = 0 makes elemental 5 nan: the batch path checks its sum once, names the
-    # elemental as gram does, and the batch keeps the previous call's blocks, so it then
-    # evaluates good parameters bitwise as a fresh batch does
+    # t7 = 0 makes elemental 5 nan: the batch path checks its sum once and names the
+    # elemental as gram does, and the batch then evaluates good parameters bitwise as a
+    # fresh batch does
     X, Y, sub = rng.normal(size=(8, 2)), rng.normal(size=(8, 1)), np.arange(4)
     good = random_params(rng)
     theta = np.array(good.theta)
@@ -732,7 +745,6 @@ def test_nonfinite_elemental_on_the_loss_path_is_named_and_keeps_the_terms(rng):
     assert "elemental kernel 5" in str(expected.value)
     batch = _Batch(X, Y, sub)
     _nested_eval(good, batch, 0.05)
-    kept = batch.blocks
     calls = (lambda: _nested_eval(bad, _Batch(X, Y, sub), 0.05),
              lambda: _nested_eval(bad, batch, 0.05),
              lambda: _nested_eval(bad, batch, 0.05, wrt_theta=True))
@@ -742,7 +754,6 @@ def test_nonfinite_elemental_on_the_loss_path_is_named_and_keeps_the_terms(rng):
             with pytest.raises(KernelEvalError) as info:
                 call()
             assert str(info.value) == str(expected.value)
-    assert batch.blocks is kept
     for flags in ({}, {"wrt_alpha": True, "wrt_theta": True}):
         fresh = _nested_eval(good, _Batch(X, Y, sub), 0.05, **flags)
         reused = _nested_eval(good, batch, 0.05, **flags)

@@ -80,7 +80,9 @@ def test_numpy_integer_sample_count_is_accepted():
     assert integrate_rk4(get_system("lorenz"), np.int64(5)).n == 5
 
 
-@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan, 0.0, -0.01])
+@pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan, 0.0, -0.01,
+                                pytest.param(10**400, id="int-beyond-float"),
+                                pytest.param([0.1], id="list")])
 def test_dt_that_is_not_positive_and_finite_is_a_value_error(dt):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,5 +1,4 @@
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -498,32 +497,27 @@ def test_calibration_candidates_allocate_no_gram_sized_array(rng, monkeypatch, g
     assert peak - before[0] < 8 * CALIBRATION_ROWS ** 2 // 4
 
 
-def test_the_last_batch_is_freed_before_calibration(rng, monkeypatch):
-    # its blocks would otherwise sit below calibration's arrays on the heap
+def test_an_epoch_evaluates_the_loss_twice_theta_step_first(rng, monkeypatch):
+    # the logged loss is the alpha-step's own: no third evaluation, on one batch per epoch
     ds = lorenz_like_dataset(rng)
-    made, seen = [], []
-    calibrate = kflow.training._calibrate_scale
+    calls = []
+    nested_eval = kflow.training._nested_eval
 
-    class RecordedBatch(kflow.loss._Batch):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(weakref.ref(self))
+    def recorded(params, batch, lambda1, **flags):
+        calls.append((batch, flags))
+        return nested_eval(params, batch, lambda1, **flags)
 
-    def checked(*args):
-        seen.append([ref() is None for ref in made])
-        return calibrate(*args)
-
-    monkeypatch.setattr(kflow.training, "_Batch", RecordedBatch)
-    monkeypatch.setattr(kflow.training, "_calibrate_scale", checked)
+    monkeypatch.setattr(kflow.training, "_nested_eval", recorded)
     report = train(ds, default_init(ds, 0), TrainConfig(epochs=3, batch_size=16, seed=1))
-    assert report.failures == [] and len(made) == 3
-    assert seen == [[True, True, True]]
+    assert report.failures == []
+    assert [flags for _, flags in calls] == [{"wrt_theta": True}, {"wrt_alpha": True}] * 3
+    assert [calls[k][0] is calls[k + 1][0] for k in (0, 2, 4)] == [True] * 3
 
 
 def test_full_dictionary_epoch_evaluates_42_blocks(rng, monkeypatch):
     # theta-step and alpha-step each evaluate 21 blocks on batch b, whose
-    # submatrices serve the half batch; the logged loss reuses the
-    # alpha-step's blocks (theta is unchanged).  Only the theta-step takes
+    # submatrices serve the half batch; the epoch logs the alpha-step's
+    # loss, so no evaluation follows.  Only the theta-step takes
     # theta-derivative blocks, again on b only.
     ds = lorenz_like_dataset(rng)
     blocks = _counting(monkeypatch, kflow.loss, "_eval_block")
