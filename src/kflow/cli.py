@@ -269,6 +269,9 @@ def cmd_forecast(args) -> int:
         raise CliDataError(f"{args.model} is not a model artifact")
     model = TrainedModel.from_dict(model_doc["model"])
     standardizer = Standardizer.from_dict(model_doc["standardization"])
+    if standardizer.mean.size != model.dim:
+        raise CliDataError(f"standardization has {standardizer.mean.size} coordinates but the "
+                           f"model has {model.dim}")
     series = load_csv(args.input)
     if series.dim != model.dim:
         raise CliDataError(

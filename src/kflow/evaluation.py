@@ -258,40 +258,31 @@ def prepare_series(series: TimeSeries, tau: int, train_fraction: float) -> Prepa
     return PreparedSeries(standardizer, train_ds, test_ds)
 
 
-def _score_method(model, prepared: PreparedSeries, rollout_steps: int | None):
-    """(smape_raw, hd_standardized) for one fitted model."""
-    test = prepared.test
-    pred_std = one_step_forecast(model, test)
-    inv = prepared.standardizer.inverse
-    s = smape(inv(pred_std), inv(test.Y))
-    steps = test.n_pairs if rollout_steps is None else min(rollout_steps, test.n_pairs)
+def _method(prepared: PreparedSeries, protocol: EvalProtocol, init: KernelParams,
+            lambda2: float | None = None):
+    """(smape, hd, nnz) of one method, None if it fails: ``init`` trained at lambda2 (None:
+    taken untrained), fitted on the training windows, then scored by its one-step SMAPE
+    (raw units) and its rollout's HD (standardized units)."""
+    config, test = protocol.train_config, prepared.test
     try:
-        path = rollout(model, test.X[0], steps)
-        h = hausdorff(path, test.Y[:steps])
-    except RolloutDiverged:
-        h = np.inf
-    return s, h
-
-
-def _scored(params_fn, prepared: PreparedSeries, protocol: EvalProtocol):
-    """(smape, hd, nnz) of the model on params_fn()'s parameters; None if it fails."""
-    try:
-        params = params_fn()
-        model = fit(params, prepared.train, protocol.train_config.lambda1)
-        return (*_score_method(model, prepared, protocol.rollout_steps), params.nnz)
+        params = init
+        if lambda2 is not None:
+            params = train(prepared.train, init, replace(config, lambda2=lambda2)).final_params
+        model = fit(params, prepared.train, config.lambda1)
+        inv = prepared.standardizer.inverse
+        s = smape(inv(one_step_forecast(model, test)), inv(test.Y))
+        steps = min(protocol.rollout_steps or test.n_pairs, test.n_pairs)
+        try:
+            h = hausdorff(rollout(model, test.X[0], steps), test.Y[:steps])
+        except RolloutDiverged:
+            h = np.inf
+        return s, h, params.nnz
     except _RECOVERABLE:
         return None
 
 
-def _dense_method(prepared: PreparedSeries, init: KernelParams, protocol: EvalProtocol):
-    """_scored of dense training from ``init``: TrainedRBF or RegularKF."""
-    dense = replace(protocol.train_config, lambda2=0.0)
-    return _scored(lambda: train(prepared.train, init, dense).final_params, prepared, protocol)
-
-
 def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow:
     """Run the four methods on one system; failures score +inf."""
-    config = protocol.train_config
     smapes = {m: np.inf for m in METHOD_NAMES}
     hds = {m: np.inf for m in METHOD_NAMES}
     nnz = {}
@@ -301,22 +292,19 @@ def benchmark_system(series: TimeSeries, protocol: EvalProtocol) -> BenchmarkRow
     except ValueError:
         return BenchmarkRow(series.name, smapes, hds, "none")
 
-    train_ds = prepared.train
-    full_init = default_init(train_ds, config.seed)
+    full_init = default_init(prepared.train, protocol.train_config.seed)
     try:
-        grid, cells = _cv_cells(train_ds, protocol.lambda2_grid, protocol.cv_config)
+        grid, cells = _cv_cells(prepared.train, protocol.lambda2_grid, protocol.cv_config)
     except ValueError:  # SparseKF cannot cross-validate and fails; the dense methods still run
         grid, cells = (), []
-    dense = [partial(_dense_method, prepared, init, protocol)
+    dense = [partial(_method, prepared, protocol, init, 0.0)
              for init in (gaussian_only_init(full_init), full_init)]
     with _task_pool(cells + dense) as result:
-        rbf = _scored(fixed_rbf_params, prepared, protocol)
+        rbf = _method(prepared, protocol, fixed_rbf_params())
         sparse = None
         if cells:  # selected is recorded even when the final training fails
             selected = _select(grid, [result(i) for i in range(len(cells))]).selected_lambda2
-            sparse_config = replace(config, lambda2=selected)
-            sparse = _scored(lambda: train(train_ds, full_init, sparse_config).final_params,
-                             prepared, protocol)
+            sparse = _method(prepared, protocol, full_init, selected)
         scores = (rbf, result(len(cells)), result(len(cells) + 1), sparse)
     for name, scored in zip(METHOD_NAMES, scores):
         if scored is not None:

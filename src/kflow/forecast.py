@@ -53,14 +53,21 @@ class TrainedModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainedModel":
+        """The model of a to_dict document.  A malformed document is a ValueError, a
+        non-finite number in it too: a model file is data, not a numerical failure."""
         try:
-            train_X = np.asarray(doc["train_X"], dtype=float)
-            coeff = np.asarray(doc["coefficients"], dtype=float)
+            arrays = {"alpha": doc["kernel"]["alpha"], "theta": doc["kernel"]["theta"],
+                      "train_X": doc["train_X"], "coefficients": doc["coefficients"]}
+            arrays = {name: np.asarray(a, dtype=float) for name, a in arrays.items()}
+            nonfinite = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+            if nonfinite:
+                raise ValueError(f"model has non-finite entries in {', '.join(nonfinite)}")
+            train_X, coeff = arrays["train_X"], arrays["coefficients"]
             if coeff.ndim != 2 or train_X.ndim != 2 or coeff.shape[0] != train_X.shape[0]:
                 raise ValueError(f"coefficients of shape {coeff.shape} do not fit train_X of "
                                  f"shape {train_X.shape}: need one row per training window")
             return cls(
-                params=KernelParams.from_dict(doc["kernel"]),
+                params=KernelParams(arrays["alpha"], arrays["theta"]),
                 train_X=train_X,
                 coefficients=coeff,
                 lambda1=float(doc["lambda1"]),

@@ -137,12 +137,8 @@ class KernelParams:
         object.__setattr__(self, "theta", theta)
 
     @property
-    def active_mask(self) -> np.ndarray:
-        return np.abs(self.alpha) > 0.0
-
-    @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self.active_mask))
+        return int(np.count_nonzero(self.alpha))
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha.tolist(), "theta": self.theta.tolist()}
@@ -354,11 +350,8 @@ def _g_bump(rq, t, val):
 # tuple (r, q) rather than recompute r = sqrt(q)); one geometry-scale rule, named as in
 # training.geometry_scales, per theta slot it owns, in slot order (term i owns the
 # len(scales) slots after term i-1's: the table is the one statement of the theta
-# layout); ``psd``, True for the members the initialization does not damp (not a fact
-# of the Grams: at default_init's theta on 15-dimensional windows, terms 2, 5, 6, 17 and
-# 21 are indefinite too, PSD only for some theta); and the positions among its slots of
-# the bare divisors that clamp_theta clamps.
-Elemental = namedtuple("Elemental", "value grad on scales psd clamped", defaults=(True, ()))
+# layout); and the positions among its slots of the bare divisors that clamp_theta clamps.
+Elemental = namedtuple("Elemental", "value grad on scales clamped", defaults=((),))
 
 DICTIONARY = (
     Elemental(_k_linear, _g_linear, "s", ("unit",)),  # s + t1^2
@@ -374,21 +367,20 @@ DICTIONARY = (
               clamped=(0,)),  # exp(-sin^2(pi r/t12)/t13^2) exp(-r/t14^2)
     Elemental(_k_periodic, _g_periodic, "r", ("period_r", "unit"),
               clamped=(0,)),  # exp(-sin^2(pi r/t15)/t16^2)
-    Elemental(_k_multiquadric, _g_multiquadric, "q", ("sqrt_q",),
-              psd=False),  # sqrt(q + t17^2)
+    Elemental(_k_multiquadric, _g_multiquadric, "q", ("sqrt_q",)),  # sqrt(q + t17^2)
     Elemental(_k_inverse_multiquadric, _g_inverse_multiquadric, "q",
               ("unit", "inv_sqrt_q")),  # (t18^2 + t19^2 q)^(-1/2)
     Elemental(_k_inverse_multiquadric, _g_inverse_multiquadric, "r",
               ("unit", "inv_sqrt_r")),  # (t20^2 + t21^2 r)^(-1/2)
-    Elemental(_k_power, _g_power, "r", ("sqrt_r", "unit"), psd=False),  # (t22^2 + r)^t23
-    Elemental(_k_power, _g_power, "q", ("sqrt_q", "unit"), psd=False),  # (t24^2 + q)^t25
+    Elemental(_k_power, _g_power, "r", ("sqrt_r", "unit")),  # (t22^2 + r)^t23
+    Elemental(_k_power, _g_power, "q", ("sqrt_q", "unit")),  # (t24^2 + q)^t25
     Elemental(_k_cauchy, _g_cauchy, "q", ("sqrt_q",), clamped=(0,)),  # (1 + (r/t26)^2)^(-1)
     Elemental(_k_cauchy, _g_cauchy, "r", ("sqrt_r",)),  # (1 + r/t27^2)^(-1)
     Elemental(_k_rational, _g_rational, "q", ("sqrt_q",)),  # 1 - q/(q + t28^2)
     Elemental(_k_triangular, _g_triangular, "q", ("support_q",)),  # max(0, 1 - q/t29^2)
     Elemental(_k_triangular, _g_triangular, "r", ("support_r",)),  # max(0, 1 - r/t30^2)
-    Elemental(_k_log, _g_log, "r", ("unit",), psd=False),  # log(r^t31 + 1)
-    Elemental(_k_sigmoid, _g_sigmoid, "s", ("inv_s", "unit"), psd=False),  # tanh(t32 s + t33)
+    Elemental(_k_log, _g_log, "r", ("unit",)),  # log(r^t31 + 1)
+    Elemental(_k_sigmoid, _g_sigmoid, "s", ("inv_s", "unit")),  # tanh(t32 s + t33)
     Elemental(_k_bump, _g_bump, "rq", ("support_r",)),  # circular bump with support q < t34^2
 )
 

@@ -257,7 +257,15 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Standardizer":
+        """The map of a to_dict document: 1-d mean and scale of one length, every mean
+        finite and every scale in (0, inf); ValueError otherwise."""
         try:
-            return cls(np.asarray(doc["mean"], dtype=float), np.asarray(doc["scale"], dtype=float))
+            mean, scale = (np.asarray(doc[key], dtype=float) for key in ("mean", "scale"))
         except TypeError as err:  # JSON of the wrong type: null, a string, an object, ...
             raise ValueError(f"standardization has JSON of the wrong type: {err}") from err
+        if mean.ndim != 1 or mean.shape != scale.shape:
+            raise ValueError(f"standardization mean and scale must be 1-d of one length, got "
+                             f"shapes {mean.shape} and {scale.shape}")
+        if not (np.isfinite(mean).all() and ((0.0 < scale) & (scale < np.inf)).all()):
+            raise ValueError("standardization needs finite means and finite positive scales")
+        return cls(mean, scale)

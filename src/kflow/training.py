@@ -37,22 +37,22 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .embedding import DelayDataset
-from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelEvalError, KernelParams,
-                      NumericalError, _kernel_matrix, _pack, _packed_index, _packed_stats,
-                      clamp_theta)
-from .loss import FactorizationError, LossBreakdown, _Batch, _nested_eval
+from .kernels import (DICTIONARY, N_KERNELS, N_THETA, KernelParams, NumericalError,
+                      _kernel_matrix, _pack, _packed_index, _packed_stats, clamp_theta)
+from .loss import LossBreakdown, _Batch, _nested_eval
 
 
 class TrainingAborted(NumericalError, RuntimeError):
     """Too many failed epochs (factorization/evaluation errors)."""
 
 
-# the weight factor of the members flagged psd=False, which the initialization damps
-# (five others are indefinite at init too, see DICTIONARY): four grow with distance
-# (multiquadric, both power terms, the log term); the sigmoid neither grows with distance
-# nor is conditionally negative definite.  At O(1) weights they make the shifted Gram
-# indefinite and the loss ratio loses its norm meaning, so they start small; their
-# gradients regrow them whenever they help.
+# the 0-based indices of the terms the initialization damps by CND_INIT_SCALE: terms 9,
+# 12, 13 and 19 (multiquadric, both power terms, the log term) grow with distance, and
+# term 20 (the sigmoid) neither grows with distance nor is conditionally negative definite.
+# At O(1) weights they make the shifted Gram indefinite and the loss ratio loses its norm
+# meaning, so they start small; their gradients regrow them whenever they help.  Terms 2,
+# 5, 6, 17 and 21 are indefinite at default_init's theta too, but start undamped.
+DAMPED = (8, 11, 12, 18, 19)
 CND_INIT_SCALE = 0.1
 
 # the loss ratio has a pole where the denominator quadratic form crosses
@@ -135,13 +135,12 @@ def geometry_scales(dataset: DelayDataset) -> np.ndarray:
 def default_init(dataset: DelayDataset, seed: int) -> KernelParams:
     """Seeded random initialization adapted to the dataset geometry.
 
-    Weights draw from U(0.5, 1.0), times CND_INIT_SCALE for the members it
-    damps (psd=False; the rest are not all PSD); theta draws from
-    U(0.5, 1.5) times the geometry scales.
+    Weights draw from U(0.5, 1.0), times CND_INIT_SCALE for the DAMPED
+    terms; theta draws from U(0.5, 1.5) times the geometry scales.
     """
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.5, 1.0, N_KERNELS)
-    alpha[[i for i, term in enumerate(DICTIONARY) if not term.psd]] *= CND_INIT_SCALE
+    alpha[list(DAMPED)] *= CND_INIT_SCALE
     theta = rng.uniform(0.5, 1.5, N_THETA) * geometry_scales(dataset)
     return KernelParams(alpha, theta)
 
@@ -312,7 +311,7 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
     try:
         S = _kernel_matrix(params, fit_part.X)  # K on and above the diagonal
         K_hold = cross_gram(params, hold_part.X, fit_part.X)
-    except KernelEvalError:
+    except NumericalError:
         return alpha
     K = _pack(S)  # after the cross-Gram, whose tiles' temporaries it would add to
     # glibc raises its mmap threshold to the size of any mmapped block it frees (up to
@@ -328,7 +327,7 @@ def _calibrate_scale(dataset: DelayDataset, alpha, theta, config: TrainConfig):
         try:
             W = RidgeSystem(K, config.lambda1 / (scale * scale), buffer=buffer).solve(fit_part.Y)
             err = smape(K_hold @ W, hold_part.Y)
-        except (FactorizationError, ValueError):
+        except NumericalError:
             continue
         if err < best_err:
             best_scale, best_err = scale, err

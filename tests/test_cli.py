@@ -6,6 +6,7 @@ import sys
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -527,13 +528,12 @@ BAD_MODELS = {  # edit of a saved model doc -> (exit code, start of the message)
     "mean-an-object": (lambda doc: doc["standardization"].update(mean={"x": 0.0}), 3,
                        "data error [ValueError]: standardization has JSON of the wrong type"),
     "alpha-overflows": (_alpha_overflows, 4, "numerical failure [KernelEvalError]"),
-    "theta-nan": (_theta_nan, 4, "numerical failure [KernelEvalError]"),
+    "theta-nan": (_theta_nan, 3, "data error [ValueError]: model has non-finite entries in theta"),
 }
 
 
-@pytest.mark.parametrize("case", BAD_MODELS)
-def test_bad_model_file_exits_with_its_documented_code(tmp_path, rng, capsys, case):
-    edit, code, message = BAD_MODELS[case]
+def _edited_model(tmp_path, rng, edit):
+    """(toy series path, path of a model trained on it with edit applied to its doc)."""
     data = toy_csv(tmp_path, rng)
     model_path = tmp_path / "model.json"
     assert run_cli("train", str(data), "--mode", "regular", "--out", str(model_path),
@@ -541,10 +541,57 @@ def test_bad_model_file_exits_with_its_documented_code(tmp_path, rng, capsys, ca
     doc = json.loads(model_path.read_text())
     edit(doc)
     model_path.write_text(json.dumps(doc))
+    return data, model_path
+
+
+@pytest.mark.parametrize("case", BAD_MODELS)
+def test_bad_model_file_exits_with_its_documented_code(tmp_path, rng, capsys, case):
+    edit, code, message = BAD_MODELS[case]
+    data, model_path = _edited_model(tmp_path, rng, edit)
     capsys.readouterr()
     assert run_cli("forecast", "--model", str(model_path), "--input", str(data),
                    "--out", str(tmp_path / "p.csv")) == code
     assert capsys.readouterr().err.startswith(message)
+
+
+def _set(*path_and_value):
+    """The edit of a saved model doc that sets its entry at path to value."""
+    *keys, last, value = path_and_value
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+NAN = float("nan")
+MALFORMED_MODELS = {  # edit of a saved model doc -> what the data error names
+    "coefficient-nan": (_set("model", "coefficients", 0, 0, NAN), "entries in coefficients"),
+    "train-X-nan": (_set("model", "train_X", 3, 1, NAN), "entries in train_X"),
+    "alpha-nan": (_set("model", "kernel", "alpha", 2, NAN), "entries in alpha"),
+    "scale-0": (_set("standardization", "scale", 0, 0.0), "finite positive scales"),
+    "scale-negative": (_set("standardization", "scale", 1, -1.0), "finite positive scales"),
+    "scale-1-element": (_set("standardization", "scale", [1.0]), "1-d of one length"),
+    "standardization-1-d": (lambda doc: doc["standardization"].update(mean=[0.0], scale=[1.0]),
+                            "standardization has 1 coordinates but the model has 2"),
+}
+
+
+@pytest.mark.parametrize("mode", ["onestep", "rollout"])
+@pytest.mark.parametrize("case", MALFORMED_MODELS)
+def test_a_malformed_model_is_a_data_error_before_any_prediction(tmp_path, rng, capsys, case,
+                                                                 mode):
+    edit, message = MALFORMED_MODELS[case]
+    data, model_path = _edited_model(tmp_path, rng, edit)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("forecast", "--model", str(model_path), "--input", str(data),
+                       "--mode", mode, "--out", str(tmp_path / "p.csv"))
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("data error") and message in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("content", ["# dt=0.1\n0.0,1.0\n", "[1, 2]"], ids=["csv", "json-array"])
@@ -577,3 +624,14 @@ def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "kflow.cli", "--version"],
                           capture_output=True, text=True, cwd=Path(kflow.__file__).parents[1])
     assert proc.returncode == 0
+
+
+def test_python_dash_m_kflow_runs_the_cli(tmp_path):
+    # the package itself runs as the kflow command, found on PYTHONPATH alone
+    env = {**os.environ, "PYTHONPATH": str(Path(kflow.__file__).parents[1])}
+    run = partial(subprocess.run, capture_output=True, text=True, cwd=tmp_path, env=env)
+    proc = run([sys.executable, "-m", "kflow", "--version"])
+    assert proc.returncode == 0 and proc.stdout.strip() == kflow.__version__
+    proc = run([sys.executable, "-m", "kflow", "generate", "nope", "--out", "x.csv"])
+    assert proc.returncode == 3 and "unknown system 'nope'" in proc.stderr
+    assert not (tmp_path / "x.csv").exists()

@@ -62,8 +62,7 @@ def test_dictionary_table_invariants(rng):
     ds = build_delay_dataset(TimeSeries(rng.normal(size=(60, 2)), 0.1), 3)
     scales = geometry_scales(ds)
     assert scales.shape == (N_THETA,) and (scales > 0.0).all()
-    # the non-PSD terms (1-based) and the clamped bare divisors (0-based slots)
-    assert {i + 1 for i, term in enumerate(DICTIONARY) if not term.psd} == {9, 12, 13, 19, 20}
+    # the clamped bare divisors (0-based slots)
     clamped = tuple(slots[k] for term, slots in zip(DICTIONARY, SLOTS) for k in term.clamped)
     assert clamped == (6, 9, 11, 14, 25)
     assert tuple(np.flatnonzero(clamp_theta(np.zeros(N_THETA)))) == clamped
@@ -651,7 +650,8 @@ def psd_fixture_theta():
 
 def test_psd_subset_gram_eigenvalues(point_cloud):
     theta = psd_fixture_theta()
-    for kid in (i + 1 for i, term in enumerate(DICTIONARY) if term.psd):
+    # the 16 terms PSD at the fixture's theta: all but 9, 12, 13, 19 and 20
+    for kid in (1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 14, 15, 16, 17, 18, 21):
         params = single_kernel(kid, theta)
         G = unpack(gram(params, point_cloud))
         min_eig = np.linalg.eigvalsh(G).min()
@@ -704,9 +704,9 @@ def test_params_validation():
         KernelParams(bad, np.ones(N_THETA))
 
 
-def test_active_mask_and_nnz():
+def test_nnz_counts_nonzero_weights():
     alpha = np.zeros(N_KERNELS)
     alpha[[1, 6, 11]] = (0.99, -0.25, 0.28)
+    alpha[4] = -0.0  # a signed zero removes its term too
     params = KernelParams(alpha, np.ones(N_THETA))
     assert params.nnz == 3
-    assert params.active_mask.sum() == 3

@@ -326,7 +326,7 @@ def test_default_init_equals_the_grouped_reference_bitwise(system):
     for seed in (0, 11):
         rng = np.random.default_rng(seed)
         alpha = rng.uniform(0.5, 1.0, N_KERNELS)
-        alpha[[8, 11, 12, 18, 19]] *= 0.1                # the non-PSD terms 9, 12, 13, 19, 20
+        alpha[[8, 11, 12, 18, 19]] *= 0.1                # the damped terms 9, 12, 13, 19, 20
         theta = rng.uniform(0.5, 1.5, N_THETA) * scales
         init = default_init(train_ds, seed)
         assert init.alpha.tobytes() == alpha.tobytes()
