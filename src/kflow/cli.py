@@ -22,7 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,6 @@ from .metrics import hausdorff, smape
 from .systems import (
     Standardizer,
     _write_csv,
-    builtin_systems,
     get_system,
     integrate_rk4,
     load_csv,
@@ -113,7 +112,7 @@ def _setting(args, key, cast, default):
         value = cast(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise CliDataError(f"setting {key!r} = {value!r}: {err}") from None
-    return check_range(key, value, error=CliDataError)
+    return check_range("rollout_steps" if key == "steps" else key, value, key, CliDataError)
 
 
 def _grid(value) -> tuple:
@@ -122,37 +121,37 @@ def _grid(value) -> tuple:
     return tuple(float(v) for v in value)
 
 
-def _protocol(args) -> EvalProtocol:
-    """The run's settings from flags, the config file and EvalProtocol()'s defaults."""
+# Every setting of train and benchmark, in the order config blocks record them: (name, cast,
+# help).  Each is the flag --name (dashes for underscores), else the config file's name,
+# else its default.  n and steps are benchmark's alone.  Not lambda2: each mode trains at
+# its own, which artifacts record as selected_lambda2.
+SETTINGS = (
+    ("tau", int, None),
+    ("train_fraction", float, None),
+    ("lambda2_grid", _grid, "comma-separated candidate values"),
+    ("cv_epochs", int, "reduced epoch count for CV cells"),
+    ("n", int, "samples for builtin entries"),
+    ("steps", int, "rollout length for HD"),
+    *((f.name, type(f.default), None) for f in fields(TrainConfig) if f.name != "lambda2"),
+)
+
+
+def _protocol(args) -> tuple[EvalProtocol, dict]:
+    """The run's protocol and its settings: each SETTINGS entry the command has a flag for,
+    through _setting, at EvalProtocol()'s default; a null lambda2_grid is the default grid."""
     default = EvalProtocol()
-    base = default.train_config
-    grid = _setting(args, "lambda2_grid", _grid, None)
-    return EvalProtocol(
-        tau=_setting(args, "tau", int, default.tau),
-        train_fraction=_setting(args, "train_fraction", float, default.train_fraction),
-        lambda2_grid=default.lambda2_grid if grid is None else grid,
-        train_config=TrainConfig(**{  # not lambda2: each mode trains at its own
-            f.name: _setting(args, f.name, type(getattr(base, f.name)), getattr(base, f.name))
-            for f in fields(TrainConfig) if f.name != "lambda2"
-        }),
-        cv_epochs=_setting(args, "cv_epochs", int, default.cv_epochs),
-        rollout_steps=check_range("rollout_steps", getattr(args, "steps", None), "steps",
-                                  CliDataError),
-    )
-
-
-def _resolved(head: dict, protocol: EvalProtocol, **extra) -> dict:
-    """An artifact's config block: head, protocol, extra, then the train config's fields."""
-    return {
-        **head,
-        "tau": protocol.tau,
-        "train_fraction": protocol.train_fraction,
-        "lambda2_grid": list(protocol.lambda2_grid),
-        "cv_epochs": protocol.cv_epochs,
-        **extra,
-        # not lambda2: training runs at the mode's, recorded as selected_lambda2
-        **{k: v for k, v in asdict(protocol.train_config).items() if k != "lambda2"},
-    }
+    defaults = {**vars(default), **vars(default.train_config), "lambda2_grid": None,
+                "n": 7200, "steps": default.rollout_steps}
+    s = {name: _setting(args, name, cast, defaults[name])
+         for name, cast, _ in SETTINGS if name in vars(args)}
+    if s["lambda2_grid"] is None:
+        s["lambda2_grid"] = default.lambda2_grid
+    protocol = EvalProtocol(
+        tau=s["tau"], train_fraction=s["train_fraction"], lambda2_grid=s["lambda2_grid"],
+        cv_epochs=s["cv_epochs"], rollout_steps=s.get("steps"),
+        train_config=TrainConfig(**{f.name: s[f.name] for f in fields(TrainConfig)
+                                    if f.name != "lambda2"}))
+    return protocol, s
 
 
 def _svg_line_plot(path, series, labels, title) -> None:
@@ -194,12 +193,7 @@ def _svg_line_plot(path, series, labels, title) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    try:
-        spec = get_system(args.system)
-    except KeyError:
-        names = ", ".join(s.name for s in builtin_systems())
-        print(f"unknown system {args.system!r}; available: {names}", file=sys.stderr)
-        return EXIT_DATA
+    spec = get_system(args.system)
     series = integrate_rk4(spec, args.n, args.dt)
     save_csv(series, args.out)
     print(f"{spec.name}: wrote {series.n} samples x {series.dim} dims "
@@ -209,10 +203,10 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     series = load_csv(args.input)
-    protocol = _protocol(args)
+    protocol, settings = _protocol(args)
     prepared = prepare_series(series, protocol.tau, protocol.train_fraction)
     config = protocol.train_config
-    resolved = _resolved({"command": "train", "input": str(args.input), "mode": args.mode}, protocol)
+    resolved = {"command": "train", "input": str(args.input), "mode": args.mode, **settings}
 
     cv_doc = None
     lambda2 = 0.0
@@ -262,7 +256,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    steps = check_range("rollout_steps", args.steps, "steps", CliDataError)
+    steps = _setting(args, "steps", int, None)
     with open(args.model, "r", encoding="utf-8") as fh:
         model_doc = json.load(fh)
     if not isinstance(model_doc, dict) or model_doc.get("artifact") != "model":
@@ -307,12 +301,11 @@ def cmd_forecast(args) -> int:
     _write_csv(args.out, standardizer.inverse(pred_std), series.dt)
 
     scores_doc = _envelope("forecast_scores", resolved, digest)
-    if truth_std.shape[0] >= 1 and pred_std.shape[0] >= 1:
-        n = min(truth_std.shape[0], pred_std.shape[0])
+    n = len(truth_std)  # never more rows than the predictions
+    if n >= 1:
         scores_doc["scores"] = {
-            "smape": smape(standardizer.inverse(pred_std[:n]),
-                           standardizer.inverse(truth_std[:n])),
-            "hausdorff": hausdorff(pred_std[:n], truth_std[:n]),
+            "smape": smape(standardizer.inverse(pred_std[:n]), standardizer.inverse(truth_std)),
+            "hausdorff": hausdorff(pred_std[:n], truth_std),
             "n_test": n,
         }
     else:
@@ -343,22 +336,20 @@ def _read_manifest(path):
 
 def cmd_benchmark(args) -> int:
     entries = _read_manifest(args.manifest)
-    protocol = _protocol(args)
+    protocol, settings = _protocol(args)
 
     series_list = []
     for entry in entries:
         if entry.startswith("builtin:"):
             spec = get_system(entry.split(":", 1)[1])
-            series_list.append(integrate_rk4(spec, args.n, None))
+            series_list.append(integrate_rk4(spec, settings["n"], None))
         else:
             s = load_csv(entry)
             series_list.append(TimeSeries(s.values, s.dt, Path(entry).stem))
     rows = run_benchmark(series_list, protocol)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = _resolved({"command": "benchmark", "manifest": str(args.manifest)},
-                         protocol, n=args.n)
+    resolved = {"command": "benchmark", "manifest": str(args.manifest), **settings}
     report_doc = _envelope("benchmark", resolved, _digest(args.manifest))
     report_doc["note"] = REPORT_HEADER_NOTE
     report_doc["rows"] = [r.to_dict() for r in rows]
@@ -382,20 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, skip=()):
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--tau", type=int)
-        p.add_argument("--lambda1", type=float)
-        p.add_argument("--lambda2-grid", dest="lambda2_grid",
-                       help="comma-separated candidate values")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--cv-epochs", dest="cv_epochs", type=int,
-                       help="reduced epoch count for CV cells")
-        p.add_argument("--lr", type=float)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--train-fraction", dest="train_fraction", type=float)
-        p.add_argument("--zero-clamp", dest="zero_clamp", type=float)
+        for name, cast, text in SETTINGS:
+            if name not in skip:  # the grid's flag stays its string: _setting parses it
+                p.add_argument("--" + name.replace("_", "-"), dest=name, help=text,
+                               type=None if cast is _grid else cast)
 
     g = sub.add_parser("generate", help="integrate a built-in system to CSV")
     g.add_argument("system")
@@ -409,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True, help="model JSON path")
     t.add_argument("--report", help="report JSON path (default: <out>_report.json)")
     t.add_argument("--svg", action="store_true", help="also write a loss-curve SVG")
-    common(t)
+    common(t, skip=("n", "steps"))
 
     f = sub.add_parser("forecast", help="predict with a saved model")
     f.add_argument("--model", required=True)
@@ -422,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("benchmark", help="four-method comparison over a manifest")
     b.add_argument("manifest")
     b.add_argument("--out-dir", dest="out_dir", required=True)
-    b.add_argument("--n", type=int, default=7200, help="samples for builtin entries")
-    b.add_argument("--steps", type=int, default=None, help="rollout length for HD")
     common(b)
 
     return parser

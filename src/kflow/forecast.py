@@ -33,6 +33,10 @@ class RolloutDiverged(NumericalError, RuntimeError):
         self.partial = partial
 
 
+class NonFiniteForecast(NumericalError, RuntimeError):
+    """A finite kernel and finite coefficients made a non-finite prediction (they overflow)."""
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     params: KernelParams
@@ -103,12 +107,20 @@ def _window(model: TrainedModel, window) -> np.ndarray:
     return window
 
 
+def _apply(model: TrainedModel, K: np.ndarray) -> np.ndarray:
+    """The predictions K @ coefficients of K's rows; NonFiniteForecast names the first
+    non-finite one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = K @ model.coefficients
+    finite = np.isfinite(pred).all(axis=1)
+    if not finite.all():
+        raise NonFiniteForecast(f"prediction row {int(finite.argmin())} is non-finite")
+    return pred
+
+
 def _predict(model: TrainedModel, window: np.ndarray, sq_train=None) -> np.ndarray:
     """Next state for a checked window; sq_train: the training windows' squared norms."""
-    k_row = _kernel_matrix(model.params, window[None, :], model.train_X, sq_train)
-    # rollout turns a non-finite prediction into RolloutDiverged
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (k_row @ model.coefficients)[0]
+    return _apply(model, _kernel_matrix(model.params, window[None, :], model.train_X, sq_train))[0]
 
 
 def predict_one(model: TrainedModel, window) -> np.ndarray:
@@ -124,8 +136,7 @@ def one_step_forecast(model: TrainedModel, test: DelayDataset) -> np.ndarray:
         raise ValueError(
             f"test window length {test.X.shape[1]} != model's {model.train_X.shape[1]}"
         )
-    K = cross_gram(model.params, test.X, model.train_X)
-    return K @ model.coefficients
+    return _apply(model, cross_gram(model.params, test.X, model.train_X))
 
 
 def rollout(model: TrainedModel, seed_window, steps: int) -> np.ndarray:
@@ -142,12 +153,9 @@ def rollout(model: TrainedModel, seed_window, steps: int) -> np.ndarray:
     out = np.empty((steps, d))
     for t in range(steps):
         try:
-            state = _predict(model, window, sq_train)
-        except KernelEvalError:
-            # an overflowing window blows up inside the kernel itself
+            out[t] = _predict(model, window, sq_train)
+        except (KernelEvalError, NonFiniteForecast):
+            # a window that overflows the kernel, or a prediction that overflows
             raise RolloutDiverged(t, out[:t].copy()) from None
-        if not np.all(np.isfinite(state)):
-            raise RolloutDiverged(t, out[:t].copy())
-        out[t] = state
-        window = np.concatenate([state, window[:-d]])
+        window = np.concatenate([out[t], window[:-d]])
     return out

@@ -143,10 +143,6 @@ class KernelParams:
     def to_dict(self) -> dict:
         return {"alpha": self.alpha.tolist(), "theta": self.theta.tolist()}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "KernelParams":
-        return cls(np.asarray(doc["alpha"], dtype=float), np.asarray(doc["theta"], dtype=float))
-
 
 # ---------------------------------------------------------------------------
 # pair geometry

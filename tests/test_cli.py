@@ -402,10 +402,13 @@ def test_steps_below_one_is_a_data_error(tmp_path, rng, capsys, steps):
     data = toy_csv(tmp_path, rng)
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(f"{data}\n")
-    assert run_cli("benchmark", str(manifest), "--out-dir", str(tmp_path / "bench"),
-                   "--steps", steps, *FAST) == 3
-    assert "setting 'steps'" in capsys.readouterr().err
-    assert not (tmp_path / "bench").exists()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"steps": int(steps)}))
+    for source in (["--steps", steps], ["--config", str(config)]):
+        assert run_cli("benchmark", str(manifest), "--out-dir", str(tmp_path / "bench"),
+                       *source, *FAST) == 3
+        assert "setting 'steps'" in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
     model_path = tmp_path / "model.json"
     assert run_cli("train", str(data), "--mode", "regular", "--out", str(model_path), *FAST) == 0
     capsys.readouterr()
@@ -514,6 +517,12 @@ def _theta_nan(doc):
     doc["model"]["kernel"]["theta"][0] = float("nan")
 
 
+def _coefficients_overflow(doc):
+    # finite, but at the largest float the products with the kernel rows overflow
+    doc["model"]["coefficients"] = np.full_like(doc["model"]["coefficients"],
+                                                np.finfo(float).max).tolist()
+
+
 BAD_MODELS = {  # edit of a saved model doc -> (exit code, start of the message)
     "not-a-model": (lambda doc: doc.update(artifact="train_report"), 3, "data error: "),
     "alpha-length-5": (lambda doc: doc["model"]["kernel"].update(alpha=[1.0] * 5), 3,
@@ -529,6 +538,8 @@ BAD_MODELS = {  # edit of a saved model doc -> (exit code, start of the message)
                        "data error [ValueError]: standardization has JSON of the wrong type"),
     "alpha-overflows": (_alpha_overflows, 4, "numerical failure [KernelEvalError]"),
     "theta-nan": (_theta_nan, 3, "data error [ValueError]: model has non-finite entries in theta"),
+    "coefficients-overflow": (_coefficients_overflow, 4,
+                              "numerical failure [NonFiniteForecast]: prediction row "),
 }
 
 
@@ -552,6 +563,7 @@ def test_bad_model_file_exits_with_its_documented_code(tmp_path, rng, capsys, ca
     assert run_cli("forecast", "--model", str(model_path), "--input", str(data),
                    "--out", str(tmp_path / "p.csv")) == code
     assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "p_scores.json").exists()
 
 
 def _set(*path_and_value):
@@ -609,14 +621,21 @@ def test_benchmark_runs_builtin_manifest_entries(tmp_path, capsys):
     manifest.write_text("builtin:lorenz\n")
     out_dir = tmp_path / "bench"
     assert run_cli("benchmark", str(manifest), "--out-dir", str(out_dir), "--n", "60",
-                   "--epochs", "1", "--cv-epochs", "1", "--batch-size", "10",
+                   "--steps", "4", "--epochs", "1", "--cv-epochs", "1", "--batch-size", "10",
                    "--lambda2-grid", "0") == 0
     report = json.loads((out_dir / "report.json").read_text())
-    assert report["config"]["n"] == 60
+    assert (report["config"]["n"], report["config"]["steps"]) == (60, 4)
     (row,) = report["rows"]
     assert row["system"] == "lorenz" and row["selected_lambda2"] == 0.0
     assert np.isfinite(row["RBF_smape"]) and row["best"] != "none"
     assert (out_dir / "report.csv").read_text().splitlines()[2].startswith("lorenz,")
+    # the config block, n and steps included, read back reruns the same benchmark
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(report["config"]))
+    again = tmp_path / "again"
+    assert run_cli("benchmark", str(manifest), "--out-dir", str(again),
+                   "--config", str(config)) == 0
+    assert (again / "report.json").read_bytes() == (out_dir / "report.json").read_bytes()
 
 
 def test_console_entry_point_runs():

@@ -7,6 +7,7 @@ import kflow.forecast
 from conftest import make_theta, pin_usable_cores, random_params, single_kernel
 from kflow.embedding import DelayDataset, TimeSeries, build_delay_dataset
 from kflow.forecast import (
+    NonFiniteForecast,
     RolloutDiverged,
     TrainedModel,
     fit,
@@ -152,9 +153,7 @@ def _chained_predict_one(model, window, steps):
     for t in range(steps):
         try:
             state = predict_one(model, window)
-        except KernelEvalError:
-            return np.array(path).reshape(-1, d), t
-        if not np.all(np.isfinite(state)):
+        except (KernelEvalError, NonFiniteForecast):
             return np.array(path).reshape(-1, d), t
         path.append(state)
         window = np.concatenate([state, window[:-d]])
@@ -183,6 +182,25 @@ def test_rollout_equals_chained_predict_one_bitwise():
         rollout(linear, test.X[0], 1000)
     assert info.value.step == step
     assert info.value.partial.tobytes() == want.tobytes()
+
+
+def test_a_prediction_that_overflows_is_a_numerical_error(rng, recwarn):
+    # finite kernel rows and finite coefficients whose product overflows: every forecast
+    # path raises before returning it, and no floating-point warning escapes
+    ds = scattered_dataset(rng)
+    model = fit(gaussian_params(), ds, 0.05)
+    # the largest float times a Gaussian row that sums to more than 1
+    huge = np.full_like(model.coefficients, np.finfo(float).max)
+    model = TrainedModel(model.params, model.train_X, huge, model.lambda1, model.tau,
+                         model.dim)
+    with pytest.raises(NonFiniteForecast, match="prediction row 0 is non-finite"):
+        one_step_forecast(model, ds)
+    with pytest.raises(NonFiniteForecast, match="prediction row 0 is non-finite"):
+        predict_one(model, ds.X[0])
+    with pytest.raises(RolloutDiverged) as info:
+        rollout(model, ds.X[0], 5)
+    assert info.value.step == 0 and info.value.partial.shape == (0, model.dim)
+    assert len(recwarn) == 0
 
 
 def test_rollout_checks_the_seed_window_before_any_step(rng, monkeypatch):

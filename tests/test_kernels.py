@@ -688,7 +688,7 @@ def test_clamp_theta_projects_bare_divisors():
 
 def test_params_json_round_trip(rng):
     params = random_params(rng)
-    back = KernelParams.from_dict(json.loads(json.dumps(params.to_dict())))
+    back = KernelParams(**json.loads(json.dumps(params.to_dict())))
     assert (back.alpha == params.alpha).all() and (back.theta == params.theta).all()
 
 
